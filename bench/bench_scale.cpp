@@ -15,10 +15,13 @@
 //
 // A second table sweeps the hierarchical debugger tier: halt waves through
 // a fanout-16 aggregator tree over up to 100k simulated processes, each
-// wave verified complete and cut-consistent (see print_tier_table).
+// wave verified complete and cut-consistent (see print_tier_table).  A
+// third times flat-debugger halt waves on complete(n), where the
+// marker-wave core's per-marker cost dominates (see print_complete_table).
 //
 // Environment knobs (all optional, for CI smoke jobs):
-//   DDBG_SCALE_N          comma list restricting the N sweep (e.g. "256")
+//   DDBG_SCALE_N          comma list restricting the N sweep and the
+//                         complete-graph halt sweep (e.g. "256")
 //   DDBG_SCALE_TREE_N     comma list restricting the tier sweep
 //   DDBG_SCALE_TRACE_DIR  directory to dump per-mode observer traces into,
 //                         as <topo>_n<N>_{seq,par}.trace, for external diff
@@ -184,6 +187,21 @@ void fail(const Config& config, const char* what) {
   std::exit(1);
 }
 
+// Comma list of sizes from environment variable `name`, or `defaults` when
+// it is unset.
+std::vector<std::uint32_t> sizes_from_env(const char* name,
+                                          std::vector<std::uint32_t> defaults) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return defaults;
+  std::vector<std::uint32_t> sizes;
+  std::stringstream stream(env);
+  std::string item;
+  while (std::getline(stream, item, ',')) {
+    sizes.push_back(static_cast<std::uint32_t>(std::stoul(item)));
+  }
+  return sizes;
+}
+
 // Returns {seq_wall_ms, par_wall_ms} and records both metrics snapshots.
 std::pair<double, double> run_config(const Config& config) {
   const double seq_ms = time_mode(config, 1);
@@ -300,6 +318,42 @@ class TierLoadProcess final : public Process {
   std::uint64_t received_ = 0;
 };
 
+// Message conservation over a halted cut of processes whose state encodes
+// (sent, received) counters, as TierLoadProcess and GossipProcess both do.
+// With FIFO channels and Lemma 2.2, sent == received + recorded exactly on
+// a consistent cut, at O(n) cost.
+struct Conservation {
+  std::uint64_t sent = 0;
+  std::uint64_t received = 0;
+  std::uint64_t recorded = 0;
+  bool decodable = true;
+  [[nodiscard]] bool holds() const {
+    return decodable && sent == received + recorded;
+  }
+};
+
+Conservation count_conservation(GlobalState& state,
+                                const Topology& topology) {
+  Conservation out;
+  for (const ProcessSnapshot& snapshot : state.take_all()) {
+    ByteReader reader(snapshot.state);
+    const auto s = reader.u64();
+    const auto r = reader.u64();
+    if (!s.ok() || !r.ok()) {
+      out.decodable = false;
+      continue;
+    }
+    out.sent += s.value();
+    out.received += r.value();
+    for (const ChannelState& channel : snapshot.in_channels) {
+      if (!topology.channel(channel.channel).is_control) {
+        out.recorded += channel.messages.size();
+      }
+    }
+  }
+  return out;
+}
+
 void tier_fail(std::uint32_t n, std::uint32_t fanout, const char* what) {
   std::fprintf(stderr, "bench_scale: tier n=%u fanout=%u: %s\n", n, fanout,
                what);
@@ -347,29 +401,16 @@ std::pair<double, double> run_tier_config(std::uint32_t n,
 
   // Conservation-based cut check (O(n), valid at any scale).
   const Topology& topology = harness.topology();
-  std::uint64_t sent = 0;
-  std::uint64_t received = 0;
-  std::uint64_t recorded = 0;
-  for (const ProcessSnapshot& snapshot : wave->state.take_all()) {
-    ByteReader reader(snapshot.state);
-    const auto s = reader.u64();
-    const auto r = reader.u64();
-    if (!s.ok() || !r.ok()) tier_fail(n, fanout, "undecodable state");
-    sent += s.value();
-    received += r.value();
-    for (const ChannelState& channel : snapshot.in_channels) {
-      if (!topology.channel(channel.channel).is_control) {
-        recorded += channel.messages.size();
-      }
-    }
-  }
-  if (sent != received + recorded) {
+  const Conservation conservation = count_conservation(wave->state, topology);
+  if (!conservation.decodable) tier_fail(n, fanout, "undecodable state");
+  if (!conservation.holds()) {
     std::fprintf(stderr,
                  "bench_scale: tier n=%u fanout=%u: conservation broken: "
                  "sent=%llu received=%llu recorded=%llu\n",
-                 n, fanout, static_cast<unsigned long long>(sent),
-                 static_cast<unsigned long long>(received),
-                 static_cast<unsigned long long>(recorded));
+                 n, fanout,
+                 static_cast<unsigned long long>(conservation.sent),
+                 static_cast<unsigned long long>(conservation.received),
+                 static_cast<unsigned long long>(conservation.recorded));
     std::exit(1);
   }
 
@@ -410,16 +451,7 @@ std::pair<double, double> run_tier_config(std::uint32_t n,
 }
 
 std::vector<std::uint32_t> tier_sizes() {
-  std::vector<std::uint32_t> sizes = {256, 10000, 100000};
-  const char* env = std::getenv("DDBG_SCALE_TREE_N");
-  if (env == nullptr || *env == '\0') return sizes;
-  sizes.clear();
-  std::stringstream stream(env);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    sizes.push_back(static_cast<std::uint32_t>(std::stoul(item)));
-  }
-  return sizes;
+  return sizes_from_env("DDBG_SCALE_TREE_N", {256, 10000, 100000});
 }
 
 void print_tier_table() {
@@ -448,16 +480,86 @@ void print_tier_table() {
 }
 
 std::vector<std::uint32_t> sweep_sizes() {
-  std::vector<std::uint32_t> sizes = {64, 256, 1024};
-  const char* env = std::getenv("DDBG_SCALE_N");
-  if (env == nullptr || *env == '\0') return sizes;
-  sizes.clear();
-  std::stringstream stream(env);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    sizes.push_back(static_cast<std::uint32_t>(std::stoul(item)));
+  return sizes_from_env("DDBG_SCALE_N", {64, 256, 1024});
+}
+std::vector<std::uint32_t> complete_halt_sizes() {
+  return sizes_from_env("DDBG_SCALE_N", {256, 512, 1024});
+}
+
+// ---------------------------------------------------------------------------
+// Complete-graph halt waves
+// ---------------------------------------------------------------------------
+//
+// A flat debugger halts gossip on complete(n).  The wave sends one marker
+// on each of the n(n-1) application channels, and each marker closes one
+// of its receiver's n-1 in-channels, so the per-marker cost of the
+// marker-wave core is what this row times.  Vector clocks are off and each
+// process gossips once, so the wave is almost all of the work.  Every wave
+// is verified complete and conservation-clean.
+//
+// A halted complete(n) has touched every channel, so its metrics snapshot
+// carries n(n-1) channel entries: ~23 MB of JSON at n=256, ~16x that at
+// n=1024.  Rows above kCompleteJsonMaxN are timed and verified but not
+// recorded into BENCH_scale.json, like the tier sweep's large rows.
+constexpr std::uint32_t kCompleteJsonMaxN = 256;
+
+void complete_fail(std::uint32_t n, const char* what) {
+  std::fprintf(stderr, "bench_scale: complete-halt n=%u: %s\n", n, what);
+  std::exit(1);
+}
+
+// Returns the wall-clock ms of halt() + wait_for_halt().
+double run_complete_halt(std::uint32_t n) {
+  HarnessConfig config;
+  config.seed = 1;
+  config.latency = constant_latency(Duration::millis(1));
+  config.shim_options.stamp_vector_clocks = false;
+  GossipConfig gossip;
+  gossip.max_sends = 1;
+  SimDebugHarness harness(Topology::complete(n), make_gossip(n, gossip),
+                          std::move(config));
+  harness.sim().run_for(Duration::millis(5));
+
+  const auto start = std::chrono::steady_clock::now();
+  harness.session().halt();
+  auto wave = harness.session().wait_for_halt(Duration::seconds(120));
+  const double halt_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+
+  if (!wave.has_value() || !wave->complete) {
+    complete_fail(n, "halt wave did not complete");
   }
-  return sizes;
+  if (wave->state.size() != n) complete_fail(n, "missing snapshots");
+  if (!count_conservation(wave->state, harness.topology()).holds()) {
+    complete_fail(n, "conservation broken");
+  }
+
+  if (n <= kCompleteJsonMaxN) {
+    char label[128];
+    std::snprintf(label, sizeof label, "complete-halt n=%u flat wall_ms=%.2f",
+                  n, halt_ms);
+    record_metrics(label, harness.sim());
+  } else {
+    print_row("  (skipping BENCH_scale.json row for complete-halt n=%u: "
+              "per-channel JSON)",
+              n);
+  }
+  return halt_ms;
+}
+
+void print_complete_table() {
+  print_header(
+      "Complete-graph halt waves: marker-wave core cost",
+      "Flat debugger halting one-shot gossip on complete(n), vector clocks\n"
+      "off: n(n-1) application-channel markers per wave, in-degree n-1 at\n"
+      "every process.  Every wave verified complete and conservation-clean.");
+  print_row("%8s %12s %12s", "n", "markers", "halt ms");
+  for (const std::uint32_t n : complete_halt_sizes()) {
+    const double halt_ms = run_complete_halt(n);
+    print_row("%8u %12llu %12.1f", n,
+              static_cast<unsigned long long>(n) * (n - 1), halt_ms);
+  }
 }
 
 void print_table() {
@@ -501,6 +603,7 @@ BENCHMARK(BM_Window)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   ddbg::bench::print_table();
   ddbg::bench::print_tier_table();
+  ddbg::bench::print_complete_table();
   ddbg::bench::write_metrics_json("scale");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

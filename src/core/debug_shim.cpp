@@ -174,27 +174,7 @@ void DebugShim::on_start(ProcessContext& ctx) {
             }
           }},
       suppress);
-  snapshot_.emplace(
-      self_, topology_,
-      SnapshotEngine::Callbacks{
-          [this] { return capture_state(); },
-          [this](const ProcessSnapshot& snapshot) {
-            DDBG_ASSERT(current_ctx_ != nullptr,
-                        "recording completion outside a handler");
-            if (topology_->has_debugger()) {
-              send_to_debugger(
-                  *current_ctx_,
-                  Command::snapshot_report(
-                      self_, snapshot_->last_snapshot_id(), snapshot));
-            }
-            if (options_.local_snapshot_report) {
-              notify_ordered([this, id = snapshot_->last_snapshot_id(),
-                              snapshot] {
-                options_.local_snapshot_report(self_, id, snapshot);
-              });
-            }
-          }},
-      suppress);
+  recording_.emplace(self_, topology_, suppress);
 
   {
     LocalEvent event;
@@ -328,10 +308,16 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
   }
 
   switch (message.kind) {
-    case MessageKind::kSnapshotMarker:
+    case MessageKind::kSnapshotMarker: {
       DDBG_ASSERT(message.snapshot.has_value(), "snapshot marker w/o data");
-      snapshot_->on_marker(ctx, in, *message.snapshot);
+      const std::uint64_t id = message.snapshot->snapshot_id;
+      if (recording_->on_marker(in, id, [&](bool from_control) {
+            start_recording(ctx, id, from_control);
+          })) {
+        finish_recording(ctx);
+      }
       return;
+    }
     case MessageKind::kPredicateMarker: {
       DDBG_ASSERT(message.predicate.has_value(), "predicate marker w/o data");
       auto lp = LinkedPredicate::decode_from_bytes(
@@ -349,16 +335,7 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
       detector_.arm(message.predicate->breakpoint, std::move(lp).value(),
                     message.predicate->stage_index,
                     message.predicate->monitor);
-      if (auto* m = ctx.metrics()) {
-        m->span_end(obs::Span::kArm,
-                    bp_span_key(message.predicate->breakpoint, self_),
-                    ctx.now());
-      }
-      if (options_.on_armed) {
-        notify_ordered([this, bp = message.predicate->breakpoint] {
-          options_.on_armed(self_, bp);
-        });
-      }
+      note_armed(ctx, message.predicate->breakpoint);
       return;
     }
     case MessageKind::kApplication: {
@@ -370,7 +347,7 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
             self_, in, delivery_ordinal,
             replay_payload_hash(message.payload), message.payload.size());
       }
-      snapshot_->observe_app_message(in, message);
+      recording_->record(in, message.payload);
       if (options_.stamp_vector_clocks) {
         vclock_.on_receive(self_, message.vclock);
       }
@@ -409,15 +386,7 @@ void DebugShim::handle_control(ProcessContext& ctx, const Command& command) {
       }
       detector_.arm(command.breakpoint, std::move(lp).value(),
                     command.stage_index, command.monitor);
-      if (auto* m = ctx.metrics()) {
-        m->span_end(obs::Span::kArm, bp_span_key(command.breakpoint, self_),
-                    ctx.now());
-      }
-      if (options_.on_armed) {
-        notify_ordered([this, bp = command.breakpoint] {
-          options_.on_armed(self_, bp);
-        });
-      }
+      note_armed(ctx, command.breakpoint);
       return;
     }
     case CommandKind::kArmNotify: {
@@ -430,15 +399,7 @@ void DebugShim::handle_control(ProcessContext& ctx, const Command& command) {
       }
       detector_.arm_notify(command.breakpoint, std::move(sp).value(),
                            command.stage_index);
-      if (auto* m = ctx.metrics()) {
-        m->span_end(obs::Span::kArm, bp_span_key(command.breakpoint, self_),
-                    ctx.now());
-      }
-      if (options_.on_armed) {
-        notify_ordered([this, bp = command.breakpoint] {
-          options_.on_armed(self_, bp);
-        });
-      }
+      note_armed(ctx, command.breakpoint);
       return;
     }
     case CommandKind::kDisarmBreakpoint:
@@ -474,6 +435,15 @@ void DebugShim::do_resume(ProcessContext& ctx, std::uint64_t wave) {
   for (const TimerId timer : data.timers) {
     if (halting_->intercept_timer(timer)) continue;
     fire_user_timer(timer);
+  }
+}
+
+void DebugShim::note_armed(ProcessContext& ctx, BreakpointId bp) {
+  if (auto* m = ctx.metrics()) {
+    m->span_end(obs::Span::kArm, bp_span_key(bp, self_), ctx.now());
+  }
+  if (options_.on_armed) {
+    notify_ordered([this, bp] { options_.on_armed(self_, bp); });
   }
 }
 
@@ -691,8 +661,34 @@ bool DebugShim::replay_fire_timer(ProcessContext& ctx, std::uint64_t ordinal) {
 
 void DebugShim::initiate_snapshot(ProcessContext& ctx) {
   bind(ctx);
-  snapshot_->initiate(ctx);
+  if (!recording_->active()) {
+    start_recording(ctx, recording_->id() + 1, /*from_control=*/false);
+    if (recording_->complete()) finish_recording(ctx);  // no in-channels
+  }
   current_ctx_ = nullptr;
+}
+
+void DebugShim::start_recording(ProcessContext& ctx, std::uint64_t id,
+                                bool from_control) {
+  // A newer wave restarts a recording still in progress: the state is
+  // captured again and the older wave's remaining markers are stale.
+  recording_->snapshot() = capture_state();
+  recording_->begin(ctx, id, from_control);
+  recording_->send_markers(ctx, Message::snapshot_marker(id));
+}
+
+void DebugShim::finish_recording(ProcessContext& ctx) {
+  recording_->end();
+  const std::uint64_t wave = recording_->id();
+  const ProcessSnapshot& snapshot = recording_->snapshot();
+  if (topology_->has_debugger()) {
+    send_to_debugger(ctx, Command::snapshot_report(self_, wave, snapshot));
+  }
+  if (options_.local_snapshot_report) {
+    notify_ordered([this, wave, snapshot] {
+      options_.local_snapshot_report(self_, wave, snapshot);
+    });
+  }
 }
 
 std::vector<ProcessPtr> wrap_in_shims(const Topology& topology,

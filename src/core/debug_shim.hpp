@@ -6,7 +6,7 @@
 //   * outgoing application messages are stamped with Lamport/vector clocks
 //     and generate kMessageSent events;
 //   * incoming traffic is dispatched by kind — halt markers to the
-//     HaltingEngine, snapshot markers to the SnapshotEngine, predicate
+//     HaltingEngine, snapshot markers to the recording MarkerWave, predicate
 //     markers to the LinkedPredicateDetector, control commands to the
 //     command handler, and application messages to the user process;
 //   * DebugApi calls from the user code generate the remaining local
@@ -43,7 +43,7 @@
 #include "core/debug_api.hpp"
 #include "core/halting.hpp"
 #include "core/lp_detector.hpp"
-#include "core/snapshot.hpp"
+#include "core/marker_wave.hpp"
 #include "net/process.hpp"
 #include "net/replay_hooks.hpp"
 
@@ -127,9 +127,6 @@ class DebugShim final : public Process, public DebugApi {
     return halting_.has_value() && halting_->halted();
   }
   [[nodiscard]] const HaltingEngine& halting() const { return *halting_; }
-  [[nodiscard]] const SnapshotEngine& snapshot_engine() const {
-    return *snapshot_;
-  }
   [[nodiscard]] Process& user() { return *user_; }
   [[nodiscard]] std::int64_t var(const std::string& name) const;
   [[nodiscard]] std::size_t armed_watches() const {
@@ -194,6 +191,14 @@ class DebugShim final : public Process, public DebugApi {
   void send_to_debugger(ProcessContext& ctx, const Command& command);
   [[nodiscard]] ProcessSnapshot capture_state() const;
   void do_resume(ProcessContext& ctx, std::uint64_t wave);
+  // C&L recording (section 2.1) on the shared marker-wave core: the process
+  // keeps running, so the core is all there is to it.
+  void start_recording(ProcessContext& ctx, std::uint64_t id,
+                       bool from_control);
+  void finish_recording(ProcessContext& ctx);
+  // A breakpoint watch was armed here: close its arm-latency span and tell
+  // Options::on_armed.
+  void note_armed(ProcessContext& ctx, BreakpointId bp);
   [[nodiscard]] std::uint64_t next_message_id();
   void bind(ProcessContext& ctx);
   // set_timer/cancel_timer interposition (recording + replay gating).
@@ -210,7 +215,7 @@ class DebugShim final : public Process, public DebugApi {
   Options options_;
 
   std::optional<HaltingEngine> halting_;
-  std::optional<SnapshotEngine> snapshot_;
+  std::optional<MarkerWave> recording_;
   LinkedPredicateDetector detector_;
   std::unique_ptr<ShimContext> shim_ctx_;
 

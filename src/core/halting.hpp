@@ -13,25 +13,25 @@
 // the marker's halt_path before forwarding, so a received marker describes
 // which processes already halted.
 //
-// Beyond the paper's pseudocode, a practical debugger needs to know *when
-// the halted global state is complete* and how to *resume*.  Both fall out
-// of Lemma 2.2: after q halts, the in-flight contents of an incoming
-// channel are exactly the messages that arrive before that channel's halt
-// marker.  The engine therefore buffers post-halt arrivals, closes each
-// channel's state when its marker arrives, reports completion once every
-// incoming channel is closed, and on resume replays the buffered messages
-// in arrival order (they were "in the channel").
+// Lemma 2.1: this is C&L recording plus "halt".  The wave ids, marker rules
+// and channel-state recording live in MarkerWave; this engine adds the halt
+// itself.  A practical debugger also needs to know *when the halted global
+// state is complete* and how to *resume*.  Both fall out of Lemma 2.2:
+// after q halts, the in-flight contents of an incoming channel are exactly
+// the messages that arrive before that channel's halt marker.  The engine
+// therefore buffers post-halt arrivals, lets the wave record each channel's
+// state until its marker, reports completion once every incoming channel is
+// closed, and on resume replays the buffered messages in arrival order
+// (they were "in the channel").
 #pragma once
 
 #include <functional>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "core/global_state.hpp"
+#include "core/marker_wave.hpp"
 #include "net/process.hpp"
 
 namespace ddbg {
@@ -50,21 +50,17 @@ class HaltingEngine {
     std::function<void(const ProcessSnapshot&)> on_complete;
   };
 
-  // `suppress_control_echo`: when a wave was learned from a control channel
-  // (i.e. from the debugger tier), do not echo its marker back onto control
-  // out-channels — the tier already knows the wave.  Markers on application
-  // channels are never suppressed: the out-channel p->q is q's in-channel,
-  // and q needs that marker to close its channel state (Lemma 2.2).  Set to
-  // false to reproduce the original flood behaviour for equivalence tests.
+  // `suppress_control_echo`: see MarkerWave.
   HaltingEngine(ProcessId self, const Topology* topology, Callbacks callbacks,
                 bool suppress_control_echo = true);
 
-  [[nodiscard]] bool halted() const { return halted_; }
-  [[nodiscard]] std::uint64_t last_halt_id() const { return last_halt_id_; }
+  // A process is halted exactly while its halt wave is active.
+  [[nodiscard]] bool halted() const { return wave_.active(); }
+  [[nodiscard]] std::uint64_t last_halt_id() const { return wave_.id(); }
   [[nodiscard]] HaltId current_wave() const {
-    return halted_ ? HaltId(last_halt_id_) : HaltId();
+    return halted() ? HaltId(wave_.id()) : HaltId();
   }
-  [[nodiscard]] bool complete() const;
+  [[nodiscard]] bool complete() const { return wave_.complete(); }
 
   // Spontaneous halting (Marker-Sending Rule).  No-op if already halted.
   void initiate(ProcessContext& ctx);
@@ -98,41 +94,16 @@ class HaltingEngine {
   [[nodiscard]] const ProcessSnapshot& snapshot() const;
 
  private:
-  void halt_routine(ProcessContext& ctx, bool from_control);
-  // Switch an already-halted process onto a newer wave: restart the wave
-  // bookkeeping and forward the new markers without re-running the Halt
-  // Routine (which asserts it is never entered twice).
-  void adopt_wave(ProcessContext& ctx, const HaltMarkerData& data,
-                  bool from_control);
-  // Send this wave's markers on every outgoing channel (minus suppressed
-  // control echoes), appending self_ to `base_path` (section 2.2.4).
-  void forward_markers(ProcessContext& ctx,
-                       const std::vector<ProcessId>& base_path,
-                       bool from_control);
-  void check_complete();
-  [[nodiscard]] bool is_app_channel(ChannelId c) const;
-  // Find-or-create the sparse channel-state slot for `in` and record one
-  // in-flight payload.
-  void record_channel_message(ChannelId in, const Bytes& payload);
+  // Halt Routine for wave `id`: halt — or, already halted, adopt the newer
+  // wave in place — then forward the markers, appending self_ to `path`
+  // (section 2.2.4).
+  void halt_routine(ProcessContext& ctx, std::uint64_t id, bool from_control,
+                    const std::vector<ProcessId>& path);
+  void report_complete();
 
   ProcessId self_;
-  const Topology* topology_;
   Callbacks callbacks_;
-  bool suppress_control_echo_ = true;
-
-  std::uint64_t last_halt_id_ = 0;  // initially zero, per the paper
-  bool halted_ = false;
-  bool completion_reported_ = false;
-
-  // While halted: the snapshot under assembly (state captured at halt,
-  // channel states appended as messages arrive).
-  ProcessSnapshot snapshot_;
-  // Incoming channels whose halt marker for the current wave has arrived.
-  std::unordered_set<ChannelId> channels_done_;
-  // Sparse index into snapshot_.in_channels: slots are created on the first
-  // recorded payload, so an idle wave costs O(active channels), not
-  // O(topology channels).
-  std::unordered_map<std::uint32_t, std::size_t> channel_slot_;
+  MarkerWave wave_;
 
   std::vector<std::pair<ChannelId, Message>> buffered_;
   std::vector<TimerId> buffered_timers_;

@@ -1,10 +1,14 @@
-// Direct unit tests of the HaltingEngine and SnapshotEngine state machines
-// (marker rules, wave ids, channel-state assembly, resume) using a fake
-// context — no runtime involved.
+// Direct unit tests of the marker-wave state machines — HaltingEngine, and
+// the debug shim's C&L recording on the same core (marker rules, wave ids,
+// channel-state assembly, resume) — using a fake context, no runtime.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
+#include "core/debug_shim.hpp"
 #include "core/halting.hpp"
-#include "core/snapshot.hpp"
+#include "obs/metrics.hpp"
 #include "tests/test_util.hpp"
 
 namespace ddbg {
@@ -304,96 +308,290 @@ TEST(HaltingEngine, ProcessWithNoChannelsCompletesImmediately) {
   EXPECT_EQ(completions.size(), 1u);
 }
 
-// ---- SnapshotEngine ----
+// ---- Shared marker-wave rules, for both wave kinds ----
+//
+// Recording has no engine of its own: the debug shim drives a MarkerWave
+// directly, so the recording side runs through a DebugShim over the fake
+// context, exactly as a runtime would deliver to it.
 
-struct SnapshotFixture {
-  Topology topology = Topology::ring(3);
-  ProcessId self{1};
-  FakeContext ctx{ProcessId(1), &topology};
-  std::vector<ProcessSnapshot> completions;
-  int captures = 0;
+enum class WaveKind { kHalt, kRecord };
 
-  SnapshotEngine make_engine() {
-    return SnapshotEngine(
-        self, &topology,
-        SnapshotEngine::Callbacks{
-            [this] {
-              ++captures;
-              ProcessSnapshot snapshot;
-              snapshot.process = self;
-              return snapshot;
-            },
-            [this](const ProcessSnapshot& snapshot) {
-              completions.push_back(snapshot);
-            }});
+// A quiet user process that counts how often its state is captured.
+class CountingProcess final : public Process {
+ public:
+  explicit CountingProcess(int& captures) : captures_(captures) {}
+  void on_message(ProcessContext&, ChannelId, Message) override {}
+  [[nodiscard]] Bytes snapshot_state() const override {
+    ++captures_;
+    return Bytes{static_cast<std::uint8_t>(captures_)};
   }
 
+ private:
+  int& captures_;
+};
+
+// One process's wave of either kind.  Construct in place only: callbacks
+// capture `this`.
+struct WaveFixture {
+  WaveFixture(WaveKind kind, Topology t, ProcessId p)
+      : topology(std::move(t)), self(p), ctx(p, &topology) {
+    const auto report = [this](std::uint64_t wave,
+                               const ProcessSnapshot& snapshot) {
+      waves.push_back(wave);
+      completions.push_back(snapshot);
+    };
+    if (kind == WaveKind::kHalt) {
+      halting.emplace(self, &topology,
+                      HaltingEngine::Callbacks{
+                          [this] {
+                            ++captures;
+                            return ProcessSnapshot{};
+                          },
+                          nullptr,
+                          [this, report](const ProcessSnapshot& snapshot) {
+                            report(halting->last_halt_id(), snapshot);
+                          }});
+      return;
+    }
+    DebugShim::Options options;
+    options.local_snapshot_report =
+        [report](ProcessId, std::uint64_t wave,
+                 const ProcessSnapshot& snapshot) { report(wave, snapshot); };
+    shim = std::make_unique<DebugShim>(
+        self, std::make_unique<CountingProcess>(captures), options);
+    shim->on_start(ctx);
+  }
+  WaveFixture(const WaveFixture&) = delete;
+  WaveFixture& operator=(const WaveFixture&) = delete;
+
+  void initiate() {
+    if (halting) {
+      halting->initiate(ctx);
+    } else {
+      shim->initiate_snapshot(ctx);
+    }
+  }
+  void marker(ChannelId in, std::uint64_t id) {
+    if (halting) {
+      halting->on_halt_marker(ctx, in, HaltMarkerData{HaltId(id), {}});
+    } else {
+      shim->on_message(ctx, in, Message::snapshot_marker(id));
+    }
+  }
+  void app(ChannelId in, Bytes payload) {
+    Message message = Message::application(std::move(payload));
+    if (halting) {
+      (void)halting->intercept_message(in, message);
+    } else {
+      shim->on_message(ctx, in, std::move(message));
+    }
+  }
+  // (channel, wave id) of every marker this process sent, in order.
+  [[nodiscard]] std::vector<std::pair<ChannelId, std::uint64_t>>
+  markers_sent() const {
+    std::vector<std::pair<ChannelId, std::uint64_t>> markers;
+    for (const auto& [channel, message] : ctx.sent) {
+      if (message.kind == MessageKind::kHaltMarker) {
+        markers.emplace_back(channel, message.halt->halt_id.value());
+      } else if (message.kind == MessageKind::kSnapshotMarker) {
+        markers.emplace_back(channel, message.snapshot->snapshot_id);
+      }
+    }
+    return markers;
+  }
   [[nodiscard]] ChannelId in_channel() const {
     return topology.in_channels(self)[0];
   }
+
+  Topology topology;
+  ProcessId self;
+  FakeContext ctx;
+  int captures = 0;
+  std::optional<HaltingEngine> halting;
+  std::unique_ptr<DebugShim> shim;
+  std::vector<std::uint64_t> waves;
+  std::vector<ProcessSnapshot> completions;
+};
+
+class MarkerWaveRules : public ::testing::TestWithParam<WaveKind> {};
+
+// A second marker of the same wave on an already-closed channel must not
+// count towards completion, nor report it again.
+TEST_P(MarkerWaveRules, DuplicateMarkerCountsOnce) {
+  Topology topology = Topology::ring(3);
+  const ChannelId extra = topology.add_channel(ProcessId(2), ProcessId(1));
+  WaveFixture fx(GetParam(), std::move(topology), ProcessId(1));
+  const ChannelId ring_in = fx.in_channel();
+  fx.marker(ring_in, 1);
+  fx.marker(ring_in, 1);
+  EXPECT_TRUE(fx.completions.empty());  // `extra` is still open
+  fx.marker(extra, 1);
+  ASSERT_EQ(fx.completions.size(), 1u);
+  fx.marker(extra, 1);
+  fx.marker(ring_in, 1);
+  EXPECT_EQ(fx.completions.size(), 1u);
+}
+
+TEST_P(MarkerWaveRules, NoInChannelsCompletesAtOnce) {
+  Topology topology(2);
+  topology.add_channel(ProcessId(0), ProcessId(1));
+  WaveFixture fx(GetParam(), std::move(topology), ProcessId(0));
+  fx.initiate();
+  ASSERT_EQ(fx.completions.size(), 1u);
+  EXPECT_EQ(fx.waves[0], 1u);
+  EXPECT_EQ(fx.markers_sent().size(), 1u);
+}
+
+// A wave learned from the debugger skips the marker echo back onto the
+// control out-channel, and counts it; application-channel markers always
+// go out, whichever channel the wave was learned on.
+TEST_P(MarkerWaveRules, ControlEchoSuppressedAppMarkersNever) {
+  const Topology topology = Topology::ring(3).with_debugger();
+  const ProcessId p1(1);
+  const ChannelId app_out = topology.out_channels(p1)[0];
+  ASSERT_FALSE(topology.channel(app_out).is_control);
+  obs::MetricsRegistry metrics("sim", topology.num_processes(), {});
+
+  WaveFixture from_tier(GetParam(), topology, p1);
+  from_tier.ctx.registry = &metrics;
+  from_tier.marker(topology.control_to(p1), 1);
+  EXPECT_EQ(from_tier.markers_sent(),
+            (std::vector<std::pair<ChannelId, std::uint64_t>>{{app_out, 1}}));
+  EXPECT_EQ(metrics.snapshot().tier.markers_suppressed, 1u);
+
+  WaveFixture from_app(GetParam(), topology, p1);
+  from_app.ctx.registry = &metrics;
+  from_app.marker(from_app.topology.in_channels(p1)[0], 1);
+  EXPECT_EQ(from_app.markers_sent(),
+            (std::vector<std::pair<ChannelId, std::uint64_t>>{
+                {app_out, 1}, {topology.control_from(p1), 1}}));
+  EXPECT_EQ(metrics.snapshot().tier.markers_suppressed, 1u);
+}
+
+// In-degree 255: completion comes exactly once, on the last channel's
+// marker, and a second round of markers changes nothing.
+TEST_P(MarkerWaveRules, CompleteTopologyCompletesOnLastMarker) {
+  WaveFixture fx(GetParam(), Topology::complete(256), ProcessId(0));
+  const auto in = fx.topology.in_channels(ProcessId(0));
+  ASSERT_EQ(in.size(), 255u);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    fx.marker(in[i], 1);
+    ASSERT_EQ(fx.completions.size(), i + 1 == in.size() ? 1u : 0u) << i;
+  }
+  for (const ChannelId c : in) fx.marker(c, 1);
+  EXPECT_EQ(fx.completions.size(), 1u);
+  EXPECT_EQ(fx.captures, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothKinds, MarkerWaveRules,
+                         ::testing::Values(WaveKind::kHalt, WaveKind::kRecord),
+                         [](const auto& info) -> std::string {
+                           return info.param == WaveKind::kHalt ? "Halt"
+                                                                : "Record";
+                         });
+
+// ---- Recording (C&L, section 2.1) ----
+//
+// The suite keeps the name of the engine these tests were first written
+// against; recording now runs on the shim's MarkerWave.
+
+struct RecordingFixture : WaveFixture {
+  RecordingFixture()
+      : WaveFixture(WaveKind::kRecord, Topology::ring(3), ProcessId(1)) {}
 };
 
 TEST(SnapshotEngine, InitiateRecordsAndSendsMarkers) {
-  SnapshotFixture fx;
-  SnapshotEngine engine = fx.make_engine();
-  engine.initiate(fx.ctx);
-  EXPECT_TRUE(engine.recording());
+  RecordingFixture fx;
+  fx.initiate();
   EXPECT_EQ(fx.captures, 1);
-  ASSERT_EQ(fx.ctx.sent.size(), 1u);
-  EXPECT_EQ(fx.ctx.sent[0].second.kind, MessageKind::kSnapshotMarker);
-  EXPECT_EQ(fx.ctx.sent[0].second.snapshot->snapshot_id, 1u);
+  EXPECT_EQ(fx.markers_sent(),
+            (std::vector<std::pair<ChannelId, std::uint64_t>>{
+                {fx.topology.out_channels(fx.self)[0], 1}}));
+  EXPECT_TRUE(fx.completions.empty());  // the in-channel is still open
+  // A recording in progress is not restarted by another initiation.
+  fx.initiate();
+  EXPECT_EQ(fx.captures, 1);
 }
 
 TEST(SnapshotEngine, RecordsChannelUntilMarker) {
-  SnapshotFixture fx;
-  SnapshotEngine engine = fx.make_engine();
-  engine.initiate(fx.ctx);
-  engine.observe_app_message(fx.in_channel(), Message::application(Bytes{5}));
-  engine.on_marker(fx.ctx, fx.in_channel(), SnapshotMarkerData{1});
+  RecordingFixture fx;
+  fx.initiate();
+  fx.app(fx.in_channel(), Bytes{5});
+  fx.marker(fx.in_channel(), 1);
   ASSERT_EQ(fx.completions.size(), 1u);
   ASSERT_EQ(fx.completions[0].in_channels.size(), 1u);
   EXPECT_EQ(fx.completions[0].in_channels[0].messages,
             (std::vector<Bytes>{{5}}));
-  EXPECT_FALSE(engine.recording());
+  // The recording is over: the next initiation starts wave 2.
+  fx.initiate();
+  EXPECT_EQ(fx.markers_sent().back().second, 2u);
 }
 
 TEST(SnapshotEngine, FirstMarkerMeansEmptyChannel) {
-  SnapshotFixture fx;
-  SnapshotEngine engine = fx.make_engine();
-  engine.on_marker(fx.ctx, fx.in_channel(), SnapshotMarkerData{4});
+  RecordingFixture fx;
+  fx.marker(fx.in_channel(), 4);
   ASSERT_EQ(fx.completions.size(), 1u);
   // Sparse channel states: an empty channel records no entry at all.
   EXPECT_TRUE(fx.completions[0].in_channels.empty());
-  EXPECT_EQ(engine.last_snapshot_id(), 4u);
+  EXPECT_EQ(fx.waves[0], 4u);
 }
 
 TEST(SnapshotEngine, PostMarkerTrafficNotRecorded) {
-  SnapshotFixture fx;
-  SnapshotEngine engine = fx.make_engine();
-  engine.on_marker(fx.ctx, fx.in_channel(), SnapshotMarkerData{1});
-  engine.observe_app_message(fx.in_channel(), Message::application(Bytes{9}));
+  RecordingFixture fx;
+  fx.marker(fx.in_channel(), 1);
+  fx.app(fx.in_channel(), Bytes{9});
   ASSERT_EQ(fx.completions.size(), 1u);
   EXPECT_TRUE(fx.completions[0].in_channels.empty());
 }
 
 TEST(SnapshotEngine, SequentialWaves) {
-  SnapshotFixture fx;
-  SnapshotEngine engine = fx.make_engine();
-  engine.on_marker(fx.ctx, fx.in_channel(), SnapshotMarkerData{1});
-  engine.on_marker(fx.ctx, fx.in_channel(), SnapshotMarkerData{2});
-  EXPECT_EQ(fx.completions.size(), 2u);
-  EXPECT_EQ(engine.last_snapshot_id(), 2u);
+  RecordingFixture fx;
+  fx.marker(fx.in_channel(), 1);
+  fx.marker(fx.in_channel(), 2);
+  EXPECT_EQ(fx.waves, (std::vector<std::uint64_t>{1, 2}));
   // Stale wave ignored.
-  engine.on_marker(fx.ctx, fx.in_channel(), SnapshotMarkerData{1});
+  fx.marker(fx.in_channel(), 1);
   EXPECT_EQ(fx.completions.size(), 2u);
 }
 
 TEST(SnapshotEngine, ObserveWhileIdleIsNoop) {
-  SnapshotFixture fx;
-  SnapshotEngine engine = fx.make_engine();
-  engine.observe_app_message(fx.in_channel(), Message::application(Bytes{1}));
-  EXPECT_FALSE(engine.recording());
+  RecordingFixture fx;
+  fx.app(fx.in_channel(), Bytes{1});
   EXPECT_TRUE(fx.completions.empty());
+  EXPECT_TRUE(fx.markers_sent().empty());
+  fx.marker(fx.in_channel(), 1);
+  ASSERT_EQ(fx.completions.size(), 1u);
+  EXPECT_TRUE(fx.completions[0].in_channels.empty());
+}
+
+// Two recordings overlap: a newer wave's marker reaches a process still
+// recording the older one.  The newer wave restarts the recording (state
+// captured again, markers sent, channel states reset) and the older wave's
+// remaining markers are stale.
+TEST(SnapshotEngine, NewerWaveRestartsRecordingInProgress) {
+  Topology topology = Topology::ring(3);
+  const ChannelId extra = topology.add_channel(ProcessId(2), ProcessId(1));
+  WaveFixture fx(WaveKind::kRecord, std::move(topology), ProcessId(1));
+  const ChannelId ring_in = fx.in_channel();
+
+  fx.marker(ring_in, 1);        // wave 1 starts; ring_in closed
+  fx.app(extra, Bytes{1});      // wave 1's state of `extra`
+  fx.marker(extra, 2);          // wave 2 restarts; `extra` closed
+  EXPECT_EQ(fx.captures, 2);
+  fx.app(ring_in, Bytes{2});    // wave 2's state of ring_in
+  fx.marker(extra, 1);          // stale
+  EXPECT_TRUE(fx.completions.empty());
+  fx.marker(ring_in, 2);
+  ASSERT_EQ(fx.completions.size(), 1u);
+  EXPECT_EQ(fx.waves[0], 2u);
+  ASSERT_EQ(fx.completions[0].in_channels.size(), 1u);
+  EXPECT_EQ(fx.completions[0].in_channels[0].channel, ring_in);
+  EXPECT_EQ(fx.completions[0].in_channels[0].messages,
+            (std::vector<Bytes>{{2}}));
+  const auto markers = fx.markers_sent();
+  ASSERT_EQ(markers.size(), 2u);
+  EXPECT_EQ(markers[0].second, 1u);
+  EXPECT_EQ(markers[1].second, 2u);
 }
 
 }  // namespace

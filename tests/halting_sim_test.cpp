@@ -397,6 +397,32 @@ TEST(OverlappingHaltWave, NewerWaveReachesHaltedRingAndConverges) {
   }
 }
 
+// Regression: two recordings overlap.  Both are requested while the system
+// is halted, so their markers wait in the halted processes' channels; on
+// resume every process meets wave 1's marker and then wave 2's while still
+// recording wave 1.  The newer wave restarts the recording and completes;
+// wave 1's remaining markers are stale.
+TEST(OverlappingRecording, NewerRecordingRestartsAfterResume) {
+  SimDebugHarness harness(Topology::ring(4), make_gossip(4, GossipConfig{}),
+                          config_with(31));
+  harness.sim().run_for(Duration::millis(20));
+  harness.session().halt();
+  ASSERT_TRUE(harness.session().wait_for_halt(kWait).has_value());
+  // Halted processes buffer recording markers: both recordings time out.
+  EXPECT_FALSE(harness.session().take_snapshot(Duration::millis(10)));
+  EXPECT_FALSE(harness.session().take_snapshot(Duration::millis(10)));
+
+  harness.session().resume();
+  ASSERT_TRUE(harness.sim().run_until_condition(
+      [&] { return harness.debugger().snapshot_complete(2); },
+      harness.sim().now() + kWait));
+  const auto wave = harness.debugger().snapshot_wave(2);
+  ASSERT_TRUE(wave.has_value());
+  EXPECT_EQ(wave->state.size(), 4u);
+  EXPECT_TRUE(consistent_cut(wave->state));
+  EXPECT_FALSE(harness.debugger().snapshot_complete(1));
+}
+
 TEST(HaltingSim, OrderedConjunctionHalts) {
   BankConfig bank;
   SimDebugHarness harness(Topology::complete(2), make_bank(2, bank),

@@ -443,8 +443,10 @@ class StallableCounter final : public Process {
 
 // Satellite of the epoll rewrite: a short write / EAGAIN on the
 // nonblocking send path must park the queue on EPOLLOUT and resume without
-// losing or reordering anything.  A tiny SO_SNDBUF plus a stalled receiver
-// forces the condition deterministically.
+// losing or reordering anything.  Small socket buffers plus a stalled
+// receiver force the condition deterministically.  64 KiB, not the kernel
+// minimum: buffers of a few KiB push the connection into zero-window
+// probing, which stretches the drain after release to seconds.
 TEST(TcpRuntime, ShortWriteBackpressureRecoversInOrder) {
   constexpr std::uint32_t kCount = 64;
   constexpr std::uint32_t kPayload = 8 * 1024;
@@ -457,8 +459,8 @@ TEST(TcpRuntime, ShortWriteBackpressureRecoversInOrder) {
   processes.push_back(std::move(checker));
 
   TcpRuntimeConfig config;
-  config.sndbuf_bytes = 4 * 1024;  // kernel clamps to its minimum
-  config.rcvbuf_bytes = 4 * 1024;
+  config.sndbuf_bytes = 64 * 1024;
+  config.rcvbuf_bytes = 64 * 1024;
   TcpRuntime runtime(std::move(topology), std::move(processes), config);
   ASSERT_TRUE(runtime.start());
 
@@ -473,7 +475,7 @@ TEST(TcpRuntime, ShortWriteBackpressureRecoversInOrder) {
   });
   ASSERT_TRUE(TcpRuntime::wait_until([&] { return parked->load(); }, kWait));
 
-  // Burst far more bytes than both socket buffers hold: the sender MUST
+  // Burst 512 KiB, more than both socket buffers hold: the sender MUST
   // hit EAGAIN or a partial sendmsg and defer to EPOLLOUT.
   runtime.post(ProcessId(0), [](ProcessContext& ctx, Process&) {
     for (std::uint32_t i = 0; i < kCount; ++i) {

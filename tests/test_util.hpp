@@ -32,6 +32,9 @@ class FakeContext final : public ProcessContext {
   void cancel_timer(TimerId timer) override { cancelled.push_back(timer); }
   [[nodiscard]] Rng& rng() override { return rng_; }
   void stop_self() override { stopped = true; }
+  [[nodiscard]] obs::MetricsRegistry* metrics() const override {
+    return registry;
+  }
 
   void advance(Duration d) { now_ = now_ + d; }
 
@@ -51,6 +54,8 @@ class FakeContext final : public ProcessContext {
   std::vector<Duration> timers;
   std::vector<TimerId> cancelled;
   bool stopped = false;
+  // Metrics sink handed to the code under test; null means none.
+  obs::MetricsRegistry* registry = nullptr;
 
  private:
   ProcessId self_;

@@ -175,6 +175,7 @@ void DebugShim::on_start(ProcessContext& ctx) {
           }},
       suppress);
   recording_.emplace(self_, topology_, suppress);
+  delivery_ordinals_.assign(topology_->in_channels(self_).size(), 0);
 
   {
     LocalEvent event;
@@ -341,7 +342,8 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
     case MessageKind::kApplication: {
       // The delivery ordinal counts messages actually handed to the user
       // handler on this channel — the replay schedule's unit.
-      const std::uint64_t delivery_ordinal = delivery_ordinals_[in.value()]++;
+      const std::uint64_t delivery_ordinal =
+          delivery_ordinals_[topology_->in_slot(in)]++;
       if (options_.replay_record != nullptr) {
         options_.replay_record->record_delivery(
             self_, in, delivery_ordinal,
@@ -610,11 +612,6 @@ void DebugShim::replay_preload_timer_ids(std::vector<TimerId> ids) {
   timer_script_ = std::move(ids);
 }
 
-std::uint64_t DebugShim::replay_deliveries(ChannelId in) const {
-  auto it = delivery_ordinals_.find(in.value());
-  return it != delivery_ordinals_.end() ? it->second : 0;
-}
-
 bool DebugShim::replay_release(ProcessContext& ctx, ChannelId in,
                                std::uint64_t ordinal,
                                std::uint64_t expected_hash) {
@@ -624,10 +621,7 @@ bool DebugShim::replay_release(ProcessContext& ctx, ChannelId in,
   Message message = std::move(it->second);
   gate_.erase(it);
 
-  const auto seen = delivery_ordinals_.find(in.value());
-  const std::uint64_t next =
-      seen != delivery_ordinals_.end() ? seen->second : 0;
-  if (next != ordinal ||
+  if (delivery_ordinals_[topology_->in_slot(in)] != ordinal ||
       replay_payload_hash(message.payload) != expected_hash) {
     if (auto* m = ctx.metrics()) m->on_replay_divergence();
   }

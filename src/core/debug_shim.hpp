@@ -156,8 +156,6 @@ class DebugShim final : public Process, public DebugApi {
   // Fire the timer created as this process's `ordinal`-th.  Returns false
   // (and counts a divergence) if no such timer exists or it was cancelled.
   bool replay_fire_timer(ProcessContext& ctx, std::uint64_t ordinal);
-  // Deliveries handed to the user process so far (record + replay modes).
-  [[nodiscard]] std::uint64_t replay_deliveries(ChannelId in) const;
 
  private:
   class ShimContext;
@@ -234,8 +232,9 @@ class DebugShim final : public Process, public DebugApi {
 
   // ---- record/replay state ----
   // Per-channel count of application messages handed to the user handler;
-  // the next delivery's ordinal in both record and replay modes.
-  std::unordered_map<std::uint32_t, std::uint64_t> delivery_ordinals_;
+  // the next delivery's ordinal in both record and replay modes.  Indexed
+  // by in-slot, sized in on_start.
+  std::vector<std::uint64_t> delivery_ordinals_;
   // Replay gate: arrived-but-unreleased application messages, in global
   // arrival order (per-channel FIFO is a consequence).
   std::deque<std::pair<ChannelId, Message>> gate_;

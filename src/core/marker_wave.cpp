@@ -1,7 +1,5 @@
 #include "core/marker_wave.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 
 namespace ddbg {
@@ -13,8 +11,6 @@ MarkerWave::MarkerWave(ProcessId self, const Topology* topology,
       suppress_control_echo_(suppress_control_echo) {
   DDBG_ASSERT(topology_ != nullptr, "MarkerWave needs a topology");
   const auto in = topology_->in_channels(self_);
-  DDBG_ASSERT(std::is_sorted(in.begin(), in.end()),
-              "in-channels are listed in ascending id order");
   in_.reserve(in.size());
   for (const ChannelId c : in) in_.push_back(InChannel{c});
 }
@@ -43,10 +39,9 @@ void MarkerWave::send_markers(ProcessContext& ctx,
 }
 
 MarkerWave::InChannel* MarkerWave::find(ChannelId in) {
-  const auto it = std::lower_bound(
-      in_.begin(), in_.end(), in,
-      [](const InChannel& c, ChannelId id) { return c.id < id; });
-  return it != in_.end() && it->id == in ? &*it : nullptr;
+  if (in.value() >= topology_->num_channels()) return nullptr;
+  const std::uint32_t slot = topology_->in_slot(in);
+  return slot < in_.size() && in_[slot].id == in ? &in_[slot] : nullptr;
 }
 
 bool MarkerWave::close(ChannelId in) {
@@ -64,11 +59,12 @@ void MarkerWave::record(ChannelId in, const Bytes& payload) {
     return;
   }
   std::vector<ChannelState>& states = snapshot_.in_channels;
-  if (channel->slot >= states.size() || states[channel->slot].channel != in) {
-    channel->slot = static_cast<std::uint32_t>(states.size());
+  if (channel->state >= states.size() ||
+      states[channel->state].channel != in) {
+    channel->state = static_cast<std::uint32_t>(states.size());
     states.push_back(ChannelState{in, {}});
   }
-  states[channel->slot].messages.push_back(payload);
+  states[channel->state].messages.push_back(payload);
 }
 
 }  // namespace ddbg

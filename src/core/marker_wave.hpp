@@ -21,7 +21,8 @@
 // Completion is a countdown of in-channels still open.  Each in-channel is
 // stamped with the wave that closed it, so a second marker of the same wave
 // on the same channel is a no-op.  The per-channel table is built once,
-// sized by in-degree, and starting a wave does no per-channel work.
+// sized by in-degree and indexed by the topology's in-slot, and starting a
+// wave does no per-channel work.
 #pragma once
 
 #include <cstdint>
@@ -92,10 +93,13 @@ class MarkerWave {
   struct InChannel {
     ChannelId id;
     // Index into snapshot_.in_channels; valid only while that entry names
-    // this channel, so clearing the channel states invalidates every slot.
-    std::uint32_t slot = 0;
+    // this channel, so clearing the channel states invalidates every index.
+    std::uint32_t state = 0;
     std::uint64_t closed_in = 0;  // wave whose marker closed it; 0: none
   };
+  // The entry for `in`, or null when `in` is not one of this process's
+  // in-channels.  Membership is checked against the entry's own id, so a
+  // lookup reads only the topology's slot array and the entry itself.
   [[nodiscard]] InChannel* find(ChannelId in);
   bool close(ChannelId in);
 
@@ -103,7 +107,7 @@ class MarkerWave {
   const Topology* topology_;
   bool suppress_control_echo_;
 
-  std::vector<InChannel> in_;  // ascending channel id
+  std::vector<InChannel> in_;  // by in-slot
   std::uint64_t id_ = 0;
   bool active_ = false;
   bool from_control_ = false;

@@ -38,9 +38,13 @@ ChannelId Topology::add_channel(ProcessId source, ProcessId destination,
   DDBG_ASSERT(channels_.size() < ChannelId::kInvalid,
               "channel id space exhausted");
   const ChannelId id(static_cast<std::uint32_t>(channels_.size()));
+  std::vector<ChannelId>& out = out_channels_[source.value()];
+  std::vector<ChannelId>& in = in_channels_[destination.value()];
   channels_.push_back(ChannelSpec{id, source, destination, is_control});
-  out_channels_[source.value()].push_back(id);
-  in_channels_[destination.value()].push_back(id);
+  in_slot_.push_back(static_cast<std::uint32_t>(in.size()));
+  out_slot_.push_back(static_cast<std::uint32_t>(out.size()));
+  out.push_back(id);
+  in.push_back(id);
   if (!is_control) {
     // Keep the first data channel per pair (channel_between's contract).
     data_channel_index_.try_emplace(pair_key(source, destination), id);
@@ -344,6 +348,8 @@ Topology Topology::tree(std::uint32_t n, std::uint32_t branching) {
   Topology t(n);
   // 2 channels per tree edge, n-1 edges.
   t.channels_.reserve(2ULL * (n - 1));
+  t.in_slot_.reserve(2ULL * (n - 1));
+  t.out_slot_.reserve(2ULL * (n - 1));
   for (std::uint32_t child = 1; child < n; ++child) {
     const std::uint32_t parent = (child - 1) / branching;
     t.add_channel(ProcessId(parent), ProcessId(child));
@@ -362,6 +368,8 @@ Topology Topology::complete(std::uint32_t n) {
   DDBG_ASSERT(num_channels < ChannelId::kInvalid,
               "complete graph exceeds the channel id space");
   t.channels_.reserve(num_channels);
+  t.in_slot_.reserve(num_channels);
+  t.out_slot_.reserve(num_channels);
   t.data_channel_index_.reserve(num_channels);
   for (std::uint32_t i = 0; i < n; ++i) {
     t.out_channels_[i].reserve(n - 1);

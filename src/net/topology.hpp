@@ -75,6 +75,30 @@ class Topology {
   [[nodiscard]] std::span<const ChannelId> out_channels(ProcessId p) const;
   [[nodiscard]] std::span<const ChannelId> in_channels(ProcessId p) const;
 
+  // Endpoint slots (section 2.1: each process has a fixed, ordered set of
+  // in- and out-channels): in_channels(channel(c).destination)[in_slot(c)]
+  // == c and out_channels(channel(c).source)[out_slot(c)] == c, so every
+  // per-channel table a process keeps is a plain vector indexed by slot.
+  [[nodiscard]] std::uint32_t in_slot(ChannelId c) const {
+    DDBG_ASSERT(c.value() < in_slot_.size(), "unknown channel id");
+    return in_slot_[c.value()];
+  }
+  [[nodiscard]] std::uint32_t out_slot(ChannelId c) const {
+    DDBG_ASSERT(c.value() < out_slot_.size(), "unknown channel id");
+    return out_slot_[c.value()];
+  }
+  // Checked forms for ids that may be foreign or hostile (wire input): the
+  // slot of `c` among p's in-channels (out-channels), or nullopt when `c`
+  // is out of range or does not end (start) at p.
+  [[nodiscard]] std::optional<std::uint32_t> find_in_slot(ProcessId p,
+                                                          ChannelId c) const {
+    return find_slot(in_channels_, in_slot_, p, c);
+  }
+  [[nodiscard]] std::optional<std::uint32_t> find_out_slot(ProcessId p,
+                                                           ChannelId c) const {
+    return find_slot(out_channels_, out_slot_, p, c);
+  }
+
   // First (non-control) channel from source to destination, if any.
   [[nodiscard]] std::optional<ChannelId> channel_between(
       ProcessId source, ProcessId destination) const;
@@ -152,10 +176,27 @@ class Topology {
   // Sizes the tier metadata vectors once the debugger (tier) processes have
   // been appended; callers then fill parents/children/ranges.
   void init_tier_metadata();
+  // Membership is checked against p's own channel list rather than the
+  // channel table, so a lookup touches the dense slot array and p's list.
+  [[nodiscard]] static std::optional<std::uint32_t> find_slot(
+      const std::vector<std::vector<ChannelId>>& lists,
+      const std::vector<std::uint32_t>& slots, ProcessId p, ChannelId c) {
+    if (c.value() >= slots.size() || p.value() >= lists.size()) {
+      return std::nullopt;
+    }
+    const std::uint32_t slot = slots[c.value()];
+    const std::vector<ChannelId>& list = lists[p.value()];
+    if (slot >= list.size() || list[slot] != c) return std::nullopt;
+    return slot;
+  }
 
   std::vector<ChannelSpec> channels_;
   std::vector<std::vector<ChannelId>> out_channels_;
   std::vector<std::vector<ChannelId>> in_channels_;
+  // By channel id: its index in in_channels_[destination] /
+  // out_channels_[source].
+  std::vector<std::uint32_t> in_slot_;
+  std::vector<std::uint32_t> out_slot_;
   // First data (non-control) channel per ordered (source, destination)
   // pair, so channel_between is O(1) instead of an out-degree scan — on a
   // complete graph at N=1024 that scan is 1023 entries per lookup.  Lookup

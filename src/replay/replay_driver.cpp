@@ -171,6 +171,23 @@ bool ReplayDriver::replay_halt_cut(const ReplayRecord& record, Report& report,
     return false;
   }
   session.resume(options_.halt_timeout);
+  // The resume commands are still in flight on the control channels.  A
+  // post-cut timer fire posted to a process that is still halted would be
+  // deferred by its halting engine, and the next record could then name a
+  // timer that deferred handler has not created yet.
+  const bool resumed = pump([&] {
+    for (std::uint32_t p = 0; p < num_users_; ++p) {
+      if (harness_->shim(ProcessId(p)).halted()) return false;
+    }
+    return true;
+  });
+  if (!resumed) {
+    std::ostringstream out;
+    out << "cut #" << cut_index << ": processes did not resume";
+    report.error = out.str();
+    sim.metrics().on_replay_divergence();
+    return false;
+  }
   return true;
 }
 

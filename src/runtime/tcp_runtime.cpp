@@ -14,6 +14,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <span>
 #include <thread>
 #include <unordered_map>
 
@@ -208,7 +209,6 @@ class TcpRuntime::Worker {
   void retire_fd_from_epoll(int fd);
 
   // ---- reliability layer (runtime_.config_.faults only) ----
-  [[nodiscard]] std::size_t out_slot(ChannelId channel) const;
   void rel_transmit(std::size_t slot, std::uint64_t seq);
   void rel_write_data(std::size_t slot, std::uint64_t seq);
   void rel_write_ack(std::size_t in_slot, std::size_t conn_slot);
@@ -244,11 +244,10 @@ class TcpRuntime::Worker {
   // pair index -> the conn slot this worker sends on (side 0 for a
   // self-pair, the worker's only side otherwise).
   std::unordered_map<std::uint32_t, std::uint32_t> send_slot_of_pair_;
-  // Demultiplexing tables: channel id -> dense slot in the in/out arrays.
-  std::unordered_map<std::uint32_t, std::uint32_t> in_slot_of_channel_;
-  std::unordered_map<std::uint32_t, std::uint32_t> out_slot_of_channel_;
-  std::vector<ChannelId> in_channels_;
-  std::vector<ChannelId> out_channels_;
+  // This process's channels, by endpoint slot (Topology::in_slot /
+  // out_slot); the per-channel reliability tables below share the index.
+  std::span<const ChannelId> in_channels_;
+  std::span<const ChannelId> out_channels_;
 
   std::size_t frames_this_wakeup_ = 0;
   // Scratch: in-slots that received data in the current parse batch (one
@@ -314,18 +313,13 @@ class TcpProcessContext final : public ProcessContext {
 
 TcpRuntime::Worker::Worker(TcpRuntime& runtime, ProcessId id,
                            ProcessPtr process, Rng rng)
-    : runtime_(runtime), id_(id), process_(std::move(process)), rng_(rng) {
+    : runtime_(runtime),
+      id_(id),
+      process_(std::move(process)),
+      rng_(rng),
+      in_channels_(runtime_.topology_.in_channels(id_)),
+      out_channels_(runtime_.topology_.out_channels(id_)) {
   context_ = std::make_unique<TcpProcessContext>(*this);
-  for (const ChannelId channel : runtime_.topology_.out_channels(id_)) {
-    out_slot_of_channel_.emplace(
-        channel.value(), static_cast<std::uint32_t>(out_channels_.size()));
-    out_channels_.push_back(channel);
-  }
-  for (const ChannelId channel : runtime_.topology_.in_channels(id_)) {
-    in_slot_of_channel_.emplace(
-        channel.value(), static_cast<std::uint32_t>(in_channels_.size()));
-    in_channels_.push_back(channel);
-  }
   if (runtime_.config_.faults) {
     rel_send_.assign(out_channels_.size(),
                      ReliableSender(runtime_.config_.reliable));
@@ -704,14 +698,13 @@ void TcpRuntime::Worker::parse_pair_frames(std::size_t slot) {
       if (!ch.ok()) continue;
       channel_id = ch.value();
     }
+    const ChannelId channel(channel_id);
     if (!runtime_.config_.faults) {
-      const auto it = in_slot_of_channel_.find(channel_id);
-      if (it == in_slot_of_channel_.end()) {
+      if (!runtime_.topology_.find_in_slot(id_, channel)) {
         DDBG_ERROR() << "tcp: frame for foreign channel " << channel_id
                      << " on pair " << conn.pair;
         continue;
       }
-      const ChannelId channel = in_channels_[it->second];
       auto message = Message::decode(reader);
       if (!message.ok()) {
         DDBG_ERROR() << "tcp: bad frame on " << to_string(channel) << ": "
@@ -734,19 +727,18 @@ void TcpRuntime::Worker::parse_pair_frames(std::size_t slot) {
       continue;
     }
     if (header.value().tag == RelHeader::kAck) {
-      const auto it = out_slot_of_channel_.find(channel_id);
-      if (it == out_slot_of_channel_.end()) continue;
-      rel_send_[it->second].ack(header.value().cum_ack);
+      const auto out_idx = runtime_.topology_.find_out_slot(id_, channel);
+      if (!out_idx) continue;
+      rel_send_[*out_idx].ack(header.value().cum_ack);
       continue;
     }
-    const auto it = in_slot_of_channel_.find(channel_id);
-    if (it == in_slot_of_channel_.end()) {
+    const auto found = runtime_.topology_.find_in_slot(id_, channel);
+    if (!found) {
       DDBG_ERROR() << "tcp: frame for foreign channel " << channel_id
                    << " on pair " << conn.pair;
       continue;
     }
-    const std::uint32_t in_idx = it->second;
-    const ChannelId channel = in_channels_[in_idx];
+    const std::uint32_t in_idx = *found;
     auto message = Message::decode(reader);
     if (!message.ok()) {
       DDBG_ERROR() << "tcp: bad frame on " << to_string(channel) << ": "
@@ -1040,16 +1032,11 @@ void TcpRuntime::Worker::flush_sends() {
 // Worker: reliability layer
 // ---------------------------------------------------------------------------
 
-std::size_t TcpRuntime::Worker::out_slot(ChannelId channel) const {
-  const auto it = out_slot_of_channel_.find(channel.value());
-  DDBG_ASSERT(it != out_slot_of_channel_.end(),
-              "channel is not sourced by this worker");
-  return it->second;
-}
-
 void TcpRuntime::Worker::rel_send_message(ChannelId channel,
                                           const Message& message) {
-  const std::size_t slot = out_slot(channel);
+  const auto found = runtime_.topology_.find_out_slot(id_, channel);
+  DDBG_ASSERT(found.has_value(), "channel is not sourced by this worker");
+  const std::size_t slot = *found;
   // Bytes accounted once per logical send, like the bare-TCP path; the
   // wire frame itself is rebuilt per transmission attempt, and the size is
   // stashed alongside the staged message so retransmissions never

@@ -161,9 +161,7 @@ void Simulation::push_event(std::unique_ptr<Event> event) {
 
 bool Simulation::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top() is const; the event is removed before dispatch.
-  auto event = std::move(const_cast<std::unique_ptr<Event>&>(queue_.top()));
-  queue_.pop();
+  auto event = queue_.pop();
   DDBG_ASSERT(event->when >= now_, "simulation time went backwards");
   now_ = event->when;
   dispatch(nullptr, *event);
@@ -177,7 +175,7 @@ bool Simulation::run_until_quiescent() {
     return queue_.empty();
   }
   while (!queue_.empty()) {
-    if (queue_.top()->when > config_.max_time) return false;
+    if (queue_.top_when() > config_.max_time) return false;
     step();
   }
   return true;
@@ -187,7 +185,7 @@ void Simulation::run_until(TimePoint until) {
   if (effective_workers() > 1) {
     run_parallel(until);
   } else {
-    while (!queue_.empty() && queue_.top()->when <= until) step();
+    while (!queue_.empty() && queue_.top_when() <= until) step();
   }
   if (now_ < until) now_ = until;
 }
@@ -195,7 +193,7 @@ void Simulation::run_until(TimePoint until) {
 bool Simulation::run_until_condition(const std::function<bool()>& condition,
                                      TimePoint deadline) {
   if (condition()) return true;
-  while (!queue_.empty() && queue_.top()->when <= deadline) {
+  while (!queue_.empty() && queue_.top_when() <= deadline) {
     step();
     if (condition()) return true;
   }
@@ -232,8 +230,8 @@ void Simulation::run_parallel(TimePoint until) {
   }
   const Duration delta = config_.latency->min_latency();
   std::vector<std::unique_ptr<Event>> batch;
-  while (!queue_.empty() && queue_.top()->when <= until) {
-    const Event& top = *queue_.top();
+  while (!queue_.empty() && queue_.top_when() <= until) {
+    const Event& top = queue_.top();
     if (top.kind == Event::Kind::kCall || top.kind == Event::Kind::kClosure) {
       step();  // serial barrier: runs alone, exactly like the sequential loop
       continue;
@@ -246,7 +244,7 @@ void Simulation::run_parallel(TimePoint until) {
     batch.clear();
     TimePoint horizon = window_end;
     while (!queue_.empty()) {
-      const Event& head = *queue_.top();
+      const Event& head = queue_.top();
       if (head.when >= window_end) break;
       if (head.kind == Event::Kind::kCall ||
           head.kind == Event::Kind::kClosure) {
@@ -254,9 +252,7 @@ void Simulation::run_parallel(TimePoint until) {
         horizon = head.when;
         break;
       }
-      batch.push_back(
-          std::move(const_cast<std::unique_ptr<Event>&>(queue_.top())));
-      queue_.pop();
+      batch.push_back(queue_.pop());
     }
     DDBG_ASSERT(!batch.empty(), "window extracted no events");
 
@@ -287,9 +283,7 @@ void Simulation::run_parallel(TimePoint until) {
 
 void Simulation::drain_lane(Lane& lane) {
   while (!lane.heap.empty()) {
-    auto event =
-        std::move(const_cast<std::unique_ptr<Event>&>(lane.heap.top()));
-    lane.heap.pop();
+    auto event = lane.heap.pop();
     lane.records.emplace_back();
     ExecRecord& record = lane.records.back();
     record.when = event->when;

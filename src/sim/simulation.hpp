@@ -20,10 +20,10 @@
 // any worker count.  See DESIGN.md "Parallel simulation".
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -165,12 +165,40 @@ class Simulation {
     std::function<void(ProcessContext&, Process&)> closure;
   };
 
-  struct EventOrder {
-    bool operator()(const std::unique_ptr<Event>& a,
-                    const std::unique_ptr<Event>& b) const {
-      if (a->when != b->when) return a->when > b->when;  // min-heap
-      return a->seq > b->seq;
+  // (when, seq) min-heap of events.  Each entry carries a copy of its
+  // event's key, so sift compares read the heap array instead of the large,
+  // cold Event; an event's when/seq must not change while it is queued.
+  class EventHeap {
+   public:
+    [[nodiscard]] bool empty() const { return entries_.empty(); }
+    [[nodiscard]] const Event& top() const { return *entries_.front().event; }
+    [[nodiscard]] TimePoint top_when() const { return entries_.front().when; }
+    void push(std::unique_ptr<Event> event) {
+      const TimePoint when = event->when;
+      const std::uint64_t seq = event->seq;
+      entries_.push_back(Entry{when, seq, std::move(event)});
+      std::push_heap(entries_.begin(), entries_.end(), Later{});
     }
+    std::unique_ptr<Event> pop() {
+      std::pop_heap(entries_.begin(), entries_.end(), Later{});
+      std::unique_ptr<Event> event = std::move(entries_.back().event);
+      entries_.pop_back();
+      return event;
+    }
+
+   private:
+    struct Entry {
+      TimePoint when;
+      std::uint64_t seq;
+      std::unique_ptr<Event> event;
+    };
+    struct Later {
+      bool operator()(const Entry& a, const Entry& b) const {
+        if (a.when != b.when) return a.when > b.when;
+        return a.seq > b.seq;
+      }
+    };
+    std::vector<Entry> entries_;
   };
 
   // One staged side effect of a worker-dispatched event, replayed by the
@@ -212,9 +240,7 @@ class Simulation {
     // Events assigned to this worker for the current window, (when, seq)
     // min-heap.  In-window children of local events join with provisional
     // seqs, which preserve the true relative order (see DESIGN.md).
-    std::priority_queue<std::unique_ptr<Event>,
-                        std::vector<std::unique_ptr<Event>>, EventOrder>
-        heap;
+    EventHeap heap;
     std::deque<ExecRecord> records;
     ExecRecord* current = nullptr;  // non-null only while dispatching
     TimePoint horizon{0};           // dispatch-locally bound (exclusive)
@@ -270,9 +296,7 @@ class Simulation {
   Rng rng_;
   std::vector<Rng> process_rngs_;
 
-  std::priority_queue<std::unique_ptr<Event>, std::vector<std::unique_ptr<Event>>,
-                      EventOrder>
-      queue_;
+  EventHeap queue_;
   TimePoint now_{0};
   std::uint64_t next_seq_ = 0;
   // Transport message ids are per-channel streams (bit 63 tags them apart

@@ -10,6 +10,7 @@
 #include "core/predicate.hpp"
 #include "net/framing.hpp"
 #include "net/message.hpp"
+#include "net/topology.hpp"
 #include "replay/replay_log.hpp"
 
 namespace ddbg {
@@ -329,6 +330,66 @@ TEST(FrameParser, LengthJustAboveCapRejectedAtCapAccepted) {
   exact.append(framing_test::make_frame(Bytes(8, 0x11)));
   EXPECT_TRUE(exact.next().has_value());
   EXPECT_FALSE(exact.corrupt());
+}
+
+// -- Frame demultiplexing: the channel id a frame names is wire input -----
+//
+// TcpRuntime resolves a frame's channel id to an endpoint slot with
+// Topology::find_in_slot (data frames) and find_out_slot (acks) before it
+// indexes any per-channel table, so an out-of-range or foreign id must come
+// back empty rather than as some other channel's slot.
+
+TEST(FrameDemux, OutOfRangeChannelIdsHaveNoSlot) {
+  const Topology t = Topology::complete(4).with_debugger();
+  const ProcessId self(2);
+  for (const std::uint32_t raw :
+       {static_cast<std::uint32_t>(t.num_channels()),
+        static_cast<std::uint32_t>(t.num_channels()) + 1, 0x7FFFFFFFu,
+        0xFFFFFFFEu, 0xFFFFFFFFu}) {
+    EXPECT_FALSE(t.find_in_slot(self, ChannelId(raw)).has_value()) << raw;
+    EXPECT_FALSE(t.find_out_slot(self, ChannelId(raw)).has_value()) << raw;
+  }
+}
+
+TEST(FrameDemux, ChannelsOfOtherProcessesHaveNoSlot) {
+  const Topology t = Topology::complete(4).with_debugger();
+  const ProcessId self(2);
+  for (const ChannelSpec& spec : t.channels()) {
+    const auto in = t.find_in_slot(self, spec.id);
+    const auto out = t.find_out_slot(self, spec.id);
+    EXPECT_EQ(in.has_value(), spec.destination == self) << spec.id.value();
+    EXPECT_EQ(out.has_value(), spec.source == self) << spec.id.value();
+    if (in) {
+      EXPECT_EQ(t.in_channels(self)[*in], spec.id);
+    }
+    if (out) {
+      EXPECT_EQ(t.out_channels(self)[*out], spec.id);
+    }
+  }
+  // An application channel between two other processes.
+  const auto foreign = t.channel_between(ProcessId(0), ProcessId(1));
+  ASSERT_TRUE(foreign.has_value());
+  EXPECT_FALSE(t.find_in_slot(self, *foreign).has_value());
+  EXPECT_FALSE(t.find_out_slot(self, *foreign).has_value());
+}
+
+TEST(FrameDemux, OwnControlChannelsResolveInTheirDirectionOnly) {
+  const Topology t = Topology::complete(4).with_debugger_tree(2);
+  const ProcessId self(2);
+  const ChannelId down = t.control_to(self);   // parent -> self
+  const ChannelId up = t.control_from(self);   // self -> parent
+  const auto down_slot = t.find_in_slot(self, down);
+  ASSERT_TRUE(down_slot.has_value());
+  EXPECT_EQ(t.in_channels(self)[*down_slot], down);
+  EXPECT_FALSE(t.find_out_slot(self, down).has_value());
+  const auto up_slot = t.find_out_slot(self, up);
+  ASSERT_TRUE(up_slot.has_value());
+  EXPECT_EQ(t.out_channels(self)[*up_slot], up);
+  EXPECT_FALSE(t.find_in_slot(self, up).has_value());
+  // Another user's control channels are foreign here.
+  EXPECT_FALSE(t.find_in_slot(self, t.control_to(ProcessId(1))).has_value());
+  EXPECT_FALSE(
+      t.find_out_slot(self, t.control_from(ProcessId(1))).has_value());
 }
 
 // -- ReplayLog: the record/replay wire format (src/replay) -----------------

@@ -87,12 +87,16 @@ SimRecording record_sim_ring(std::uint32_t n, std::uint32_t halts = 1) {
   return recording;
 }
 
+// Replays a ring log with the workload it was recorded with: a replay that
+// ran fewer rounds than the recording would stop forwarding the token and
+// miss the recording's last deliveries.
 ReplayDriver::Report replay_ring(const ReplayLog& log, std::uint32_t n,
+                                 std::uint32_t rounds,
                                  std::uint64_t stop_after_cut = 0) {
   ReplayDriver::Options options;
   options.stop_after_cut = stop_after_cut;
   ReplayDriver driver(log, Topology::ring(n),
-                      make_token_ring(n, ring_config(6)), options);
+                      make_token_ring(n, ring_config(rounds)), options);
   return driver.run();
 }
 
@@ -103,7 +107,7 @@ TEST(ReplaySim, RecordedRunReplaysExactly) {
   ASSERT_EQ(recording.log.halt_cuts(), 1u);
   ASSERT_GT(recording.log.timer_fires(), 0u);
 
-  ReplayDriver::Report report = replay_ring(recording.log, n);
+  ReplayDriver::Report report = replay_ring(recording.log, n, 6);
   EXPECT_TRUE(report.ok()) << report.error;
   EXPECT_EQ(report.deliveries, recording.log.deliveries());
   EXPECT_EQ(report.timer_fires, recording.log.timer_fires());
@@ -117,8 +121,8 @@ TEST(ReplaySim, RecordedRunReplaysExactly) {
 TEST(ReplaySim, TwoReplaysAreByteIdentical) {
   const std::uint32_t n = 4;
   SimRecording recording = record_sim_ring(n);
-  ReplayDriver::Report first = replay_ring(recording.log, n);
-  ReplayDriver::Report second = replay_ring(recording.log, n);
+  ReplayDriver::Report first = replay_ring(recording.log, n, 6);
+  ReplayDriver::Report second = replay_ring(recording.log, n, 6);
   EXPECT_TRUE(first.ok()) << first.error;
   EXPECT_EQ(first.describe(), second.describe());
   EXPECT_EQ(first.metrics_json, second.metrics_json);
@@ -160,7 +164,7 @@ TEST(ReplaySim, MutatedLogCountsDivergence) {
       break;
     }
   }
-  ReplayDriver::Report report = replay_ring(recording.log, n);
+  ReplayDriver::Report report = replay_ring(recording.log, n, 6);
   EXPECT_GE(report.divergences, 1u);
 }
 
@@ -197,14 +201,124 @@ TEST(ReplayRuntime, ThreadedRunReplaysInSimulator) {
   ASSERT_GT(log.timer_fires(), 0u);
 
   // The wall-clock-scheduled threaded run replays under virtual time.
-  ReplayDriver::Report first = replay_ring(log, n);
+  ReplayDriver::Report first = replay_ring(log, n, 1'000'000);
   EXPECT_TRUE(first.ok()) << first.error << "\n" << first.describe();
   EXPECT_EQ(first.cuts_matched, 1u) << first.describe();
   EXPECT_EQ(first.divergences, 0u) << first.describe();
 
-  ReplayDriver::Report second = replay_ring(log, n);
+  ReplayDriver::Report second = replay_ring(log, n, 1'000'000);
   EXPECT_EQ(first.describe(), second.describe());
   EXPECT_EQ(first.metrics_json, second.metrics_json);
+}
+
+// ---------------------------------------------------------------------------
+// Many in-channels per process: gossip on a complete graph
+// ---------------------------------------------------------------------------
+//
+// The ring tests give every process one application in-channel; here each
+// process has n-1, so delivery ordinals are counted per in-channel and the
+// halt cut records channel state on several of them at once.
+
+constexpr std::uint32_t kMeshN = 6;
+
+GossipConfig mesh_gossip(std::uint32_t max_sends) {
+  GossipConfig config;
+  config.send_interval = Duration::millis(1);
+  config.max_sends = max_sends;
+  return config;
+}
+
+ReplayLogHeader mesh_header(const char* substrate, std::uint64_t seed) {
+  ReplayLogHeader header;
+  header.seed = seed;
+  header.substrate = substrate;
+  header.num_user_processes = kMeshN;
+  header.debugger_fanout = 0;
+  header.num_channels = static_cast<std::uint32_t>(
+      Topology::complete(kMeshN).with_debugger().num_channels());
+  return header;
+}
+
+ReplayDriver::Report replay_mesh(const ReplayLog& log,
+                                 std::uint32_t max_sends) {
+  ReplayDriver driver(log, Topology::complete(kMeshN),
+                      make_gossip(kMeshN, mesh_gossip(max_sends)));
+  return driver.run();
+}
+
+TEST(ReplaySim, CompleteGraphGossipReplaysExactly) {
+  const std::uint32_t max_sends = 40;
+  auto recorder = std::make_shared<ReplayRecorder>(mesh_header("sim", 3));
+  HarnessConfig config;
+  config.seed = 3;
+  config.replay = recorder;
+  SimDebugHarness harness(Topology::complete(kMeshN),
+                          make_gossip(kMeshN, mesh_gossip(max_sends)),
+                          std::move(config));
+  recorder->set_metrics(&harness.sim().metrics());
+
+  Simulation& sim = harness.sim();
+  sim.run_until(sim.now() + Duration::millis(12));
+  harness.session().halt();
+  const auto wave = harness.session().wait_for_halt(kWait);
+  ASSERT_TRUE(wave.has_value());
+  // The cut caught gossip in flight, so replay must rebuild channel state.
+  EXPECT_GT(wave->state.total_channel_messages(), 1u);
+  harness.session().resume(kWait);
+  sim.run_until_quiescent();
+
+  const ReplayLog log = recorder->log();
+  ASSERT_EQ(log.halt_cuts(), 1u);
+  ASSERT_GT(log.deliveries(), kMeshN * (kMeshN - 1));
+  // Decoding re-checks that every channel's delivery ordinals run 0, 1, 2…
+  const auto decoded = ReplayLog::decode(log.encode());
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  std::vector<std::string> final_states;
+  for (std::uint32_t p = 0; p < kMeshN; ++p) {
+    final_states.push_back(harness.shim(ProcessId(p)).describe_state());
+  }
+
+  ReplayDriver::Report report = replay_mesh(log, max_sends);
+  EXPECT_TRUE(report.ok()) << report.error;
+  EXPECT_EQ(report.deliveries, log.deliveries());
+  EXPECT_EQ(report.cuts, 1u);
+  EXPECT_EQ(report.cuts_matched, report.cuts) << report.describe();
+  EXPECT_EQ(report.divergences, 0u) << report.describe();
+  EXPECT_EQ(report.final_states, final_states);
+}
+
+TEST(ReplayRuntime, CompleteGraphGossipReplaysInSimulator) {
+  auto recorder =
+      std::make_shared<ReplayRecorder>(mesh_header("threads", 4));
+  HarnessConfig config;
+  config.seed = 4;
+  config.replay = recorder;
+  RuntimeDebugHarness harness(Topology::complete(kMeshN),
+                              make_gossip(kMeshN, mesh_gossip(0)),
+                              std::move(config));
+  recorder->set_metrics(&harness.runtime().metrics());
+  harness.start();
+
+  const std::uint64_t busy = 4 * kMeshN * (kMeshN - 1);
+  ASSERT_TRUE(Runtime::wait_until(
+      [&] { return recorder->log().deliveries() >= busy; }, kWait));
+  harness.session().halt();
+  ASSERT_TRUE(harness.session().wait_for_halt(kWait).has_value());
+  harness.session().resume(kWait);
+  ASSERT_TRUE(Runtime::wait_until(
+      [&] { return recorder->log().deliveries() >= 2 * busy; }, kWait));
+  harness.shutdown();
+
+  const ReplayLog log = recorder->log();
+  ASSERT_EQ(log.halt_cuts(), 1u);
+  const auto decoded = ReplayLog::decode(log.encode());
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+
+  ReplayDriver::Report report = replay_mesh(log, 0);
+  EXPECT_TRUE(report.ok()) << report.error << "\n" << report.describe();
+  EXPECT_EQ(report.cuts, 1u);
+  EXPECT_EQ(report.cuts_matched, report.cuts) << report.describe();
+  EXPECT_EQ(report.divergences, 0u) << report.describe();
 }
 
 // ---------------------------------------------------------------------------
@@ -243,13 +357,13 @@ TEST(ReplayTcp, ChaosRunReplaysAsFaultFreeEquivalent) {
   // The reliability layer made user-level delivery exactly-once FIFO, so
   // the replay is the fault-free equivalent run: same inputs, same cut,
   // zero divergences — with the fault draws preserved as annotations.
-  ReplayDriver::Report first = replay_ring(log, n);
+  ReplayDriver::Report first = replay_ring(log, n, 1'000'000);
   EXPECT_TRUE(first.ok()) << first.error << "\n" << first.describe();
   EXPECT_EQ(first.cuts_matched, 1u) << first.describe();
   EXPECT_EQ(first.divergences, 0u) << first.describe();
   EXPECT_EQ(first.annotations, log.annotations());
 
-  ReplayDriver::Report second = replay_ring(log, n);
+  ReplayDriver::Report second = replay_ring(log, n, 1'000'000);
   EXPECT_EQ(first.describe(), second.describe());
   EXPECT_EQ(first.metrics_json, second.metrics_json);
 }

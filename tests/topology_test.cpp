@@ -2,6 +2,9 @@
 // extended-model (debugger) transformation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "net/topology.hpp"
 
 namespace ddbg {
@@ -210,6 +213,39 @@ TEST(Topology, ChannelBetweenReturnsFirstDataChannel) {
   const auto found = t.channel_between(ProcessId(0), ProcessId(1));
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, first);
+}
+
+// Every channel knows its position at both endpoints, control channels
+// included, and the debugger transformations (which copy the topology and
+// append) keep those positions valid.
+void expect_slots_consistent(const Topology& t) {
+  for (const ChannelSpec& spec : t.channels()) {
+    const ChannelId c = spec.id;
+    const auto in = t.in_channels(spec.destination);
+    const auto out = t.out_channels(spec.source);
+    ASSERT_LT(t.in_slot(c), in.size());
+    ASSERT_LT(t.out_slot(c), out.size());
+    EXPECT_EQ(in[t.in_slot(c)], c);
+    EXPECT_EQ(out[t.out_slot(c)], c);
+    EXPECT_EQ(t.find_in_slot(spec.destination, c), t.in_slot(c));
+    EXPECT_EQ(t.find_out_slot(spec.source, c), t.out_slot(c));
+  }
+}
+
+TEST(Topology, EndpointSlotsIndexInAndOutChannels) {
+  Rng rng(7);
+  const std::vector<Topology> shapes = {
+      Topology::ring(7), Topology::complete(6), Topology::tree(13, 3),
+      Topology::random_strongly_connected(12, 20, rng)};
+  for (const Topology& plain : shapes) {
+    SCOPED_TRACE(plain.describe());
+    expect_slots_consistent(plain);
+    const Topology flat = plain.with_debugger();
+    expect_slots_consistent(flat);
+    expect_slots_consistent(plain.with_debugger_tree(4));
+    const Topology copy = flat;
+    expect_slots_consistent(copy);
+  }
 }
 
 }  // namespace

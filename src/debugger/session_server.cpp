@@ -30,7 +30,7 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
 }
 
 std::string process_name(ProcessId p) {
-  return "p" + std::to_string(p.value());
+  return prefixed_id('p', p.value());
 }
 
 std::string describe_wave(const DebuggerProcess::WaveInfo& wave,

@@ -6,59 +6,63 @@ namespace ddbg {
 
 std::uint64_t ReliableSender::stage(Message message, std::uint64_t meta,
                                     TimePoint now) {
-  Entry entry;
+  Entry& entry = window_.emplace_back();
   entry.seq = next_seq_++;
   entry.staged = Staged{std::move(message), meta};
   entry.rto = config_.rto_initial;
   entry.next_retry = now + entry.rto;
-  window_.push_back(std::move(entry));
-  return window_.back().seq;
+  return entry.seq;
 }
 
 std::size_t ReliableSender::ack(std::uint64_t cum_ack) {
-  std::size_t retired = 0;
-  while (!window_.empty() && window_.front().seq <= cum_ack) {
-    window_.pop_front();
-    ++retired;
+  const std::size_t first = head_;
+  while (head_ < window_.size() && window_[head_].seq <= cum_ack) ++head_;
+  const std::size_t retired = head_ - first;
+  if (head_ == window_.size()) {
+    window_.clear();
+    head_ = 0;
+  } else if (2 * head_ >= window_.size()) {
+    window_.erase(window_.begin(),
+                  window_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
   if (cum_ack > acked_) acked_ = cum_ack;
   return retired;
 }
 
-std::vector<std::uint64_t> ReliableSender::due(TimePoint now) {
-  std::vector<std::uint64_t> out;
-  for (auto& entry : window_) {
+void ReliableSender::due(TimePoint now, std::vector<std::uint64_t>& out) {
+  out.clear();
+  for (std::size_t i = head_; i < window_.size(); ++i) {
+    Entry& entry = window_[i];
     if (entry.next_retry > now) continue;
     out.push_back(entry.seq);
     entry.rto = entry.rto * 2;
     if (entry.rto > config_.rto_max) entry.rto = config_.rto_max;
     entry.next_retry = now + entry.rto;
   }
-  return out;
 }
 
 std::size_t ReliableSender::mark_all_due(TimePoint now) {
-  for (auto& entry : window_) {
-    entry.next_retry = now;
+  for (std::size_t i = head_; i < window_.size(); ++i) {
+    window_[i].next_retry = now;
   }
-  return window_.size();
+  return unacked();
 }
 
 std::optional<TimePoint> ReliableSender::next_deadline() const {
   std::optional<TimePoint> earliest;
-  for (const auto& entry : window_) {
-    if (!earliest.has_value() || entry.next_retry < *earliest) {
-      earliest = entry.next_retry;
-    }
+  for (std::size_t i = head_; i < window_.size(); ++i) {
+    const TimePoint next = window_[i].next_retry;
+    if (!earliest.has_value() || next < *earliest) earliest = next;
   }
   return earliest;
 }
 
 const ReliableSender::Staged* ReliableSender::peek(std::uint64_t seq) const {
-  for (const auto& entry : window_) {
-    if (entry.seq == seq) return &entry.staged;
-  }
-  return nullptr;
+  if (head_ == window_.size()) return nullptr;
+  const std::uint64_t first = window_[head_].seq;
+  if (seq < first || seq - first >= window_.size() - head_) return nullptr;
+  return &window_[head_ + (seq - first)].staged;
 }
 
 ReliableReceiver::Accept ReliableReceiver::on_frame(

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
@@ -61,10 +60,12 @@ class ReliableSender {
   // many entries were retired.
   std::size_t ack(std::uint64_t cum_ack);
 
-  // Sequence numbers due for retransmission at `now`.  Each returned entry
-  // has its backoff doubled (up to the cap) and its deadline pushed out, so
-  // calling again immediately returns nothing.
-  [[nodiscard]] std::vector<std::uint64_t> due(TimePoint now);
+  // Replace the contents of `out` with the sequence numbers due for
+  // retransmission at `now`, ascending.  Each returned entry has its backoff
+  // doubled (up to the cap) and its deadline pushed out, so calling again
+  // immediately returns nothing.  `out` is caller-owned so a retry check
+  // reuses one buffer instead of allocating.
+  void due(TimePoint now, std::vector<std::uint64_t>& out);
 
   // Make every unacked entry due immediately (reconnect resync: the new
   // connection replays the whole window).  Returns how many entries there
@@ -74,10 +75,11 @@ class ReliableSender {
   // Earliest retransmit deadline among unacked entries, if any.
   [[nodiscard]] std::optional<TimePoint> next_deadline() const;
 
-  // The staged message for `seq`, or nullptr if already acked.
+  // The staged message for `seq`, or nullptr if already acked or never
+  // staged.  The pointer is valid until the next stage() or ack().
   [[nodiscard]] const Staged* peek(std::uint64_t seq) const;
 
-  [[nodiscard]] std::size_t unacked() const { return window_.size(); }
+  [[nodiscard]] std::size_t unacked() const { return window_.size() - head_; }
   [[nodiscard]] std::uint64_t last_staged() const { return next_seq_ - 1; }
   [[nodiscard]] std::uint64_t cum_acked() const { return acked_; }
 
@@ -90,7 +92,12 @@ class ReliableSender {
   };
 
   ReliableConfig config_;
-  std::deque<Entry> window_;  // unacked, ascending seq
+  // Unacked entries are window_[head_..], consecutive seqs ascending, so
+  // peek is an offset from the head.  Acks advance head_; the retired
+  // prefix is dropped when the window empties or once it is at least half
+  // the vector, so the storage is reused instead of allocated per message.
+  std::vector<Entry> window_;
+  std::size_t head_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t acked_ = 0;
 };

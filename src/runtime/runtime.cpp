@@ -131,6 +131,9 @@ class Runtime::Worker {
   std::vector<std::uint64_t> ack_attempts_;   // in: ack fault stream
   std::vector<SteadyClock::time_point> retry_arm_;  // earliest armed check
   std::vector<char> reconnect_pending_;
+  // Scratch reused by every retry check and every arriving frame.
+  std::vector<std::uint64_t> due_;
+  std::vector<ReliableReceiver::Delivery> released_;
 
   std::thread thread_;
 };
@@ -457,7 +460,8 @@ void Runtime::Worker::rel_deliver_frame(ChannelId channel, std::uint64_t seq,
 void Runtime::Worker::rel_check_retries(ChannelId channel) {
   const std::size_t c = channel.value();
   retry_arm_[c] = SteadyClock::time_point::max();
-  for (const std::uint64_t seq : rel_send_[c].due(runtime_.now())) {
+  rel_send_[c].due(runtime_.now(), due_);
+  for (const std::uint64_t seq : due_) {
     runtime_.metrics_.on_retransmit();
     rel_transmit(channel, seq);
   }
@@ -510,13 +514,13 @@ void Runtime::Worker::push_ack(ChannelId channel, std::uint64_t cum_ack) {
 
 void Runtime::Worker::rel_on_frame(Item& item, std::size_t& deliveries) {
   const std::size_t c = item.channel.value();
-  std::vector<ReliableReceiver::Delivery> released;
+  released_.clear();
   const auto accept = rel_recv_[c].on_frame(
-      item.rel_seq, std::move(item.message), item.wire_bytes, released);
+      item.rel_seq, std::move(item.message), item.wire_bytes, released_);
   if (accept == ReliableReceiver::Accept::kDuplicate) {
     runtime_.metrics_.on_dup_suppressed();
   }
-  for (auto& delivery : released) {
+  for (auto& delivery : released_) {
     ++deliveries;
     runtime_.metrics_.on_deliver(c, traffic_class(delivery.message.kind),
                                  static_cast<std::uint32_t>(delivery.meta));

@@ -259,6 +259,9 @@ class TcpRuntime::Worker {
   std::vector<std::uint64_t> out_attempts_;  // data fault stream, by out slot
   std::vector<ReliableReceiver> in_recv_;    // by in slot
   std::vector<std::uint64_t> in_ack_attempts_;  // ack fault stream
+  // Scratch reused by every retry check and every parsed data frame.
+  std::vector<std::uint64_t> due_;
+  std::vector<ReliableReceiver::Delivery> releases_;
   // Frames held back by delay/reorder faults, fired by the reactor.
   struct DelayedWire {
     bool is_ack = false;
@@ -747,14 +750,13 @@ void TcpRuntime::Worker::parse_pair_frames(std::size_t slot) {
     }
     const std::uint64_t wire =
         body->size() - kChannelPrefixSize - kRelHeaderSize;
-    static thread_local std::vector<ReliableReceiver::Delivery> releases;
-    releases.clear();
+    releases_.clear();
     const auto accept = in_recv_[in_idx].on_frame(
-        header.value().seq, std::move(message).value(), wire, releases);
+        header.value().seq, std::move(message).value(), wire, releases_);
     if (accept == ReliableReceiver::Accept::kDuplicate) {
       runtime_.metrics_.on_dup_suppressed();
     }
-    for (auto& release : releases) {
+    for (auto& release : releases_) {
       ++delivered;
       runtime_.metrics_.on_deliver(
           channel_id, traffic_class(release.message.kind),
@@ -1315,7 +1317,8 @@ void TcpRuntime::Worker::rel_fire_due() {
     }
   }
   for (std::size_t slot = 0; slot < out_channels_.size(); ++slot) {
-    for (const std::uint64_t seq : rel_send_[slot].due(runtime_.now())) {
+    rel_send_[slot].due(runtime_.now(), due_);
+    for (const std::uint64_t seq : due_) {
       runtime_.metrics_.on_retransmit();
       rel_transmit(slot, seq);
     }

@@ -122,11 +122,11 @@ Simulation::Simulation(Topology topology, std::vector<ProcessPtr> processes,
 
   // Schedule on_start for every process at t=0, in id order.
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    auto event = std::make_unique<Event>();
-    event->when = TimePoint{0};
-    event->kind = Event::Kind::kStart;
-    event->target = ProcessId(static_cast<std::uint32_t>(i));
-    push_event(std::move(event));
+    Event event;
+    event.when = TimePoint{0};
+    event.kind = Event::Kind::kStart;
+    event.target = ProcessId(static_cast<std::uint32_t>(i));
+    push_event(event);
   }
 }
 
@@ -154,17 +154,17 @@ std::uint32_t Simulation::effective_workers() const {
   return std::min(config_.workers, topology_.num_processes());
 }
 
-void Simulation::push_event(std::unique_ptr<Event> event) {
-  event->seq = next_seq_++;
-  queue_.push(std::move(event));
+void Simulation::push_event(Event event) {
+  event.seq = next_seq_++;
+  queue_.push(event);
 }
 
 bool Simulation::step() {
   if (queue_.empty()) return false;
-  auto event = queue_.pop();
-  DDBG_ASSERT(event->when >= now_, "simulation time went backwards");
-  now_ = event->when;
-  dispatch(nullptr, *event);
+  const Event event = queue_.pop();
+  DDBG_ASSERT(event.when >= now_, "simulation time went backwards");
+  now_ = event.when;
+  dispatch(nullptr, event);
   ++events_processed_;
   return true;
 }
@@ -225,11 +225,10 @@ void Simulation::run_parallel(TimePoint until) {
       lanes_.emplace_back();
       lanes_.back().index = i;
     }
-    seq_bind_.resize(workers);
     pool_threads_ = std::make_unique<WorkerPool>(workers);
   }
   const Duration delta = config_.latency->min_latency();
-  std::vector<std::unique_ptr<Event>> batch;
+  std::vector<Event> batch;
   while (!queue_.empty() && queue_.top_when() <= until) {
     const Event& top = queue_.top();
     if (top.kind == Event::Kind::kCall || top.kind == Event::Kind::kClosure) {
@@ -259,16 +258,16 @@ void Simulation::run_parallel(TimePoint until) {
     if (batch.size() == 1) {
       // Degenerate window: the barrier machinery would only add overhead,
       // and serial dispatch is definitionally sequential-equivalent.
-      auto event = std::move(batch.front());
-      DDBG_ASSERT(event->when >= now_, "simulation time went backwards");
-      now_ = event->when;
-      dispatch(nullptr, *event);
+      const Event event = batch.front();
+      DDBG_ASSERT(event.when >= now_, "simulation time went backwards");
+      now_ = event.when;
+      dispatch(nullptr, event);
       ++events_processed_;
       continue;
     }
 
-    for (auto& event : batch) {
-      lanes_[owner_of(event->target)].heap.push(std::move(event));
+    for (const Event& event : batch) {
+      lanes_[owner_of(event.target)].heap.push(event);
     }
     for (Lane& lane : lanes_) {
       lane.horizon = horizon;
@@ -283,44 +282,53 @@ void Simulation::run_parallel(TimePoint until) {
 
 void Simulation::drain_lane(Lane& lane) {
   while (!lane.heap.empty()) {
-    auto event = lane.heap.pop();
-    lane.records.emplace_back();
-    ExecRecord& record = lane.records.back();
-    record.when = event->when;
-    record.seq = event->seq;
-    record.provisional = event->seq >= kProvisionalBase;
+    const Event event = lane.heap.pop();
+    if (lane.recorded == lane.records.size()) lane.records.emplace_back();
+    ExecRecord& record = lane.records[lane.recorded++];
+    record.when = event.when;
+    record.seq = event.seq;
+    record.provisional = event.seq >= kProvisionalBase;
     lane.current = &record;
-    dispatch(&lane, *event);
+    dispatch(&lane, event);
     lane.current = nullptr;
   }
 }
 
 void Simulation::commit_window() {
+  // Workers only detached their parcels; the slab is the coordinator's
+  // again, so free those slots before commit parks the window's children.
+  for (Lane& lane : lanes_) {
+    for (const std::uint32_t slot : lane.freed_parcels) {
+      parcels_.release(slot);
+    }
+    lane.freed_parcels.clear();
+  }
   while (true) {
     // K-way merge of the lanes' record streams by (when, true seq).  A
     // provisional head's true seq is always already bound: its parent
     // replayed earlier in the same stream.
     Lane* best = nullptr;
+    TimePoint best_when{0};
     std::uint64_t best_seq = 0;
     for (Lane& lane : lanes_) {
-      if (lane.records.empty()) continue;
-      const ExecRecord& head = lane.records.front();
+      if (lane.committed == lane.recorded) continue;
+      const ExecRecord& head = lane.records[lane.committed];
       std::uint64_t seq = head.seq;
       if (head.provisional) {
-        const auto it = seq_bind_[lane.index].find(head.seq);
-        DDBG_ASSERT(it != seq_bind_[lane.index].end(),
+        const std::uint64_t k = head.seq - kProvisionalBase;
+        DDBG_ASSERT(k < lane.bound_seq.size(),
                     "in-window child replayed before its parent");
-        seq = it->second;
+        seq = lane.bound_seq[k];
       }
-      if (best == nullptr || head.when < best->records.front().when ||
-          (head.when == best->records.front().when && seq < best_seq)) {
+      if (best == nullptr || head.when < best_when ||
+          (head.when == best_when && seq < best_seq)) {
         best = &lane;
+        best_when = head.when;
         best_seq = seq;
       }
     }
     if (best == nullptr) break;
-    ExecRecord record = std::move(best->records.front());
-    best->records.pop_front();
+    ExecRecord& record = best->records[best->committed++];
     DDBG_ASSERT(record.when >= now_, "simulation time went backwards");
     now_ = record.when;
     for (Effect& effect : record.effects) {
@@ -354,46 +362,78 @@ void Simulation::commit_window() {
           effect.fn();
           break;
         case Effect::Kind::kChild:
-          effect.child->seq = next_seq_++;
-          queue_.push(std::move(effect.child));
+          if (is_parcel(effect.child.kind)) {
+            effect.child.slot = parcels_.put(std::move(effect.message));
+          }
+          push_event(effect.child);
           break;
         case Effect::Kind::kChildLocal:
-          seq_bind_[best->index][effect.provisional] = next_seq_++;
+          DDBG_ASSERT(effect.provisional - kProvisionalBase ==
+                          best->bound_seq.size(),
+                      "provisional ids bind in creation order");
+          best->bound_seq.push_back(next_seq_++);
           break;
       }
     }
+    record.effects.clear();  // keeps the capacity for the next window
     ++events_processed_;
   }
-  for (auto& bindings : seq_bind_) bindings.clear();
+  for (Lane& lane : lanes_) {
+    lane.recorded = 0;
+    lane.committed = 0;
+    lane.bound_seq.clear();
+  }
 }
 
-void Simulation::emit_child(Lane* lane, std::unique_ptr<Event> event) {
+void Simulation::emit_child(Lane* lane, Event event) {
   if (lane == nullptr || lane->current == nullptr) {
-    push_event(std::move(event));
+    push_event(event);
     return;
   }
-  Effect effect;
-  if (event->when < lane->horizon) {
+  Effect& effect = lane->current->effects.emplace_back();
+  if (event.when < lane->horizon) {
     // In-window child: dispatched by this worker within the window.  The
     // lookahead bound makes cross-worker children impossible here — only
     // same-process work (timers, retransmit checks, reconnect resyncs) can
     // land inside the window.
-    DDBG_ASSERT(owner_of(event->target) == lane->index,
+    DDBG_ASSERT(owner_of(event.target) == lane->index,
                 "lookahead violation: in-window child crosses workers "
                 "(latency model's min_latency() is not a lower bound?)");
-    DDBG_ASSERT(event->kind != Event::Kind::kCall &&
-                    event->kind != Event::Kind::kClosure,
+    DDBG_ASSERT(event.kind != Event::Kind::kCall &&
+                    event.kind != Event::Kind::kClosure,
                 "barrier events cannot be created during a window");
-    event->seq = kProvisionalBase + lane->next_provisional++;
+    event.seq = kProvisionalBase + lane->next_provisional++;
     effect.kind = Effect::Kind::kChildLocal;
-    effect.provisional = event->seq;
-    lane->current->effects.push_back(std::move(effect));
-    lane->heap.push(std::move(event));
+    effect.provisional = event.seq;
+    lane->heap.push(event);
     return;
   }
   effect.kind = Effect::Kind::kChild;
-  effect.child = std::move(event);
-  lane->current->effects.push_back(std::move(effect));
+  effect.child = event;
+}
+
+void Simulation::emit_parcel(Lane* lane, Event event, Message message) {
+  if (lane == nullptr || lane->current == nullptr) {
+    event.slot = parcels_.put(std::move(message));
+    push_event(event);
+    return;
+  }
+  // Delivery and frame delays are at least min_latency(), which bounds the
+  // window, so a parcel never lands inside the window that sent it.  It
+  // travels in its staged kChild effect and commit parks it: workers never
+  // put into the slab, so it cannot resize under a concurrent detach.
+  DDBG_ASSERT(event.when >= lane->horizon,
+              "lookahead violation: message delivered inside its window");
+  Effect& effect = lane->current->effects.emplace_back();
+  effect.kind = Effect::Kind::kChild;
+  effect.child = event;
+  effect.message = std::move(message);
+}
+
+Message Simulation::take_parcel(Lane* lane, std::uint32_t slot) {
+  if (lane == nullptr || lane->current == nullptr) return parcels_.take(slot);
+  lane->freed_parcels.push_back(slot);
+  return parcels_.detach(slot);
 }
 
 void Simulation::run_ordered_effect(Lane* lane, std::function<void()> fn) {
@@ -429,40 +469,39 @@ void Simulation::preload_channel(ChannelId channel, Bytes payload) {
     wire_bytes = static_cast<std::uint32_t>(writer.size());
   }
 
-  auto event = std::make_unique<Event>();
+  Event event;
   // Delivered at t=0 after the on_start events (which were queued first),
   // in preload order.
-  event->when = TimePoint{0};
-  event->kind = Event::Kind::kDeliver;
-  event->target = spec.destination;
-  event->channel = channel;
-  event->message = std::move(message);
-  event->wire_bytes = wire_bytes;
-  push_event(std::move(event));
+  event.when = TimePoint{0};
+  event.kind = Event::Kind::kDeliver;
+  event.target = spec.destination;
+  event.channel = channel;
+  event.wire_bytes = wire_bytes;
+  emit_parcel(nullptr, event, std::move(message));
 }
 
 void Simulation::schedule_call(TimePoint when, std::function<void()> action) {
   DDBG_ASSERT(when >= now_, "cannot schedule in the past");
   DDBG_ASSERT(!window_active_, "cannot inject calls during a parallel window");
-  auto event = std::make_unique<Event>();
-  event->when = when;
-  event->kind = Event::Kind::kCall;
-  event->call = std::move(action);
-  push_event(std::move(event));
+  Event event;
+  event.when = when;
+  event.kind = Event::Kind::kCall;
+  event.slot = calls_.put(Call{std::move(action), {}});
+  push_event(event);
 }
 
 void Simulation::post(ProcessId target,
                       std::function<void(ProcessContext&, Process&)> action) {
   DDBG_ASSERT(!window_active_, "cannot post closures during a parallel window");
-  auto event = std::make_unique<Event>();
-  event->when = now_;
-  event->kind = Event::Kind::kClosure;
-  event->target = target;
-  event->closure = std::move(action);
-  push_event(std::move(event));
+  Event event;
+  event.when = now_;
+  event.kind = Event::Kind::kClosure;
+  event.target = target;
+  event.slot = calls_.put(Call{{}, std::move(action)});
+  push_event(event);
 }
 
-void Simulation::dispatch(Lane* lane, Event& event) {
+void Simulation::dispatch(Lane* lane, const Event& event) {
   const TimePoint at = event.when;
   const auto context_for = [&](ProcessId p) -> SimProcessContext& {
     auto& ctx = static_cast<SimProcessContext&>(*contexts_[p.value()]);
@@ -477,8 +516,8 @@ void Simulation::dispatch(Lane* lane, Event& event) {
     }
     case Event::Kind::kDeliver: {
       const std::size_t c = event.channel.value();
-      metrics_.on_deliver(c, traffic_class(event.message.kind),
-                          event.wire_bytes);
+      Message message = take_parcel(lane, event.slot);
+      metrics_.on_deliver(c, traffic_class(message.kind), event.wire_bytes);
       // Event-at-a-time delivery: every batch is a single message, kept in
       // the counters so the parity invariant (batch messages == deliveries)
       // holds across all three runtimes.
@@ -493,19 +532,19 @@ void Simulation::dispatch(Lane* lane, Event& event) {
           obs.kind = Effect::Kind::kObserverDeliver;
           obs.channel = event.channel;
           obs.at = at;
-          obs.message = event.message;
+          obs.message = message;
           lane->current->effects.push_back(std::move(obs));
         }
       } else {
         DDBG_ASSERT(channel_in_flight_[c] > 0, "delivery without a send");
         --channel_in_flight_[c];
         if (observer_ != nullptr) {
-          observer_->on_deliver(at, event.channel, event.message);
+          observer_->on_deliver(at, event.channel, message);
         }
       }
       auto& ctx = context_for(event.target);
       processes_[event.target.value()]->on_message(ctx, event.channel,
-                                                   std::move(event.message));
+                                                   std::move(message));
       break;
     }
     case Event::Kind::kTimer: {
@@ -516,14 +555,19 @@ void Simulation::dispatch(Lane* lane, Event& event) {
       processes_[event.target.value()]->on_timer(ctx, event.timer);
       break;
     }
-    case Event::Kind::kCall:
+    case Event::Kind::kCall: {
       DDBG_ASSERT(lane == nullptr, "barrier events dispatch serially");
-      event.call();
+      // Taken out first: the call may queue more calls (resizing the slab),
+      // and its captures are released as soon as it returns.
+      const Call call = calls_.take(event.slot);
+      call.call();
       break;
+    }
     case Event::Kind::kClosure: {
       DDBG_ASSERT(lane == nullptr, "barrier events dispatch serially");
+      const Call call = calls_.take(event.slot);
       auto& ctx = context_for(event.target);
-      event.closure(ctx, *processes_[event.target.value()]);
+      call.closure(ctx, *processes_[event.target.value()]);
       break;
     }
     case Event::Kind::kRelFrame:
@@ -630,14 +674,13 @@ void Simulation::do_send(Lane* lane, ProcessId sender, TimePoint at,
   if (deliver_at < clear_time) deliver_at = clear_time;
   clear_time = deliver_at;
 
-  auto event = std::make_unique<Event>();
-  event->when = deliver_at;
-  event->kind = Event::Kind::kDeliver;
-  event->target = spec.destination;
-  event->channel = channel;
-  event->message = std::move(message);
-  event->wire_bytes = wire_bytes;
-  emit_child(lane, std::move(event));
+  Event event;
+  event.when = deliver_at;
+  event.kind = Event::Kind::kDeliver;
+  event.target = spec.destination;
+  event.channel = channel;
+  event.wire_bytes = wire_bytes;
+  emit_parcel(lane, event, std::move(message));
 }
 
 Duration Simulation::sample_latency(ChannelId channel, std::uint64_t key) {
@@ -674,12 +717,12 @@ void Simulation::transmit_frame(Lane* lane, TimePoint at, ChannelId channel,
       // targeting the channel source — never a serial barrier.
       if (reconnect_pending_[c] != 0) return;
       reconnect_pending_[c] = 1;
-      auto restore = std::make_unique<Event>();
-      restore->when = at + config_.reliable.rto_initial;
-      restore->kind = Event::Kind::kRelRestore;
-      restore->target = topology_.channel(channel).source;
-      restore->channel = channel;
-      emit_child(lane, std::move(restore));
+      Event restore;
+      restore.when = at + config_.reliable.rto_initial;
+      restore.kind = Event::Kind::kRelRestore;
+      restore.target = topology_.channel(channel).source;
+      restore.channel = channel;
+      emit_child(lane, restore);
       return;
     }
     case FaultKind::kDuplicate: {
@@ -688,15 +731,14 @@ void Simulation::transmit_frame(Lane* lane, TimePoint at, ChannelId channel,
       // it is independent of (and often overtakes) the first.
       const Duration dup_delay =
           sample_latency(channel, attempt ^ 0x8000000000000000ULL);
-      auto dup = std::make_unique<Event>();
-      dup->when = at + dup_delay;
-      dup->kind = Event::Kind::kRelFrame;
-      dup->target = topology_.channel(channel).destination;
-      dup->channel = channel;
-      dup->rel_seq = seq;
-      dup->message = staged->message;
-      dup->wire_bytes = static_cast<std::uint32_t>(staged->meta);
-      emit_child(lane, std::move(dup));
+      Event dup;
+      dup.when = at + dup_delay;
+      dup.kind = Event::Kind::kRelFrame;
+      dup.target = topology_.channel(channel).destination;
+      dup.channel = channel;
+      dup.rel_seq = seq;
+      dup.wire_bytes = static_cast<std::uint32_t>(staged->meta);
+      emit_parcel(lane, dup, staged->message);
       break;
     }
     case FaultKind::kReorder:
@@ -708,15 +750,14 @@ void Simulation::transmit_frame(Lane* lane, TimePoint at, ChannelId channel,
       break;
   }
 
-  auto event = std::make_unique<Event>();
-  event->when = at + delay;
-  event->kind = Event::Kind::kRelFrame;
-  event->target = topology_.channel(channel).destination;
-  event->channel = channel;
-  event->rel_seq = seq;
-  event->message = staged->message;
-  event->wire_bytes = static_cast<std::uint32_t>(staged->meta);
-  emit_child(lane, std::move(event));
+  Event event;
+  event.when = at + delay;
+  event.kind = Event::Kind::kRelFrame;
+  event.target = topology_.channel(channel).destination;
+  event.channel = channel;
+  event.rel_seq = seq;
+  event.wire_bytes = static_cast<std::uint32_t>(staged->meta);
+  emit_parcel(lane, event, staged->message);
 }
 
 void Simulation::schedule_retry_check(Lane* lane, TimePoint at,
@@ -726,17 +767,19 @@ void Simulation::schedule_retry_check(Lane* lane, TimePoint at,
   const auto deadline = rel_send_[c].next_deadline();
   if (!deadline.has_value()) return;
   retry_pending_[c] = 1;
-  auto event = std::make_unique<Event>();
-  event->when = *deadline < at ? at : *deadline;
-  event->kind = Event::Kind::kRelRetry;
-  event->target = topology_.channel(channel).source;
-  event->channel = channel;
-  emit_child(lane, std::move(event));
+  Event event;
+  event.when = *deadline < at ? at : *deadline;
+  event.kind = Event::Kind::kRelRetry;
+  event.target = topology_.channel(channel).source;
+  event.channel = channel;
+  emit_child(lane, event);
 }
 
 void Simulation::check_retries(Lane* lane, TimePoint at, ChannelId channel) {
   const std::size_t c = channel.value();
-  for (const std::uint64_t seq : rel_send_[c].due(at)) {
+  std::vector<std::uint64_t>& due = rel_scratch(lane).due;
+  rel_send_[c].due(at, due);
+  for (const std::uint64_t seq : due) {
     metrics_.on_retransmit();
     transmit_frame(lane, at, channel, seq);
   }
@@ -757,20 +800,23 @@ void Simulation::send_ack(Lane* lane, TimePoint at, ChannelId channel) {
     metrics_.on_fault(fault_index(fault.kind));
     delay = delay + fault.extra_delay;
   }
-  auto event = std::make_unique<Event>();
-  event->when = at + delay;
-  event->kind = Event::Kind::kRelAck;
-  event->target = topology_.channel(channel).source;
-  event->channel = channel;
-  event->rel_seq = rel_recv_[c].cum_ack();
-  emit_child(lane, std::move(event));
+  Event event;
+  event.when = at + delay;
+  event.kind = Event::Kind::kRelAck;
+  event.target = topology_.channel(channel).source;
+  event.channel = channel;
+  event.rel_seq = rel_recv_[c].cum_ack();
+  emit_child(lane, event);
 }
 
-void Simulation::on_rel_frame(Lane* lane, Event& event) {
+void Simulation::on_rel_frame(Lane* lane, const Event& event) {
   const std::size_t c = event.channel.value();
-  std::vector<ReliableReceiver::Delivery> released;
-  const auto accept = rel_recv_[c].on_frame(
-      event.rel_seq, std::move(event.message), event.wire_bytes, released);
+  std::vector<ReliableReceiver::Delivery>& released =
+      rel_scratch(lane).released;
+  released.clear();
+  const auto accept =
+      rel_recv_[c].on_frame(event.rel_seq, take_parcel(lane, event.slot),
+                            event.wire_bytes, released);
   if (accept == ReliableReceiver::Accept::kDuplicate) {
     metrics_.on_dup_suppressed();
   }
@@ -824,12 +870,12 @@ TimerId Simulation::do_set_timer(Lane* lane, ProcessId owner, TimePoint at,
   const std::uint32_t seq = ++process_timer_seq_[owner.value()];
   DDBG_ASSERT(seq < (1u << 20), "per-process timer stream exhausted");
   const TimerId id((owner.value() << 20) | seq);
-  auto event = std::make_unique<Event>();
-  event->when = at + delay;
-  event->kind = Event::Kind::kTimer;
-  event->target = owner;
-  event->timer = id;
-  emit_child(lane, std::move(event));
+  Event event;
+  event.when = at + delay;
+  event.kind = Event::Kind::kTimer;
+  event.target = owner;
+  event.timer = id;
+  emit_child(lane, event);
   return id;
 }
 

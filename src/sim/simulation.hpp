@@ -24,7 +24,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -39,6 +39,7 @@
 #include "net/topology.hpp"
 #include "net/transport_hooks.hpp"
 #include "sim/latency_model.hpp"
+#include "sim/slab.hpp"
 
 namespace ddbg {
 
@@ -131,14 +132,20 @@ class Simulation {
  private:
   friend class SimProcessContext;
 
+  // A queued event: a small, trivially copyable key, so the heaps, the
+  // window batch and staged children hold it by value.  What an event
+  // carries beyond its key is parked in a slab under `slot` and moved out at
+  // dispatch: the Message of a kDeliver/kRelFrame (a parcel), the function
+  // of a kCall/kClosure.
   struct Event {
     TimePoint when;
-    std::uint64_t seq;  // tie-breaker: FIFO among same-time events
+    std::uint64_t seq = 0;      // tie-breaker: FIFO among same-time events
+    std::uint64_t rel_seq = 0;  // kRelFrame: data seq; kRelAck: cum ack
     // kRelFrame/kRelAck/kRelRetry/kRelRestore exist only under a
     // FaultPlan: a data frame arriving at the reliability receiver, a
     // cumulative ack arriving back at the sender, a retransmit-timer
     // check, and a post-reset reconnect resync.
-    enum class Kind {
+    enum class Kind : std::uint8_t {
       kStart,
       kDeliver,
       kTimer,
@@ -148,57 +155,58 @@ class Simulation {
       kRelAck,
       kRelRetry,
       kRelRestore,
-    } kind;
+    } kind = Kind::kStart;
     // The process whose state the event touches; set for every kind except
     // kCall.  This is the parallel partition key: rel-sender events
     // (kRelAck/kRelRetry/kRelRestore) target the channel source, frames
     // target the destination.
     ProcessId target;
     ChannelId channel;
-    std::uint64_t rel_seq = 0;  // kRelFrame: data seq; kRelAck: cum ack
-    Message message;
     // Wire-encoded size, computed once at send time so delivery accounting
     // does not re-encode the message.
     std::uint32_t wire_bytes = 0;
+    // Slab slot: parcels_ for kDeliver/kRelFrame, calls_ for kCall/kClosure.
+    std::uint32_t slot = 0;
     TimerId timer;
+  };
+  static_assert(std::is_trivially_copyable_v<Event>);
+
+  [[nodiscard]] static bool is_parcel(Event::Kind kind) {
+    return kind == Event::Kind::kDeliver || kind == Event::Kind::kRelFrame;
+  }
+
+  // The function of a kCall (call) or kClosure (closure) event.
+  struct Call {
     std::function<void()> call;
     std::function<void(ProcessContext&, Process&)> closure;
   };
 
-  // (when, seq) min-heap of events.  Each entry carries a copy of its
-  // event's key, so sift compares read the heap array instead of the large,
-  // cold Event; an event's when/seq must not change while it is queued.
+  // (when, seq) min-heap of events; an event's when/seq must not change
+  // while it is queued.
   class EventHeap {
    public:
-    [[nodiscard]] bool empty() const { return entries_.empty(); }
-    [[nodiscard]] const Event& top() const { return *entries_.front().event; }
-    [[nodiscard]] TimePoint top_when() const { return entries_.front().when; }
-    void push(std::unique_ptr<Event> event) {
-      const TimePoint when = event->when;
-      const std::uint64_t seq = event->seq;
-      entries_.push_back(Entry{when, seq, std::move(event)});
-      std::push_heap(entries_.begin(), entries_.end(), Later{});
+    [[nodiscard]] bool empty() const { return events_.empty(); }
+    [[nodiscard]] const Event& top() const { return events_.front(); }
+    [[nodiscard]] TimePoint top_when() const { return events_.front().when; }
+    void push(const Event& event) {
+      events_.push_back(event);
+      std::push_heap(events_.begin(), events_.end(), Later{});
     }
-    std::unique_ptr<Event> pop() {
-      std::pop_heap(entries_.begin(), entries_.end(), Later{});
-      std::unique_ptr<Event> event = std::move(entries_.back().event);
-      entries_.pop_back();
+    Event pop() {
+      std::pop_heap(events_.begin(), events_.end(), Later{});
+      const Event event = events_.back();
+      events_.pop_back();
       return event;
     }
 
    private:
-    struct Entry {
-      TimePoint when;
-      std::uint64_t seq;
-      std::unique_ptr<Event> event;
-    };
     struct Later {
-      bool operator()(const Entry& a, const Entry& b) const {
+      bool operator()(const Event& a, const Event& b) const {
         if (a.when != b.when) return a.when > b.when;
         return a.seq > b.seq;
       }
     };
-    std::vector<Entry> entries_;
+    std::vector<Event> events_;
   };
 
   // One staged side effect of a worker-dispatched event, replayed by the
@@ -213,7 +221,8 @@ class Simulation {
       kObserverSend,     // observer_->on_send(at, channel, message)
       kObserverDeliver,  // observer_->on_deliver(at, channel, message)
       kDeferred,         // run_ordered() notification
-      kChild,            // queue `child` with the next sequential seq
+      kChild,            // queue `child` (a parcel parks `message`) with the
+                         // next sequential seq
       kChildLocal,       // bind provisional id to the next sequential seq
     };
     Kind kind;
@@ -221,7 +230,7 @@ class Simulation {
     TimePoint at{};
     Message message{};
     std::function<void()> fn{};
-    std::unique_ptr<Event> child{};
+    Event child{};
     std::uint64_t provisional = 0;
   };
 
@@ -233,6 +242,13 @@ class Simulation {
     std::vector<Effect> effects;
   };
 
+  // Reliability-layer scratch, reused by every retry check and arriving
+  // frame: one for the sequential engine and one per lane.
+  struct RelScratch {
+    std::vector<std::uint64_t> due;
+    std::vector<ReliableReceiver::Delivery> released;
+  };
+
   // Per-worker staging lane.  Touched only by its worker between the
   // window barriers, and only by the coordinator outside them.
   struct Lane {
@@ -241,18 +257,36 @@ class Simulation {
     // min-heap.  In-window children of local events join with provisional
     // seqs, which preserve the true relative order (see DESIGN.md).
     EventHeap heap;
-    std::deque<ExecRecord> records;
+    // records[0, recorded) are this window's, in dispatch order; commit
+    // consumes them from `committed`.  Records outlive the window so their
+    // effect vectors keep their capacity.
+    std::vector<ExecRecord> records;
+    std::size_t recorded = 0;
+    std::size_t committed = 0;
     ExecRecord* current = nullptr;  // non-null only while dispatching
     TimePoint horizon{0};           // dispatch-locally bound (exclusive)
     std::uint64_t next_provisional = 0;
+    // Commit-time binding of provisional child ids to true seqs, indexed by
+    // provisional id - kProvisionalBase.
+    std::vector<std::uint64_t> bound_seq;
+    // Parcel slots this worker's dispatches moved out of; commit frees them.
+    std::vector<std::uint32_t> freed_parcels;
+    RelScratch rel;
     Bytes scratch;  // wire-size encoding buffer (pool_ is coordinator-only)
   };
 
-  void push_event(std::unique_ptr<Event> event);
+  void push_event(Event event);
   // Route a freshly created event: sequential push (lane == nullptr or no
   // dispatch in progress), local in-window dispatch, or staged for commit.
-  void emit_child(Lane* lane, std::unique_ptr<Event> event);
-  void dispatch(Lane* lane, Event& event);
+  void emit_child(Lane* lane, Event event);
+  // emit_child for a kDeliver/kRelFrame event carrying `message`.
+  void emit_parcel(Lane* lane, Event event, Message message);
+  // Move a parcel's message out of its slot.
+  Message take_parcel(Lane* lane, std::uint32_t slot);
+  [[nodiscard]] RelScratch& rel_scratch(Lane* lane) {
+    return lane != nullptr ? lane->rel : rel_scratch_;
+  }
+  void dispatch(Lane* lane, const Event& event);
   void do_send(Lane* lane, ProcessId sender, TimePoint at, ChannelId channel,
                Message message);
   TimerId do_set_timer(Lane* lane, ProcessId owner, TimePoint at,
@@ -282,7 +316,7 @@ class Simulation {
   void check_retries(Lane* lane, TimePoint at, ChannelId channel);
   void schedule_retry_check(Lane* lane, TimePoint at, ChannelId channel);
   void send_ack(Lane* lane, TimePoint at, ChannelId channel);
-  void on_rel_frame(Lane* lane, Event& event);
+  void on_rel_frame(Lane* lane, const Event& event);
   void release_delivery(Lane* lane, TimePoint at, ChannelId channel,
                         ProcessId target, Message message,
                         std::uint32_t wire_bytes);
@@ -297,6 +331,11 @@ class Simulation {
   std::vector<Rng> process_rngs_;
 
   EventHeap queue_;
+  // Bodies of queued events.  Coordinator-owned: during a parallel window
+  // workers only detach their own events' distinct parcel slots, and
+  // children created there are parked at commit.
+  Slab<Message> parcels_;
+  Slab<Call> calls_;
   TimePoint now_{0};
   std::uint64_t next_seq_ = 0;
   // Transport message ids are per-channel streams (bit 63 tags them apart
@@ -326,14 +365,13 @@ class Simulation {
   std::vector<std::uint64_t> channel_ack_attempts_;  // ack fault stream
   std::vector<char> retry_pending_;      // a kRelRetry event is queued
   std::vector<char> reconnect_pending_;  // a post-reset resync is queued
+  RelScratch rel_scratch_;  // sequential engine's
 
   // Parallel engine state; lanes_ is sized on first parallel run (deque:
   // lanes hold move-only staging state and never relocate).
   std::deque<Lane> lanes_;
   std::unique_ptr<WorkerPool> pool_threads_;
   bool window_active_ = false;  // worker phase in progress (asserts)
-  // Commit-time binding of provisional child ids to true seqs, per lane.
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> seq_bind_;
 
   obs::MetricsRegistry metrics_;
   // Wire-size accounting encodes every sent message; the pool keeps that

@@ -12,12 +12,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/consistency.hpp"
+#include "common/rng.hpp"
 #include "core/debug_shim.hpp"
 #include "debugger/debugger_process.hpp"
 #include "debugger/harness.hpp"
@@ -202,10 +205,11 @@ TEST(ChaosReliable, BackoffDoublesUpToCap) {
   // backoff, so the gap to the next deadline runs 50 -> 100 -> 200 -> 400
   // and then pins at the cap.
   TimePoint now{0};
+  std::vector<std::uint64_t> due;
   const std::int64_t expected[] = {50, 100, 200, 400, 400, 400};
   for (const std::int64_t gap_ms : expected) {
     now = *sender.next_deadline();
-    const auto due = sender.due(now);
+    sender.due(now, due);
     ASSERT_EQ(due.size(), 1u);
     EXPECT_EQ(due[0], 1u);
     ASSERT_TRUE(sender.next_deadline().has_value());
@@ -214,7 +218,8 @@ TEST(ChaosReliable, BackoffDoublesUpToCap) {
         << "after firing at " << now.ns;
   }
   // Not due again before the deadline.
-  EXPECT_TRUE(sender.due(now).empty());
+  sender.due(now, due);
+  EXPECT_TRUE(due.empty());
 }
 
 TEST(ChaosReliable, MarkAllDueReplaysTheWindow) {
@@ -224,10 +229,192 @@ TEST(ChaosReliable, MarkAllDueReplaysTheWindow) {
   }
   ASSERT_EQ(sender.ack(2), 2u);
   EXPECT_EQ(sender.mark_all_due(TimePoint{1000}), 2u);
-  const auto due = sender.due(TimePoint{1000});
+  std::vector<std::uint64_t> due;
+  sender.due(TimePoint{1000}, due);
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0], 3u);
   EXPECT_EQ(due[1], 4u);
+}
+
+// The payload number a numbered() message carries.
+std::uint32_t number_of(const ReliableSender::Staged* staged) {
+  ByteReader reader(staged->message.payload);
+  return reader.u32().value();
+}
+
+TEST(ChaosReliable, PeekAfterPartialAckFindsTheEntry) {
+  ReliableSender sender;
+  for (std::uint32_t i = 1; i <= 6; ++i) {
+    sender.stage(numbered(i * 10), i, TimePoint{0});
+  }
+  ASSERT_EQ(sender.ack(2), 2u);
+  for (std::uint64_t seq = 3; seq <= 6; ++seq) {
+    const ReliableSender::Staged* staged = sender.peek(seq);
+    ASSERT_NE(staged, nullptr) << "seq " << seq;
+    EXPECT_EQ(staged->meta, seq);
+    EXPECT_EQ(number_of(staged), seq * 10);
+  }
+  // Past the half-way mark: the acked prefix is compacted away, and the
+  // offsets still resolve.
+  ASSERT_EQ(sender.ack(4), 2u);
+  EXPECT_EQ(sender.unacked(), 2u);
+  ASSERT_NE(sender.peek(5), nullptr);
+  EXPECT_EQ(number_of(sender.peek(5)), 50u);
+  EXPECT_EQ(number_of(sender.peek(6)), 60u);
+}
+
+TEST(ChaosReliable, PeekOutsideTheWindowIsNull) {
+  ReliableSender sender;
+  EXPECT_EQ(sender.peek(0), nullptr);
+  EXPECT_EQ(sender.peek(1), nullptr);  // nothing staged yet
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    sender.stage(numbered(i), 0, TimePoint{0});
+  }
+  ASSERT_EQ(sender.ack(1), 1u);
+  EXPECT_EQ(sender.peek(0), nullptr);
+  EXPECT_EQ(sender.peek(1), nullptr);  // acked
+  EXPECT_NE(sender.peek(2), nullptr);
+  EXPECT_NE(sender.peek(sender.last_staged()), nullptr);
+  EXPECT_EQ(sender.peek(sender.last_staged() + 1), nullptr);
+  EXPECT_EQ(sender.peek(~std::uint64_t{0}), nullptr);
+  // A stale (lower) cumulative ack retires nothing.
+  EXPECT_EQ(sender.ack(0), 0u);
+  EXPECT_EQ(sender.cum_acked(), 1u);
+}
+
+TEST(ChaosReliable, StagingAfterFullAckContinuesNumbering) {
+  ReliableSender sender;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    sender.stage(numbered(i), 0, TimePoint{0});
+  }
+  ASSERT_EQ(sender.ack(3), 3u);
+  EXPECT_EQ(sender.unacked(), 0u);
+  EXPECT_FALSE(sender.next_deadline().has_value());
+  EXPECT_EQ(sender.stage(numbered(7), 7, TimePoint{5}), 4u);
+  EXPECT_EQ(sender.last_staged(), 4u);
+  EXPECT_EQ(sender.peek(3), nullptr);
+  ASSERT_NE(sender.peek(4), nullptr);
+  EXPECT_EQ(sender.peek(4)->meta, 7u);
+  EXPECT_EQ(number_of(sender.peek(4)), 7u);
+}
+
+TEST(ChaosReliable, DueAndMarkAllDueAfterCompaction) {
+  ReliableConfig config;
+  config.rto_initial = Duration::millis(10);
+  config.rto_max = Duration::millis(40);
+  ReliableSender sender(config);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    sender.stage(numbered(i), 0, TimePoint{Duration::millis(i).ns});
+  }
+  ASSERT_EQ(sender.ack(5), 5u);  // head passes half: compacted
+  ASSERT_EQ(sender.unacked(), 3u);
+  std::vector<std::uint64_t> due{99};  // stale contents are replaced
+  sender.due(TimePoint{Duration::millis(15).ns}, due);
+  EXPECT_EQ(due, (std::vector<std::uint64_t>{6}));  // staged at 5 ms
+  sender.due(TimePoint{Duration::millis(17).ns}, due);
+  EXPECT_EQ(due, (std::vector<std::uint64_t>{7, 8}));
+  EXPECT_EQ(sender.mark_all_due(TimePoint{Duration::millis(20).ns}), 3u);
+  sender.due(TimePoint{Duration::millis(20).ns}, due);
+  EXPECT_EQ(due, (std::vector<std::uint64_t>{6, 7, 8}));
+  // Each entry has now fired twice: 10 -> 20 -> 40 ms (the cap) of backoff.
+  ASSERT_TRUE(sender.next_deadline().has_value());
+  EXPECT_EQ(sender.next_deadline()->ns, Duration::millis(60).ns);
+}
+
+// Reference model of the retransmit window: the straightforward deque of
+// (seq, deadline, rto) the contiguous window replaced.
+struct ModelWindow {
+  struct Entry {
+    std::uint64_t seq;
+    std::uint64_t meta;
+    TimePoint next_retry;
+    Duration rto;
+  };
+  ReliableConfig config;
+  std::deque<Entry> window;
+  std::uint64_t next_seq = 1;
+
+  std::uint64_t stage(std::uint64_t meta, TimePoint now) {
+    window.push_back(Entry{next_seq, meta, now + config.rto_initial,
+                           config.rto_initial});
+    return next_seq++;
+  }
+  void ack(std::uint64_t cum) {
+    while (!window.empty() && window.front().seq <= cum) window.pop_front();
+  }
+  std::vector<std::uint64_t> due(TimePoint now) {
+    std::vector<std::uint64_t> out;
+    for (Entry& e : window) {
+      if (e.next_retry > now) continue;
+      out.push_back(e.seq);
+      e.rto = e.rto * 2 > config.rto_max ? config.rto_max : e.rto * 2;
+      e.next_retry = now + e.rto;
+    }
+    return out;
+  }
+  std::optional<TimePoint> next_deadline() const {
+    std::optional<TimePoint> best;
+    for (const Entry& e : window) {
+      if (!best || e.next_retry < *best) best = e.next_retry;
+    }
+    return best;
+  }
+  const Entry* find(std::uint64_t seq) const {
+    for (const Entry& e : window) {
+      if (e.seq == seq) return &e;
+    }
+    return nullptr;
+  }
+};
+
+TEST(ChaosReliable, RandomizedWindowMatchesDequeModel) {
+  ReliableConfig config;
+  config.rto_initial = Duration::millis(3);
+  config.rto_max = Duration::millis(20);
+  ReliableSender sender(config);
+  ModelWindow model{config, {}, 1};
+  Rng rng(42);
+  TimePoint now{0};
+  std::uint64_t cum = 0;
+  std::vector<std::uint64_t> due;
+  for (int step = 0; step < 1000; ++step) {
+    now = now + Duration::micros(rng.next_in(0, 2000));
+    const std::uint64_t op = rng.next_below(10);
+    if (op < 4) {
+      const auto meta = static_cast<std::uint64_t>(step);
+      const std::uint64_t seq = sender.stage(
+          numbered(static_cast<std::uint32_t>(step)), meta, now);
+      ASSERT_EQ(seq, model.stage(meta, now));
+    } else if (op < 7) {
+      // Cumulative acks only move forward, sometimes over the whole window
+      // and sometimes re-acking what is already retired.
+      const std::uint64_t top = sender.last_staged();
+      if (top > cum) cum += rng.next_below(top - cum + 1);
+      sender.ack(cum);
+      model.ack(cum);
+    } else if (op < 9) {
+      sender.due(now, due);
+      ASSERT_EQ(due, model.due(now)) << "step " << step;
+    } else {
+      const std::size_t n = sender.mark_all_due(now);
+      for (auto& e : model.window) e.next_retry = now;
+      ASSERT_EQ(n, model.window.size());
+    }
+    ASSERT_EQ(sender.unacked(), model.window.size()) << "step " << step;
+    ASSERT_EQ(sender.next_deadline(), model.next_deadline())
+        << "step " << step;
+    const std::uint64_t top = sender.last_staged();
+    for (std::uint64_t seq = cum > 2 ? cum - 2 : 0; seq <= top + 2; ++seq) {
+      const ReliableSender::Staged* staged = sender.peek(seq);
+      const ModelWindow::Entry* expected = model.find(seq);
+      ASSERT_EQ(staged != nullptr, expected != nullptr)
+          << "step " << step << " seq " << seq;
+      if (staged != nullptr) {
+        ASSERT_EQ(staged->meta, expected->meta);
+        ASSERT_EQ(number_of(staged), expected->meta);
+      }
+    }
+  }
 }
 
 TEST(ChaosReliable, HeaderRoundTrip) {

@@ -240,6 +240,7 @@ namespace framing_test {
 
 Bytes make_frame(const Bytes& body) {
   Bytes frame;
+  frame.reserve(kFrameHeaderSize + body.size());
   const std::size_t header_at = begin_frame(frame);
   frame.insert(frame.end(), body.begin(), body.end());
   end_frame(frame, header_at);

@@ -79,9 +79,11 @@ TEST(Stress, BreakpointStorm) {
                           seeded(65));
   std::vector<BreakpointId> ids;
   for (std::uint32_t p = 0; p < 4; ++p) {
-    for (const char* expr : {"sent", "recv"}) {
-      auto bp = harness.session().set_breakpoint(
-          "p" + std::to_string(p) + ":" + expr);
+    for (const char* counter : {"sent", "recv"}) {
+      std::string expr = prefixed_id('p', p);
+      expr += ':';
+      expr += counter;
+      auto bp = harness.session().set_breakpoint(expr);
       ASSERT_TRUE(bp.ok());
       ids.push_back(bp.value());
     }

@@ -46,8 +46,9 @@ RoutingRow run_chain(std::uint32_t chain, bool force_routed,
   if (wave.has_value()) {
     row.time_to_halt_ms = (wave->completed_at - start).to_millis();
   }
-  row.direct_markers = harness.sim().stats().predicate_markers_sent;
-  row.control_messages = harness.sim().stats().control_messages_sent;
+  const obs::TotalsSnapshot totals = harness.sim().metrics().totals();
+  row.direct_markers = sent_count(totals, MessageKind::kPredicateMarker);
+  row.control_messages = sent_count(totals, MessageKind::kControl);
   record_metrics(std::string(force_routed ? "routed" : "direct") +
                      " chain=" + std::to_string(chain),
                  harness.sim());

@@ -46,8 +46,9 @@ LpRow run_chain(const Topology& topology, std::uint32_t n,
   if (wave.has_value()) {
     row.time_to_halt_ms = (wave->completed_at - start).to_millis();
   }
-  row.predicate_markers = harness.sim().stats().predicate_markers_sent;
-  row.route_hops = harness.sim().stats().control_messages_sent;
+  const obs::TotalsSnapshot totals = harness.sim().metrics().totals();
+  row.predicate_markers = sent_count(totals, MessageKind::kPredicateMarker);
+  row.route_hops = sent_count(totals, MessageKind::kControl);
   record_metrics("ring chain=" + std::to_string(chain_length),
                  harness.sim());
   return row;
@@ -93,11 +94,12 @@ void print_table() {
     auto bp = harness.session().set_breakpoint(expr.str());
     if (!bp.ok()) continue;
     auto wave = harness.session().wait_for_halt(Duration::seconds(120));
+    const obs::TotalsSnapshot totals = harness.sim().metrics().totals();
     print_row("%8s %8u %8u %14llu %14llu %12.2f", "routed", n, chain / 2,
               static_cast<unsigned long long>(
-                  harness.sim().stats().predicate_markers_sent),
+                  sent_count(totals, MessageKind::kPredicateMarker)),
               static_cast<unsigned long long>(
-                  harness.sim().stats().control_messages_sent),
+                  sent_count(totals, MessageKind::kControl)),
               wave.has_value() ? (wave->completed_at - start).to_millis()
                                : -1.0);
   }

@@ -48,8 +48,9 @@ OverheadRow run_plain(std::uint32_t n, std::uint64_t seed) {
   Simulation sim(topology, make_gossip(n, GossipConfig{}), std::move(config));
   sim.run_for(kRun);
   record_metrics("plain n=" + std::to_string(n), sim);
-  return OverheadRow{"plain", gossip_progress(sim, n),
-                     sim.stats().messages_sent, sim.stats().bytes_sent, 1.0};
+  const obs::TotalsSnapshot totals = sim.metrics().totals();
+  return OverheadRow{"plain", gossip_progress(sim, n), totals.messages_sent,
+                     totals.bytes_sent, 1.0};
 }
 
 OverheadRow run_shim(std::uint32_t n, std::uint64_t seed, bool vclocks) {
@@ -62,10 +63,10 @@ OverheadRow run_shim(std::uint32_t n, std::uint64_t seed, bool vclocks) {
   record_metrics(std::string(vclocks ? "shim+vc" : "shim") +
                      " n=" + std::to_string(n),
                  harness.sim());
+  const obs::TotalsSnapshot totals = harness.sim().metrics().totals();
   return OverheadRow{vclocks ? "shim+vc" : "shim",
-                     gossip_progress(harness.sim(), n),
-                     harness.sim().stats().messages_sent,
-                     harness.sim().stats().bytes_sent, 1.0};
+                     gossip_progress(harness.sim(), n), totals.messages_sent,
+                     totals.bytes_sent, 1.0};
 }
 
 OverheadRow run_hub(std::uint32_t n, std::uint64_t seed) {
@@ -91,8 +92,9 @@ OverheadRow run_hub(std::uint32_t n, std::uint64_t seed) {
     }
   }
   record_metrics("hub n=" + std::to_string(n), sim);
-  return OverheadRow{"hub", progress, sim.stats().messages_sent,
-                     sim.stats().bytes_sent, 2.0};
+  const obs::TotalsSnapshot totals = sim.metrics().totals();
+  return OverheadRow{"hub", progress, totals.messages_sent, totals.bytes_sent,
+                     2.0};
 }
 
 void print_table() {

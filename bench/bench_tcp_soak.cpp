@@ -136,7 +136,7 @@ std::pair<double, double> run_incast(std::uint32_t senders,
   runtime.shutdown();
 
   if (!sink_ptr->ordered.load()) soak_fail("per-channel FIFO broken");
-  if (runtime.stats().messages_delivered != expected) {
+  if (runtime.metrics().totals().messages_delivered != expected) {
     soak_fail("delivery count off");
   }
   const auto transport = runtime.metrics().snapshot(runtime.now()).transport;

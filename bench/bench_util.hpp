@@ -127,8 +127,7 @@ inline HaltRunMetrics run_halt_wave(const Topology& topology,
   config.faults = FaultPlan::from_env();
   SimDebugHarness harness(topology, std::move(processes), std::move(config));
   harness.sim().run_for(warmup);
-  const std::uint64_t markers_before = harness.sim().stats().halt_markers_sent;
-  const std::uint64_t app_before = harness.sim().stats().app_messages_sent;
+  const obs::TotalsSnapshot before = harness.sim().metrics().totals();
   const TimePoint start = harness.sim().now();
   harness.session().halt();
   auto wave = harness.session().wait_for_halt(limit);
@@ -140,10 +139,12 @@ inline HaltRunMetrics run_halt_wave(const Topology& topology,
     metrics.channel_state_messages = wave->state.total_channel_messages();
     metrics.processes = wave->state.size();
   }
-  metrics.halt_markers =
-      harness.sim().stats().halt_markers_sent - markers_before;
-  metrics.control_messages = harness.sim().stats().control_messages_sent;
-  metrics.app_messages = harness.sim().stats().app_messages_sent - app_before;
+  const obs::TotalsSnapshot after = harness.sim().metrics().totals();
+  metrics.halt_markers = sent_count(after, MessageKind::kHaltMarker) -
+                         sent_count(before, MessageKind::kHaltMarker);
+  metrics.control_messages = sent_count(after, MessageKind::kControl);
+  metrics.app_messages = sent_count(after, MessageKind::kApplication) -
+                         sent_count(before, MessageKind::kApplication);
   if (metrics_label != nullptr) record_metrics(metrics_label, harness.sim());
   return metrics;
 }

@@ -1,5 +1,7 @@
 #include "debugger/harness.hpp"
 
+#include <type_traits>
+
 #include "debugger/aggregator.hpp"
 
 namespace ddbg {
@@ -47,101 +49,65 @@ WiredSystem wire(const Topology& user_topology, std::vector<ProcessPtr> users,
   return wired;
 }
 
+// The substrate's own config, carrying the harness-level settings.
+template <class S>
+auto substrate_config(HarnessConfig& config,
+                      const std::shared_ptr<ReplaySink>& replay) {
+  if constexpr (std::same_as<S, Simulation>) {
+    SimulationConfig sim;
+    sim.seed = config.seed;
+    sim.latency = std::move(config.latency);
+    sim.faults = std::move(config.faults);
+    sim.reliable = config.reliable;
+    sim.workers = config.workers;
+    return sim;
+  } else {
+    std::conditional_t<std::same_as<S, Runtime>, RuntimeConfig,
+                       TcpRuntimeConfig>
+        threaded;
+    threaded.seed = config.seed;
+    threaded.faults = std::move(config.faults);
+    threaded.reliable = config.reliable;
+    threaded.replay = replay;
+    return threaded;
+  }
+}
+
 }  // namespace
 
-SimDebugHarness::SimDebugHarness(const Topology& user_topology,
-                                 std::vector<ProcessPtr> users,
-                                 HarnessConfig config) {
-  replay_ = config.replay;
+template <class S>
+DebugHarness<S>::DebugHarness(const Topology& user_topology,
+                              std::vector<ProcessPtr> users,
+                              HarnessConfig config)
+    : replay_(config.replay) {
   WiredSystem wired = wire(user_topology, std::move(users),
                            config.debugger_fanout,
                            std::move(config.shim_options), armed_count_,
                            replay_.get());
   debugger_ = wired.debugger;
   debugger_id_ = wired.topology.debugger_id();
-
-  SimulationConfig sim_config;
-  sim_config.seed = config.seed;
-  sim_config.latency = std::move(config.latency);
-  sim_config.faults = std::move(config.faults);
-  sim_config.reliable = config.reliable;
-  sim_config.workers = config.workers;
-  sim_ = std::make_unique<Simulation>(std::move(wired.topology),
-                                      std::move(wired.processes),
-                                      std::move(sim_config));
-  host_ = std::make_unique<SimHost>(*sim_);
+  substrate_ = std::make_unique<S>(std::move(wired.topology),
+                                   std::move(wired.processes),
+                                   substrate_config<S>(config, replay_));
+  host_ = std::make_unique<Host<S>>(*substrate_);
   session_ =
       std::make_unique<DebuggerSession>(*host_, *debugger_, debugger_id_);
 }
 
-DebugShim& SimDebugHarness::shim(ProcessId p) {
-  auto* shim = dynamic_cast<DebugShim*>(&sim_->process(p));
+template <class S>
+DebugHarness<S>::~DebugHarness() {
+  if constexpr (kThreaded) shutdown();
+}
+
+template <class S>
+DebugShim& DebugHarness<S>::shim(ProcessId p) {
+  auto* shim = dynamic_cast<DebugShim*>(&substrate_->process(p));
   DDBG_ASSERT(shim != nullptr, "process is not wrapped in a DebugShim");
   return *shim;
 }
 
-RuntimeDebugHarness::RuntimeDebugHarness(const Topology& user_topology,
-                                         std::vector<ProcessPtr> users,
-                                         HarnessConfig config) {
-  replay_ = config.replay;
-  WiredSystem wired = wire(user_topology, std::move(users),
-                           config.debugger_fanout,
-                           std::move(config.shim_options), armed_count_,
-                           replay_.get());
-  debugger_ = wired.debugger;
-  debugger_id_ = wired.topology.debugger_id();
-
-  RuntimeConfig runtime_config;
-  runtime_config.seed = config.seed;
-  runtime_config.faults = std::move(config.faults);
-  runtime_config.reliable = config.reliable;
-  runtime_config.replay = replay_;
-  runtime_ = std::make_unique<Runtime>(std::move(wired.topology),
-                                       std::move(wired.processes),
-                                       runtime_config);
-  host_ = std::make_unique<RuntimeHost>(*runtime_);
-  session_ =
-      std::make_unique<DebuggerSession>(*host_, *debugger_, debugger_id_);
-}
-
-RuntimeDebugHarness::~RuntimeDebugHarness() { shutdown(); }
-
-DebugShim& RuntimeDebugHarness::shim(ProcessId p) {
-  auto* shim = dynamic_cast<DebugShim*>(&runtime_->process(p));
-  DDBG_ASSERT(shim != nullptr, "process is not wrapped in a DebugShim");
-  return *shim;
-}
-
-TcpDebugHarness::TcpDebugHarness(const Topology& user_topology,
-                                 std::vector<ProcessPtr> users,
-                                 HarnessConfig config) {
-  replay_ = config.replay;
-  WiredSystem wired = wire(user_topology, std::move(users),
-                           config.debugger_fanout,
-                           std::move(config.shim_options), armed_count_,
-                           replay_.get());
-  debugger_ = wired.debugger;
-  debugger_id_ = wired.topology.debugger_id();
-
-  TcpRuntimeConfig tcp_config;
-  tcp_config.seed = config.seed;
-  tcp_config.faults = std::move(config.faults);
-  tcp_config.reliable = config.reliable;
-  tcp_config.replay = replay_;
-  tcp_ = std::make_unique<TcpRuntime>(std::move(wired.topology),
-                                      std::move(wired.processes),
-                                      tcp_config);
-  host_ = std::make_unique<TcpHost>(*tcp_);
-  session_ =
-      std::make_unique<DebuggerSession>(*host_, *debugger_, debugger_id_);
-}
-
-TcpDebugHarness::~TcpDebugHarness() { shutdown(); }
-
-DebugShim& TcpDebugHarness::shim(ProcessId p) {
-  auto* shim = dynamic_cast<DebugShim*>(&tcp_->process(p));
-  DDBG_ASSERT(shim != nullptr, "process is not wrapped in a DebugShim");
-  return *shim;
-}
+template class DebugHarness<Simulation>;
+template class DebugHarness<Runtime>;
+template class DebugHarness<TcpRuntime>;
 
 }  // namespace ddbg

@@ -1,5 +1,5 @@
 // Hosts and harnesses: one-call wiring of (topology, user processes) into a
-// debuggable system on either substrate.
+// debuggable system on any substrate.
 //
 //   SimDebugHarness harness(Topology::ring(4), make_ring_processes(...));
 //   harness.session().set_breakpoint("p0:event(token)");
@@ -11,6 +11,7 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <memory>
 #include <vector>
 
@@ -23,59 +24,35 @@
 
 namespace ddbg {
 
-class SimHost final : public SessionHost {
+// A SessionHost over substrate S: posts into it, and waits by advancing
+// virtual time (simulator) or by sleep-polling (threaded runtimes).
+template <class S>
+class Host final : public SessionHost {
  public:
-  explicit SimHost(Simulation& sim) : sim_(sim) {}
+  explicit Host(S& substrate) : substrate_(substrate) {}
 
   void post(ProcessId target,
             std::function<void(ProcessContext&, Process&)> action) override {
-    sim_.post(target, std::move(action));
+    substrate_.post(target, std::move(action));
   }
 
   bool wait(const std::function<bool()>& condition,
             Duration timeout) override {
-    return sim_.run_until_condition(condition, sim_.now() + timeout);
+    if constexpr (std::same_as<S, Simulation>) {
+      return substrate_.run_until_condition(condition,
+                                            substrate_.now() + timeout);
+    } else {
+      return S::wait_until(condition, timeout);
+    }
   }
 
  private:
-  Simulation& sim_;
+  S& substrate_;
 };
 
-class RuntimeHost final : public SessionHost {
- public:
-  explicit RuntimeHost(Runtime& runtime) : runtime_(runtime) {}
-
-  void post(ProcessId target,
-            std::function<void(ProcessContext&, Process&)> action) override {
-    runtime_.post(target, std::move(action));
-  }
-
-  bool wait(const std::function<bool()>& condition,
-            Duration timeout) override {
-    return Runtime::wait_until(condition, timeout);
-  }
-
- private:
-  Runtime& runtime_;
-};
-
-class TcpHost final : public SessionHost {
- public:
-  explicit TcpHost(TcpRuntime& runtime) : runtime_(runtime) {}
-
-  void post(ProcessId target,
-            std::function<void(ProcessContext&, Process&)> action) override {
-    runtime_.post(target, std::move(action));
-  }
-
-  bool wait(const std::function<bool()>& condition,
-            Duration timeout) override {
-    return TcpRuntime::wait_until(condition, timeout);
-  }
-
- private:
-  TcpRuntime& runtime_;
-};
+using SimHost = Host<Simulation>;
+using RuntimeHost = Host<Runtime>;
+using TcpHost = Host<TcpRuntime>;
 
 struct HarnessConfig {
   std::uint64_t seed = 1;
@@ -99,52 +76,57 @@ struct HarnessConfig {
   std::shared_ptr<ReplaySink> replay;
 };
 
-// Deterministic-simulator harness.
-class SimDebugHarness {
+// The harness over substrate S, explicitly instantiated for the three
+// substrates in debugger/harness.cpp.  Substrate-specific members are
+// constrained: sim()/runtime()/tcp() name the substrate, and the threaded
+// runtimes add start()/shutdown() (TcpRuntime's start reports whether
+// socket setup succeeded) and shut down on destruction.  With a debugger
+// tier on TCP, every convergecast hop is a multiplexed TCP frame, so
+// halt/breakpoint/resume tests at moderate N exercise the epoll reactor
+// under genuine kernel backpressure.
+template <class S>
+class DebugHarness {
  public:
-  SimDebugHarness(const Topology& user_topology,
-                  std::vector<ProcessPtr> users, HarnessConfig config = {});
+  static constexpr bool kThreaded = !std::same_as<S, Simulation>;
 
-  [[nodiscard]] Simulation& sim() { return *sim_; }
+  DebugHarness(const Topology& user_topology, std::vector<ProcessPtr> users,
+               HarnessConfig config = {});
+  ~DebugHarness();
+
+  auto start()
+    requires kThreaded
+  {
+    return substrate_->start();
+  }
+  void shutdown()
+    requires kThreaded
+  {
+    substrate_->shutdown();
+  }
+
+  [[nodiscard]] Simulation& sim()
+    requires std::same_as<S, Simulation>
+  {
+    return *substrate_;
+  }
+  [[nodiscard]] Runtime& runtime()
+    requires std::same_as<S, Runtime>
+  {
+    return *substrate_;
+  }
+  [[nodiscard]] TcpRuntime& tcp()
+    requires std::same_as<S, TcpRuntime>
+  {
+    return *substrate_;
+  }
+
   [[nodiscard]] DebuggerSession& session() { return *session_; }
   [[nodiscard]] DebuggerProcess& debugger() { return *debugger_; }
   [[nodiscard]] const Topology& topology() const {
-    return sim_->topology();
+    return substrate_->topology();
   }
   [[nodiscard]] ProcessId debugger_id() const { return debugger_id_; }
   // The shim wrapping user process p.
-  [[nodiscard]] DebugShim& shim(ProcessId p);
-  // Breakpoint watches armed across all shims so far.
-  [[nodiscard]] std::size_t armed_count() const {
-    return armed_count_->load(std::memory_order_acquire);
-  }
-
- private:
-  std::shared_ptr<std::atomic<std::size_t>> armed_count_ =
-      std::make_shared<std::atomic<std::size_t>>(0);
-  std::shared_ptr<ReplaySink> replay_;  // keeps the recorder alive
-  std::unique_ptr<Simulation> sim_;
-  DebuggerProcess* debugger_ = nullptr;  // owned by sim_
-  ProcessId debugger_id_;
-  std::unique_ptr<SimHost> host_;
-  std::unique_ptr<DebuggerSession> session_;
-};
-
-// Multithreaded-runtime harness.
-class RuntimeDebugHarness {
- public:
-  RuntimeDebugHarness(const Topology& user_topology,
-                      std::vector<ProcessPtr> users,
-                      HarnessConfig config = {});
-  ~RuntimeDebugHarness();
-
-  void start() { runtime_->start(); }
-  void shutdown() { runtime_->shutdown(); }
-
-  [[nodiscard]] Runtime& runtime() { return *runtime_; }
-  [[nodiscard]] DebuggerSession& session() { return *session_; }
-  [[nodiscard]] DebuggerProcess& debugger() { return *debugger_; }
-  [[nodiscard]] ProcessId debugger_id() const { return debugger_id_; }
   [[nodiscard]] DebugShim& shim(ProcessId p);
   // Breakpoint watches armed across all shims so far.  Arming is
   // asynchronous (arm commands travel as control messages), so a test that
@@ -154,59 +136,27 @@ class RuntimeDebugHarness {
     return armed_count_->load(std::memory_order_acquire);
   }
   [[nodiscard]] bool wait_for_armed(std::size_t watches, Duration timeout) {
-    return Runtime::wait_until(
-        [this, watches] { return armed_count() >= watches; }, timeout);
+    return host_->wait([this, watches] { return armed_count() >= watches; },
+                       timeout);
   }
 
  private:
   std::shared_ptr<std::atomic<std::size_t>> armed_count_ =
       std::make_shared<std::atomic<std::size_t>>(0);
   std::shared_ptr<ReplaySink> replay_;  // keeps the recorder alive
-  std::unique_ptr<Runtime> runtime_;
-  DebuggerProcess* debugger_ = nullptr;  // owned by runtime_
+  std::unique_ptr<S> substrate_;
+  DebuggerProcess* debugger_ = nullptr;  // owned by substrate_
   ProcessId debugger_id_;
-  std::unique_ptr<RuntimeHost> host_;
+  std::unique_ptr<Host<S>> host_;
   std::unique_ptr<DebuggerSession> session_;
 };
 
-// TCP-loopback harness: the same wiring crossing real sockets.  With a
-// debugger tier, every convergecast hop is a multiplexed TCP frame, so
-// halt/breakpoint/resume tests at moderate N exercise the epoll reactor
-// under genuine kernel backpressure.
-class TcpDebugHarness {
- public:
-  TcpDebugHarness(const Topology& user_topology,
-                  std::vector<ProcessPtr> users, HarnessConfig config = {});
-  ~TcpDebugHarness();
+extern template class DebugHarness<Simulation>;
+extern template class DebugHarness<Runtime>;
+extern template class DebugHarness<TcpRuntime>;
 
-  [[nodiscard]] bool start() { return tcp_->start(); }
-  void shutdown() { tcp_->shutdown(); }
-
-  [[nodiscard]] TcpRuntime& tcp() { return *tcp_; }
-  [[nodiscard]] DebuggerSession& session() { return *session_; }
-  [[nodiscard]] DebuggerProcess& debugger() { return *debugger_; }
-  [[nodiscard]] const Topology& topology() const {
-    return tcp_->topology();
-  }
-  [[nodiscard]] ProcessId debugger_id() const { return debugger_id_; }
-  [[nodiscard]] DebugShim& shim(ProcessId p);
-  [[nodiscard]] std::size_t armed_count() const {
-    return armed_count_->load(std::memory_order_acquire);
-  }
-  [[nodiscard]] bool wait_for_armed(std::size_t watches, Duration timeout) {
-    return TcpRuntime::wait_until(
-        [this, watches] { return armed_count() >= watches; }, timeout);
-  }
-
- private:
-  std::shared_ptr<std::atomic<std::size_t>> armed_count_ =
-      std::make_shared<std::atomic<std::size_t>>(0);
-  std::shared_ptr<ReplaySink> replay_;  // keeps the recorder alive
-  std::unique_ptr<TcpRuntime> tcp_;
-  DebuggerProcess* debugger_ = nullptr;  // owned by tcp_
-  ProcessId debugger_id_;
-  std::unique_ptr<TcpHost> host_;
-  std::unique_ptr<DebuggerSession> session_;
-};
+using SimDebugHarness = DebugHarness<Simulation>;
+using RuntimeDebugHarness = DebugHarness<Runtime>;
+using TcpDebugHarness = DebugHarness<TcpRuntime>;
 
 }  // namespace ddbg

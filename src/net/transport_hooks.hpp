@@ -7,9 +7,8 @@
 //
 // Cumulative accounting lives in obs::MetricsRegistry (src/obs); this
 // header provides the glue between it and the network layer: the
-// channel-metadata extraction the registries are constructed from, and
-// the legacy TransportStats summary view that tests and experiments
-// consume.
+// traffic-class and fault-kind correspondences and the channel-metadata
+// extraction the registries are constructed from.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +49,12 @@ static_assert(static_cast<std::size_t>(MessageKind::kApplication) == 0 &&
   return static_cast<std::uint8_t>(kind);
 }
 
+// Messages of `kind` sent, from a registry's totals.
+[[nodiscard]] inline std::uint64_t sent_count(const obs::TotalsSnapshot& totals,
+                                              MessageKind kind) {
+  return totals.sent[traffic_class(kind)];
+}
+
 // Likewise, obs indexes its faults_injected slots by fault_index(FaultKind)
 // without depending on net/fault_plan.hpp; pin that correspondence too.
 static_assert(fault_index(FaultKind::kDrop) == 0 &&
@@ -72,39 +77,6 @@ static_assert(fault_index(FaultKind::kDrop) == 0 &&
                                     spec.is_control});
   }
   return meta;
-}
-
-// Cumulative transport statistics: the summary view of a MetricsRegistry
-// that tests and the experiment tables consume.
-struct TransportStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t bytes_sent = 0;  // wire-encoded sizes
-  std::uint64_t app_messages_sent = 0;
-  std::uint64_t halt_markers_sent = 0;
-  std::uint64_t snapshot_markers_sent = 0;
-  std::uint64_t predicate_markers_sent = 0;
-  std::uint64_t control_messages_sent = 0;
-};
-
-[[nodiscard]] inline TransportStats transport_stats_from(
-    const obs::MetricsRegistry& metrics) {
-  const obs::TotalsSnapshot totals = metrics.totals();
-  TransportStats stats;
-  stats.messages_sent = totals.messages_sent;
-  stats.messages_delivered = totals.messages_delivered;
-  stats.bytes_sent = totals.bytes_sent;
-  stats.app_messages_sent =
-      totals.sent[traffic_class(MessageKind::kApplication)];
-  stats.halt_markers_sent =
-      totals.sent[traffic_class(MessageKind::kHaltMarker)];
-  stats.snapshot_markers_sent =
-      totals.sent[traffic_class(MessageKind::kSnapshotMarker)];
-  stats.predicate_markers_sent =
-      totals.sent[traffic_class(MessageKind::kPredicateMarker)];
-  stats.control_messages_sent =
-      totals.sent[traffic_class(MessageKind::kControl)];
-  return stats;
 }
 
 }  // namespace ddbg

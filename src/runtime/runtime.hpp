@@ -9,36 +9,26 @@
 //
 // Channel model: send() pushes the message into the destination process's
 // inbox under a lock, so channels are reliable, unbounded and FIFO
-// (section 2.1's assumptions).
+// (section 2.1's assumptions).  The thread, timer and context plumbing is
+// the shared threaded core (runtime/worker_core.hpp).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
-#include "common/ids.hpp"
-#include "common/rng.hpp"
-#include "common/time.hpp"
 #include "net/fault_plan.hpp"
-#include "net/process.hpp"
 #include "net/reliable.hpp"
 #include "net/replay_hooks.hpp"
-#include "net/topology.hpp"
-#include "net/transport_hooks.hpp"
+#include "runtime/worker_core.hpp"
 
 namespace ddbg {
 
 struct RuntimeConfig {
   std::uint64_t seed = 1;
-  // Fault adversary.  When set, sends are staged in per-channel reliability
-  // senders (owned by the sending worker's thread) and subjected to the
-  // plan; receivers suppress duplicates and release in sequence order, so
-  // processes still observe section 2.1's reliable FIFO channels.  Null
-  // (default) keeps the direct-delivery fast path untouched.
+  // Fault adversary.  When set, each worker's ReliableLink stages its sends
+  // and subjects them to the plan; receivers suppress duplicates and
+  // release in sequence order, so processes still observe section 2.1's
+  // reliable FIFO channels.  Null (default) keeps the direct-delivery fast
+  // path untouched.
   std::shared_ptr<FaultPlan> faults;
   ReliableConfig reliable;
   // Record/replay sink (src/replay).  The runtime appends transport-level
@@ -48,66 +38,28 @@ struct RuntimeConfig {
   std::shared_ptr<ReplaySink> replay;
 };
 
-class Runtime {
+class Runtime final : public ThreadedRuntime {
  public:
   Runtime(Topology topology, std::vector<ProcessPtr> processes,
           RuntimeConfig config = {});
   ~Runtime();
-
-  Runtime(const Runtime&) = delete;
-  Runtime& operator=(const Runtime&) = delete;
 
   // Launch all process threads (calls on_start on each thread).
   void start();
   // Stop all process threads; idempotent.  Pending inbox items are dropped.
   void shutdown();
 
-  // Post a closure to run on `target`'s thread, in process context,
-  // serialized with its handlers.  The cross-thread injection point used by
-  // the debugger session.
-  void post(ProcessId target,
-            std::function<void(ProcessContext&, Process&)> action);
-
   // Post a closure and wait for it to run; returns false on timeout or if
   // the runtime is shut down first.  Must not be called from a process
   // thread.
-  bool call(ProcessId target,
-            std::function<void(ProcessContext&, Process&)> action,
-            Duration timeout);
-
-  // Spin-poll `condition` (evaluated on the caller's thread) until it holds
-  // or `timeout` elapses.
-  static bool wait_until(const std::function<bool()>& condition,
-                         Duration timeout);
-
-  [[nodiscard]] const Topology& topology() const { return topology_; }
-  [[nodiscard]] Process& process(ProcessId id);
-  [[nodiscard]] TransportStats stats() const {
-    return transport_stats_from(metrics_);
-  }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
-  [[nodiscard]] TimePoint now() const;
+  bool call(ProcessId target, WorkerCore::Closure action, Duration timeout);
 
  private:
-  friend class ThreadProcessContext;
   class Worker;
 
-  void do_send(ProcessId sender, ChannelId channel, Message message);
+  [[nodiscard]] Worker& worker(ProcessId p);
 
-  Topology topology_;
   RuntimeConfig config_;
-  obs::MetricsRegistry metrics_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<std::uint64_t> next_message_id_{1};
-  // Per-runtime (not static): ids restart at 1 for every instance, so runs
-  // are deterministic per instance and long test suites cannot wrap.
-  std::atomic<std::uint32_t> next_timer_id_{1};
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopped_{false};
-  std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace ddbg

@@ -15,7 +15,6 @@
 #include <deque>
 #include <map>
 #include <span>
-#include <thread>
 #include <unordered_map>
 
 #include "common/buffer_pool.hpp"
@@ -23,20 +22,13 @@
 #include "common/serialization.hpp"
 #include "net/framing.hpp"
 #include "net/reliable.hpp"
+#include "net/transport_hooks.hpp"
 
 namespace ddbg {
 
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
-
-// Replay-log annotation for transport-level nondeterminism (fault draws,
-// reconnects, resyncs).  Diagnostic provenance only — the null check keeps
-// unrecorded runs untouched.
-void annotate(const std::shared_ptr<ReplaySink>& sink, std::uint8_t kind,
-              ChannelId channel, std::uint64_t detail) {
-  if (sink != nullptr) sink->record_annotation(kind, channel, detail);
-}
 
 // Every frame body starts with the 4-byte channel id it belongs to — the
 // demultiplexing key on a shared pair socket.
@@ -109,12 +101,10 @@ void apply_pair_socket_options(int fd, const TcpRuntimeConfig& config) {
 // Worker
 // ---------------------------------------------------------------------------
 
-class TcpProcessContext;
-
-class TcpRuntime::Worker {
+class TcpRuntime::Worker final : public WorkerCore {
  public:
   Worker(TcpRuntime& runtime, ProcessId id, ProcessPtr process, Rng rng);
-  ~Worker();
+  ~Worker() override;
 
   bool init_sockets();           // create listener + wake pipe
   [[nodiscard]] std::uint16_t port() const { return port_; }
@@ -126,28 +116,8 @@ class TcpRuntime::Worker {
   // acceptor side of.
   bool accept_inbound();
 
-  void start();
-  void stop_and_join();
-  void request_stop();
+  void push_closure(Closure action) override;
 
-  void push_closure(std::function<void(ProcessContext&, Process&)> action);
-  TimerId add_timer(Duration delay);
-  void cancel_timer(TimerId timer);
-
-  // Encode `message` into a pooled frame (channel id + body) and queue it
-  // on the channel's pair connection.  Runs on this worker's own thread
-  // only (the sender's), like all sends.
-  void stage_send(ChannelId channel, const Message& message);
-
-  // Reliability-layer entry point for do_send (runtime_.config_.faults
-  // only): stage in the retransmit window and attempt transmission under
-  // the fault plan.  Runs on this worker's own thread.
-  void rel_send_message(ChannelId channel, const Message& message);
-
-  [[nodiscard]] Process& process() { return *process_; }
-  [[nodiscard]] TcpRuntime& runtime() { return runtime_; }
-  [[nodiscard]] ProcessId id() const { return id_; }
-  [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] std::uint64_t poll_iterations() const {
     return poll_iterations_.load(std::memory_order_relaxed);
   }
@@ -178,15 +148,19 @@ class TcpRuntime::Worker {
     SteadyClock::time_point reconnect_at = SteadyClock::time_point::max();
   };
 
-  void thread_main();
-  void wake();
+  void run() override;
+  void wake() override;
+  // Encode the message into a pooled frame and queue it on the channel's
+  // pair connection, through the link when there is one.  Runs on this
+  // worker's own thread only (the sender's), like all sends.
+  void transmit(ChannelId channel, Message message) override;
   void setup_conns();
   void setup_epoll();
   void update_epoll_interest(std::size_t slot);
   void epoll_add_conn(std::size_t slot);
   void handle_readable(std::size_t slot, std::uint32_t events);
   void parse_pair_frames(std::size_t slot);
-  void fire_due_timers();
+  void fire_due();
   [[nodiscard]] int next_timeout_ms();
 
   // ---- send path ----
@@ -195,7 +169,6 @@ class TcpRuntime::Worker {
                       BufferPool::Lease frame);
   void flush_sends();
   void try_flush(std::size_t slot);
-  void continue_flush(std::size_t slot);
   // Retire fully written frames against `written` bytes; returns how many
   // frames completed.
   std::size_t advance_out_queue(PairConn& conn, std::size_t written);
@@ -207,24 +180,29 @@ class TcpRuntime::Worker {
   // acceptor side waits for the peer's dial.
   void conn_down(std::size_t slot, bool count_loss);
   void retire_fd_from_epoll(int fd);
-
-  // ---- reliability layer (runtime_.config_.faults only) ----
-  void rel_transmit(std::size_t slot, std::uint64_t seq);
-  void rel_write_data(std::size_t slot, std::uint64_t seq);
-  void rel_write_ack(std::size_t in_slot, std::size_t conn_slot);
-  void rel_write_ack_frame(std::size_t in_slot, std::size_t conn_slot);
-  void rel_try_reconnect(std::size_t slot);
-  void rel_fire_due();
-  void resync_pair(std::uint32_t pair);
-  [[nodiscard]] SteadyClock::time_point rel_next_deadline() const;
+  // Install a freshly dialed or accepted fd in a pair endpoint and resync
+  // every channel this worker sends across the pair.
+  void conn_up(std::size_t slot, int fd);
+  void try_reconnect(std::size_t slot);
   void accept_runtime_connection();
   void accept_control_connections();
 
+  // ---- ReliableLink::Port: frames carry a RelHeader on the pair socket ----
+  void transmit_data(std::size_t slot, ChannelId channel, std::uint64_t seq,
+                     const ReliableSender::Staged& staged,
+                     std::uint64_t attempt, Duration extra,
+                     bool copy) override;
+  void transmit_ack(std::size_t slot, ChannelId channel,
+                    std::uint64_t cum_ack, std::uint64_t attempt,
+                    Duration extra) override;
+  void lose_connection(std::size_t slot, ChannelId channel,
+                       TimePoint resync_at) override;
+  // Queue one reliable frame on `channel`: data frame `seq` of out-slot
+  // `slot` while it is still unacked, or (`ack`) the cumulative ack `seq`.
+  void write_rel_frame(std::size_t slot, ChannelId channel, bool ack,
+                       std::uint64_t seq);
+
   TcpRuntime& runtime_;
-  ProcessId id_;
-  ProcessPtr process_;
-  Rng rng_;
-  std::unique_ptr<TcpProcessContext> context_;
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
@@ -244,96 +222,30 @@ class TcpRuntime::Worker {
   // pair index -> the conn slot this worker sends on (side 0 for a
   // self-pair, the worker's only side otherwise).
   std::unordered_map<std::uint32_t, std::uint32_t> send_slot_of_pair_;
-  // This process's channels, by endpoint slot (Topology::in_slot /
-  // out_slot); the per-channel reliability tables below share the index.
-  std::span<const ChannelId> in_channels_;
-  std::span<const ChannelId> out_channels_;
 
   std::size_t frames_this_wakeup_ = 0;
   // Scratch: in-slots that received data in the current parse batch (one
   // cumulative ack each).
   std::vector<std::uint32_t> ack_pending_;
-
-  // Reliability state; sized only when a FaultPlan is configured.
-  std::vector<ReliableSender> rel_send_;   // by out slot
-  std::vector<std::uint64_t> out_attempts_;  // data fault stream, by out slot
-  std::vector<ReliableReceiver> in_recv_;    // by in slot
-  std::vector<std::uint64_t> in_ack_attempts_;  // ack fault stream
-  // Scratch reused by every retry check and every parsed data frame.
-  std::vector<std::uint64_t> due_;
-  std::vector<ReliableReceiver::Delivery> releases_;
-  // Frames held back by delay/reorder faults, fired by the reactor.
-  struct DelayedWire {
-    bool is_ack = false;
-    std::size_t slot = 0;       // out slot (data) / in slot (ack)
-    std::size_t conn_slot = 0;  // ack only: the conn the data arrived on
-    std::uint64_t seq = 0;      // data only
-  };
-  std::multimap<SteadyClock::time_point, DelayedWire> delayed_;
   // Replaced connection fds are shut down but closed only at destruction,
   // so a racing shutdown() snapshot of pair_fd_ can never hit a reused
   // descriptor number.
   std::vector<int> retired_fds_;
 
-  std::mutex mutex_;
-  std::deque<std::function<void(ProcessContext&, Process&)>> closures_;
-  std::map<std::pair<SteadyClock::time_point, std::uint32_t>, TimerId>
-      timers_;
-  std::unordered_map<std::uint32_t, SteadyClock::time_point> timer_deadline_;
-  std::atomic<bool> stopping_{false};
+  std::deque<Closure> closures_;  // guarded by mutex_
   std::atomic<std::uint64_t> poll_iterations_{0};
-
-  std::thread thread_;
-};
-
-class TcpProcessContext final : public ProcessContext {
- public:
-  explicit TcpProcessContext(TcpRuntime::Worker& worker) : worker_(worker) {}
-
-  [[nodiscard]] ProcessId self() const override { return worker_.id(); }
-  [[nodiscard]] TimePoint now() const override {
-    return worker_.runtime().now();
-  }
-  [[nodiscard]] const Topology& topology() const override {
-    return worker_.runtime().topology();
-  }
-  void send(ChannelId channel, Message message) override {
-    worker_.runtime().do_send(worker_.id(), channel, std::move(message));
-  }
-  TimerId set_timer(Duration delay) override {
-    return worker_.add_timer(delay);
-  }
-  void cancel_timer(TimerId timer) override { worker_.cancel_timer(timer); }
-  [[nodiscard]] Rng& rng() override { return worker_.rng(); }
-  [[nodiscard]] obs::MetricsRegistry* metrics() const override {
-    return &worker_.runtime().metrics();
-  }
-  void stop_self() override {}
-
- private:
-  TcpRuntime::Worker& worker_;
 };
 
 TcpRuntime::Worker::Worker(TcpRuntime& runtime, ProcessId id,
                            ProcessPtr process, Rng rng)
-    : runtime_(runtime),
-      id_(id),
-      process_(std::move(process)),
-      rng_(rng),
-      in_channels_(runtime_.topology_.in_channels(id_)),
-      out_channels_(runtime_.topology_.out_channels(id_)) {
-  context_ = std::make_unique<TcpProcessContext>(*this);
-  if (runtime_.config_.faults) {
-    rel_send_.assign(out_channels_.size(),
-                     ReliableSender(runtime_.config_.reliable));
-    out_attempts_.assign(out_channels_.size(), 0);
-    in_recv_.resize(in_channels_.size());
-    in_ack_attempts_.assign(in_channels_.size(), 0);
-  }
-}
+    : WorkerCore(runtime, id, std::move(process), rng,
+                 runtime.config_.faults.get(), runtime.config_.reliable,
+                 runtime.config_.replay.get()),
+      runtime_(runtime) {}
 
 TcpRuntime::Worker::~Worker() {
-  stop_and_join();
+  request_stop();
+  join();
   for (PairConn& conn : conns_) close_fd(conn.fd);
   for (int& fd : retired_fds_) close_fd(fd);
   close_fd(listen_fd_);
@@ -432,20 +344,6 @@ bool TcpRuntime::Worker::accept_inbound() {
   return true;
 }
 
-void TcpRuntime::Worker::start() {
-  thread_ = std::thread([this] { thread_main(); });
-}
-
-void TcpRuntime::Worker::request_stop() {
-  stopping_.store(true);
-  wake();
-}
-
-void TcpRuntime::Worker::stop_and_join() {
-  request_stop();
-  if (thread_.joinable()) thread_.join();
-}
-
 void TcpRuntime::Worker::wake() {
   if (pipe_write_ >= 0) {
     const std::uint8_t byte = 1;
@@ -453,8 +351,7 @@ void TcpRuntime::Worker::wake() {
   }
 }
 
-void TcpRuntime::Worker::push_closure(
-    std::function<void(ProcessContext&, Process&)> action) {
+void TcpRuntime::Worker::push_closure(Closure action) {
   {
     std::lock_guard<std::mutex> guard{mutex_};
     closures_.push_back(std::move(action));
@@ -462,42 +359,21 @@ void TcpRuntime::Worker::push_closure(
   wake();
 }
 
-TimerId TcpRuntime::Worker::add_timer(Duration delay) {
-  const TimerId id(runtime_.next_timer_id_.fetch_add(1));
-  const auto deadline =
-      SteadyClock::now() + std::chrono::nanoseconds(delay.ns);
-  {
-    std::lock_guard<std::mutex> guard{mutex_};
-    timers_.emplace(std::make_pair(deadline, id.value()), id);
-    timer_deadline_.emplace(id.value(), deadline);
-  }
-  wake();
-  return id;
-}
-
-void TcpRuntime::Worker::cancel_timer(TimerId timer) {
-  std::lock_guard<std::mutex> guard{mutex_};
-  const auto it = timer_deadline_.find(timer.value());
-  if (it == timer_deadline_.end()) return;  // already fired or cancelled
-  timers_.erase(std::make_pair(it->second, timer.value()));
-  timer_deadline_.erase(it);
-}
-
 // The single wakeup-deadline computation: pending closures, the nearest
-// user timer, and — with faults — every reliability deadline (retransmit
-// RTOs, delayed frames, redial backoffs) all clamp the same epoll_wait
-// timeout.  A long reconnect backoff can therefore never oversleep a user
-// timer or vice versa; whichever deadline is nearest bounds the sleep.
+// user timer and — with faults — every reliability deadline (retransmit
+// checks and delayed frames in the core's deferred queue, redial backoffs
+// here) all clamp the same epoll_wait timeout.  A long reconnect backoff can
+// therefore never oversleep a user timer or vice versa; whichever deadline
+// is nearest bounds the sleep.
 int TcpRuntime::Worker::next_timeout_ms() {
   auto deadline = SteadyClock::time_point::max();
   {
     std::lock_guard<std::mutex> guard{mutex_};
     if (!closures_.empty()) return 0;
-    if (!timers_.empty()) deadline = timers_.begin()->first.first;
+    deadline = next_wakeup();
   }
-  if (runtime_.config_.faults) {
-    const auto rel = rel_next_deadline();
-    if (rel < deadline) deadline = rel;
+  for (const PairConn& conn : conns_) {
+    deadline = std::min(deadline, conn.reconnect_at);
   }
   if (deadline == SteadyClock::time_point::max()) return -1;
   const auto now = SteadyClock::now();
@@ -508,20 +384,13 @@ int TcpRuntime::Worker::next_timeout_ms() {
   return static_cast<int>(std::min<long long>(ms + 1, 1000));
 }
 
-void TcpRuntime::Worker::fire_due_timers() {
-  while (true) {
-    TimerId due;
-    {
-      std::lock_guard<std::mutex> guard{mutex_};
-      if (timers_.empty() ||
-          timers_.begin()->first.first > SteadyClock::now()) {
-        return;
-      }
-      due = timers_.begin()->second;
-      timer_deadline_.erase(due.value());
-      timers_.erase(timers_.begin());
-    }
-    process_->on_timer(*context_, due);
+void TcpRuntime::Worker::fire_due() {
+  const auto now = SteadyClock::now();
+  for (std::size_t slot = 0; slot < conns_.size(); ++slot) {
+    if (conns_[slot].reconnect_at <= now) try_reconnect(slot);
+  }
+  std::unique_lock<std::mutex> lock{mutex_};
+  while (run_one_due(lock)) {
   }
 }
 
@@ -689,7 +558,6 @@ void TcpRuntime::Worker::handle_readable(std::size_t slot,
 void TcpRuntime::Worker::parse_pair_frames(std::size_t slot) {
   PairConn& conn = conns_[slot];
   FrameParser& parser = conn.parser;
-  std::size_t delivered = 0;
   ack_pending_.clear();
   while (const auto body = parser.next()) {
     ++frames_this_wakeup_;
@@ -702,91 +570,65 @@ void TcpRuntime::Worker::parse_pair_frames(std::size_t slot) {
       channel_id = ch.value();
     }
     const ChannelId channel(channel_id);
-    if (!runtime_.config_.faults) {
-      if (!runtime_.topology_.find_in_slot(id_, channel)) {
-        DDBG_ERROR() << "tcp: frame for foreign channel " << channel_id
-                     << " on pair " << conn.pair;
+    RelHeader header;
+    if (link_) {
+      auto decoded = RelHeader::decode(reader);
+      if (!decoded.ok()) {
+        DDBG_ERROR() << "tcp: bad reliable frame on channel " << channel_id
+                     << ": " << decoded.error().to_string();
         continue;
       }
-      auto message = Message::decode(reader);
-      if (!message.ok()) {
-        DDBG_ERROR() << "tcp: bad frame on " << to_string(channel) << ": "
-                     << message.error().to_string();
+      header = decoded.value();
+      if (header.tag == RelHeader::kAck) {
+        if (const auto out = runtime_.topology_.find_out_slot(id_, channel)) {
+          link_->on_ack(*out, header.cum_ack);
+        }
         continue;
       }
-      ++delivered;
-      runtime_.metrics_.on_deliver(
-          channel_id, traffic_class(message.value().kind),
-          static_cast<std::uint32_t>(body->size() - kChannelPrefixSize));
-      runtime_.metrics_.observe_backlog(channel_id, parser.buffered_bytes());
-      process_->on_message(*context_, channel,
-                           std::move(message).value());
-      continue;
     }
-    auto header = RelHeader::decode(reader);
-    if (!header.ok()) {
-      DDBG_ERROR() << "tcp: bad reliable frame on channel " << channel_id
-                   << ": " << header.error().to_string();
-      continue;
-    }
-    if (header.value().tag == RelHeader::kAck) {
-      const auto out_idx = runtime_.topology_.find_out_slot(id_, channel);
-      if (!out_idx) continue;
-      rel_send_[*out_idx].ack(header.value().cum_ack);
-      continue;
-    }
-    const auto found = runtime_.topology_.find_in_slot(id_, channel);
-    if (!found) {
+    const auto in_slot = runtime_.topology_.find_in_slot(id_, channel);
+    if (!in_slot) {
       DDBG_ERROR() << "tcp: frame for foreign channel " << channel_id
                    << " on pair " << conn.pair;
       continue;
     }
-    const std::uint32_t in_idx = *found;
+    const auto wire = static_cast<std::uint32_t>(reader.remaining());
     auto message = Message::decode(reader);
     if (!message.ok()) {
       DDBG_ERROR() << "tcp: bad frame on " << to_string(channel) << ": "
                    << message.error().to_string();
       continue;
     }
-    const std::uint64_t wire =
-        body->size() - kChannelPrefixSize - kRelHeaderSize;
-    releases_.clear();
-    const auto accept = in_recv_[in_idx].on_frame(
-        header.value().seq, std::move(message).value(), wire, releases_);
-    if (accept == ReliableReceiver::Accept::kDuplicate) {
-      runtime_.metrics_.on_dup_suppressed();
-    }
-    for (auto& release : releases_) {
-      ++delivered;
-      runtime_.metrics_.on_deliver(
-          channel_id, traffic_class(release.message.kind),
-          static_cast<std::uint32_t>(release.meta));
-      process_->on_message(*context_, channel, std::move(release.message));
-    }
     runtime_.metrics_.observe_backlog(channel_id, parser.buffered_bytes());
-    if (std::find(ack_pending_.begin(), ack_pending_.end(), in_idx) ==
+    if (!link_) {
+      deliver_message(channel, std::move(message).value(), wire);
+      continue;
+    }
+    link_->receive(*this, *in_slot, header.seq, std::move(message).value(),
+                   wire);
+    if (std::find(ack_pending_.begin(), ack_pending_.end(), *in_slot) ==
         ack_pending_.end()) {
-      ack_pending_.push_back(in_idx);
+      ack_pending_.push_back(*in_slot);
     }
   }
   // One cumulative ack per channel per drained batch — it carries the
   // furthest in-order point whether the batch delivered, buffered or
   // suppressed.
-  for (const std::uint32_t in_idx : ack_pending_) {
-    rel_write_ack(in_idx, slot);
+  for (const std::uint32_t in_slot : ack_pending_) {
+    link_->acknowledge(*this, in_slot);
   }
   ack_pending_.clear();
-  if (delivered > 0) runtime_.metrics_.on_deliver_batch(delivered);
+  end_delivery_batch();
 }
 
-void TcpRuntime::Worker::thread_main() {
+void TcpRuntime::Worker::run() {
   setup_conns();
   setup_epoll();
-  process_->on_start(*context_);
+  process_->on_start(*this);
   flush_sends();
 
   epoll_event events[kMaxEpollEvents];
-  std::deque<std::function<void(ProcessContext&, Process&)>> batch;
+  std::deque<Closure> batch;
   while (!stopping_.load()) {
     poll_iterations_.fetch_add(1, std::memory_order_relaxed);
     const int timeout = next_timeout_ms();
@@ -814,7 +656,7 @@ void TcpRuntime::Worker::thread_main() {
       }
       const auto slot = static_cast<std::size_t>(tag);
       if (slot >= conns_.size() || conns_[slot].fd < 0) continue;
-      if (events[i].events & EPOLLOUT) continue_flush(slot);
+      if (events[i].events & EPOLLOUT) try_flush(slot);
       if (conns_[slot].fd >= 0 &&
           (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR))) {
         handle_readable(slot, events[i].events);
@@ -827,11 +669,10 @@ void TcpRuntime::Worker::thread_main() {
       std::lock_guard<std::mutex> guard{mutex_};
       batch.swap(closures_);
     }
-    for (auto& closure : batch) closure(*context_, *process_);
+    for (auto& closure : batch) closure(*this, *process_);
     batch.clear();
 
-    fire_due_timers();
-    if (runtime_.config_.faults) rel_fire_due();
+    fire_due();
 
     // Everything handlers staged this iteration is offered to the kernel
     // before the next sleep; whatever does not fit parks on EPOLLOUT.
@@ -847,8 +688,21 @@ void TcpRuntime::Worker::thread_main() {
 // Worker: send path
 // ---------------------------------------------------------------------------
 
-void TcpRuntime::Worker::stage_send(ChannelId channel,
-                                    const Message& message) {
+void TcpRuntime::Worker::transmit(ChannelId channel, Message message) {
+  if (link_) {
+    // Bytes are accounted once per logical send, like the bare path; the
+    // frame itself is rebuilt per transmission attempt, and the size rides
+    // with the staged message so retransmissions never re-measure.
+    const std::uint64_t wire = message.encoded_size();
+    runtime_.metrics_.on_send(channel.value(), traffic_class(message.kind),
+                              static_cast<std::uint32_t>(wire));
+    link_->send(*this, runtime_.topology_.out_slot(channel),
+                std::move(message), wire, now());
+    return;
+  }
+  // The frame encodes into this worker's pooled buffer and queues on the
+  // pair connection: a handler emitting several messages pays one gathered
+  // write, and steady-state sends allocate nothing.
   BufferPool::Lease lease = pool_.acquire();
   runtime_.metrics_.on_pool_acquire(lease.reused());
   Bytes& frame = lease.bytes();
@@ -956,7 +810,7 @@ void TcpRuntime::Worker::try_flush(std::size_t slot) {
     msg.msg_iovlen = count;
     // The send-blocked clock brackets the syscall; on a nonblocking fd it
     // is ~0, and the real wedge time (EPOLLOUT armed -> queue drained) is
-    // added in continue_flush when the backpressure clears.
+    // added in try_flush when the backpressure clears.
     const ChannelId front_channel = conn.outq.front().channel;
     const auto write_start = SteadyClock::now();
     const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
@@ -1018,10 +872,6 @@ void TcpRuntime::Worker::try_flush(std::size_t slot) {
   }
 }
 
-void TcpRuntime::Worker::continue_flush(std::size_t slot) {
-  try_flush(slot);
-}
-
 void TcpRuntime::Worker::flush_sends() {
   for (std::size_t slot = 0; slot < conns_.size(); ++slot) {
     if (!conns_[slot].outq.empty() && !conns_[slot].want_write) {
@@ -1034,161 +884,97 @@ void TcpRuntime::Worker::flush_sends() {
 // Worker: reliability layer
 // ---------------------------------------------------------------------------
 
-void TcpRuntime::Worker::rel_send_message(ChannelId channel,
-                                          const Message& message) {
-  const auto found = runtime_.topology_.find_out_slot(id_, channel);
-  DDBG_ASSERT(found.has_value(), "channel is not sourced by this worker");
-  const std::size_t slot = *found;
-  // Bytes accounted once per logical send, like the bare-TCP path; the
-  // wire frame itself is rebuilt per transmission attempt, and the size is
-  // stashed alongside the staged message so retransmissions never
-  // re-measure.
-  const std::uint64_t wire = message.encoded_size();
-  runtime_.metrics_.on_send(channel.value(), traffic_class(message.kind),
-                            static_cast<std::uint32_t>(wire));
-  const std::uint64_t seq =
-      rel_send_[slot].stage(message, wire, runtime_.now());
-  rel_transmit(slot, seq);
-}
-
-void TcpRuntime::Worker::rel_transmit(std::size_t slot, std::uint64_t seq) {
-  if (rel_send_[slot].peek(seq) == nullptr) return;  // acked meanwhile
-  const ChannelId channel = out_channels_[slot];
-  const std::uint64_t attempt = out_attempts_[slot]++;
-  const FaultDecision fault =
-      runtime_.config_.faults->decide(channel, attempt);
-  switch (fault.kind) {
-    case FaultKind::kNone:
-      rel_write_data(slot, seq);
-      return;
-    case FaultKind::kDrop:
-    case FaultKind::kPartition:
-      // Swallowed by the adversary; the retransmit timer recovers.
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      return;
-    case FaultKind::kReset: {
-      // Connection torn down under the frame: quarantine the pair socket
-      // and redial after a backoff.  Resync on the fresh connection
-      // replays the whole unacked window, this frame included.
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      const std::uint32_t pair = runtime_.channel_pair_[channel.value()];
-      conn_down(send_slot_of_pair_.at(pair), /*count_loss=*/true);
-      return;
-    }
-    case FaultKind::kDuplicate:
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      rel_write_data(slot, seq);
-      rel_write_data(slot, seq);
-      return;
-    case FaultKind::kReorder:
-    case FaultKind::kDelay:
-      // Held back and fired by the reactor; later frames on the channel
-      // overtake this one on the wire, and the receiver's sequencer puts
-      // the order back.
-      runtime_.metrics_.on_fault(fault_index(fault.kind));
-      annotate(runtime_.config_.replay,
-               static_cast<std::uint8_t>(fault_index(fault.kind)), channel,
-               attempt);
-      delayed_.emplace(SteadyClock::now() +
-                           std::chrono::nanoseconds(fault.extra_delay.ns),
-                       DelayedWire{false, slot, 0, seq});
-      return;
+void TcpRuntime::Worker::transmit_data(std::size_t slot, ChannelId channel,
+                                       std::uint64_t seq,
+                                       const ReliableSender::Staged&,
+                                       std::uint64_t /*attempt*/,
+                                       Duration extra, bool /*copy*/) {
+  if (extra.ns <= 0) {
+    write_rel_frame(slot, channel, false, seq);
+    return;
   }
+  // Held back, then written unless acked meanwhile; later frames on the
+  // channel overtake this one on the wire, and the receiver's sequencer
+  // puts the order back.
+  defer(SteadyClock::now() + std::chrono::nanoseconds(extra.ns),
+        [this, slot, channel, seq] {
+          write_rel_frame(slot, channel, false, seq);
+        });
 }
 
-void TcpRuntime::Worker::rel_write_data(std::size_t slot, std::uint64_t seq) {
-  const ReliableSender::Staged* staged = rel_send_[slot].peek(seq);
-  if (staged == nullptr) return;  // acked before a delayed copy fired
-  const ChannelId channel = out_channels_[slot];
+void TcpRuntime::Worker::transmit_ack(std::size_t slot, ChannelId channel,
+                                      std::uint64_t cum_ack,
+                                      std::uint64_t /*attempt*/,
+                                      Duration extra) {
+  if (extra.ns <= 0) {
+    write_rel_frame(slot, channel, true, cum_ack);
+    return;
+  }
+  defer(SteadyClock::now() + std::chrono::nanoseconds(extra.ns),
+        [this, slot, channel, cum_ack] {
+          write_rel_frame(slot, channel, true, cum_ack);
+        });
+}
+
+void TcpRuntime::Worker::lose_connection(std::size_t /*slot*/,
+                                         ChannelId channel,
+                                         TimePoint /*resync_at*/) {
+  // Quarantine the pair socket; the dialer side redials after a backoff
+  // and conn_up resyncs both ends (the link already counted the loss).
+  const std::uint32_t pair = runtime_.channel_pair_[channel.value()];
+  conn_down(send_slot_of_pair_.at(pair), /*count_loss=*/false);
+}
+
+void TcpRuntime::Worker::write_rel_frame(std::size_t slot, ChannelId channel,
+                                         bool ack, std::uint64_t seq) {
+  RelHeader header;
+  const Message* body = nullptr;
+  if (ack) {
+    header.tag = RelHeader::kAck;
+    header.cum_ack = seq;
+  } else {
+    const ReliableSender::Staged* staged = link_->peek(slot, seq);
+    if (staged == nullptr) return;  // acked before a delayed copy fired
+    header.seq = seq;
+    body = &staged->message;
+  }
   BufferPool::Lease lease = pool_.acquire();
   runtime_.metrics_.on_pool_acquire(lease.reused());
   Bytes& frame = lease.bytes();
   const std::size_t header_at = begin_frame(frame);
   ByteWriter writer(frame);
   writer.u32(channel.value());
-  RelHeader header;
-  header.tag = RelHeader::kData;
-  header.seq = seq;
   header.encode(writer);
-  staged->message.encode(writer);
+  if (body != nullptr) body->encode(writer);
   end_frame(frame, header_at);
+  // Acks ride this worker's end of the pair (full duplex); if that
+  // connection is being replaced, the resync re-acks.
   queue_frame(channel, std::move(lease));
 }
 
-void TcpRuntime::Worker::rel_write_ack(std::size_t in_slot,
-                                       std::size_t conn_slot) {
-  const std::uint64_t attempt = in_ack_attempts_[in_slot]++;
-  const FaultDecision fault = runtime_.config_.faults->decide_ack(
-      in_channels_[in_slot], attempt);
-  if (fault.kind == FaultKind::kDrop) {
-    // Cumulative acks make a lost one free: the next carries its news.
-    runtime_.metrics_.on_fault(fault_index(fault.kind));
-    annotate(runtime_.config_.replay,
-             static_cast<std::uint8_t>(fault_index(fault.kind)),
-             in_channels_[in_slot], attempt);
-    return;
-  }
-  if (fault.kind == FaultKind::kDelay) {
-    runtime_.metrics_.on_fault(fault_index(fault.kind));
-    annotate(runtime_.config_.replay,
-             static_cast<std::uint8_t>(fault_index(fault.kind)),
-             in_channels_[in_slot], attempt);
-    delayed_.emplace(SteadyClock::now() +
-                         std::chrono::nanoseconds(fault.extra_delay.ns),
-                     DelayedWire{true, in_slot, conn_slot, 0});
-    return;
-  }
-  rel_write_ack_frame(in_slot, conn_slot);
-}
-
-void TcpRuntime::Worker::rel_write_ack_frame(std::size_t in_slot,
-                                             std::size_t conn_slot) {
-  // The ack rides the same pair socket the data arrived on (full duplex);
-  // if that connection is being replaced, resync re-acks.
-  const PairConn& conn = conns_[conn_slot];
-  if (conn.fd < 0 || !conn.write_open) return;
-  const ChannelId channel = in_channels_[in_slot];
-  BufferPool::Lease lease = pool_.acquire();
-  runtime_.metrics_.on_pool_acquire(lease.reused());
-  Bytes& frame = lease.bytes();
-  const std::size_t header_at = begin_frame(frame);
-  ByteWriter writer(frame);
-  writer.u32(channel.value());
-  RelHeader header;
-  header.tag = RelHeader::kAck;
-  header.cum_ack = in_recv_[in_slot].cum_ack();
-  header.encode(writer);
-  end_frame(frame, header_at);
-  queue_frame_on(conn_slot, channel, std::move(lease));
-}
-
-void TcpRuntime::Worker::resync_pair(std::uint32_t pair) {
-  // Everything unacked on this worker's out-channels crossing the pair
-  // becomes due at once and flows out through the normal retransmit path
-  // (counted as both replayed and retransmits).
-  for (std::size_t slot = 0; slot < out_channels_.size(); ++slot) {
-    if (runtime_.channel_pair_[out_channels_[slot].value()] != pair) {
-      continue;
-    }
-    const std::size_t replayed = rel_send_[slot].mark_all_due(runtime_.now());
-    if (replayed > 0) {
-      runtime_.metrics_.on_resync_replayed(replayed);
-      annotate(runtime_.config_.replay, kReplayAnnotationResync,
-               out_channels_[slot], replayed);
+void TcpRuntime::Worker::conn_up(std::size_t slot, int fd) {
+  PairConn& conn = conns_[slot];
+  if (conn.fd >= 0) retire_fd_from_epoll(conn.fd);
+  conn.fd = fd;
+  conn.read_open = conn.write_open = true;
+  conn.want_write = false;
+  conn.parser = FrameParser();
+  conn.outq.clear();
+  conn.front_offset = 0;
+  epoll_add_conn(slot);
+  runtime_.pair_fd_[2 * conn.pair + conn.side].store(fd);
+  // Every unacked frame on this worker's channels across the pair replays
+  // on the fresh connection.  The link's receivers survive on purpose:
+  // their delivered prefix is what suppresses the peer's replayed frames.
+  const auto out_channels = runtime_.topology_.out_channels(id_);
+  for (std::size_t out = 0; out < out_channels.size(); ++out) {
+    if (runtime_.channel_pair_[out_channels[out].value()] == conn.pair) {
+      link_->resync(*this, out, now());
     }
   }
 }
 
-void TcpRuntime::Worker::rel_try_reconnect(std::size_t slot) {
+void TcpRuntime::Worker::try_reconnect(std::size_t slot) {
   PairConn& conn = conns_[slot];
   conn.reconnect_at = SteadyClock::time_point::max();
   if (stopping_.load(std::memory_order_relaxed) ||
@@ -1202,7 +988,7 @@ void TcpRuntime::Worker::rel_try_reconnect(std::size_t slot) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(runtime_.workers_[pair.b]->port());
+    addr.sin_port = htons(runtime_.worker(pair.b).port());
     ok = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
   }
   if (ok) {
@@ -1222,19 +1008,7 @@ void TcpRuntime::Worker::rel_try_reconnect(std::size_t slot) {
         std::chrono::nanoseconds(runtime_.config_.reliable.rto_initial.ns);
     return;
   }
-  if (conn.fd >= 0) retire_fd_from_epoll(conn.fd);
-  conn.fd = fd;
-  conn.read_open = conn.write_open = true;
-  conn.want_write = false;
-  conn.parser = FrameParser();
-  conn.outq.clear();
-  conn.front_offset = 0;
-  epoll_add_conn(slot);
-  runtime_.pair_fd_[2 * conn.pair].store(fd);
-  runtime_.metrics_.on_reconnect();
-  annotate(runtime_.config_.replay, kReplayAnnotationReconnect,
-           ChannelId(conn.pair), conn.pair);
-  resync_pair(conn.pair);
+  conn_up(slot, fd);
 }
 
 void TcpRuntime::Worker::accept_runtime_connection() {
@@ -1256,27 +1030,14 @@ void TcpRuntime::Worker::accept_runtime_connection() {
   std::uint32_t pair = 0;
   std::memcpy(&pair, hello, sizeof(pair));
   for (std::size_t slot = 0; slot < conns_.size(); ++slot) {
-    PairConn& conn = conns_[slot];
+    const PairConn& conn = conns_[slot];
     if (conn.pair != pair || conn.side != 1) continue;
-    if (conn.fd >= 0) retire_fd_from_epoll(conn.fd);
     apply_pair_socket_options(fd, runtime_.config_);
     if (!set_nonblocking(fd)) {
       ::close(fd);
       return;
     }
-    conn.fd = fd;
-    conn.read_open = conn.write_open = true;
-    conn.want_write = false;
-    conn.parser = FrameParser();
-    conn.outq.clear();
-    conn.front_offset = 0;
-    epoll_add_conn(slot);
-    runtime_.pair_fd_[2 * pair + 1].store(fd);
-    // in_recv_ state survives on purpose: its delivered-prefix state is
-    // exactly what suppresses the replayed frames the reconnecting peer
-    // is about to resend.  Our own unacked sends replay too — the peer's
-    // receiver suppresses what it already saw.
-    resync_pair(pair);
+    conn_up(slot, fd);
     return;
   }
   DDBG_ERROR() << "tcp: reconnect hello for unknown pair " << pair;
@@ -1301,58 +1062,13 @@ void TcpRuntime::Worker::accept_control_connections() {
   }
 }
 
-void TcpRuntime::Worker::rel_fire_due() {
-  const auto now = SteadyClock::now();
-  for (std::size_t slot = 0; slot < conns_.size(); ++slot) {
-    if (conns_[slot].reconnect_at <= now) rel_try_reconnect(slot);
-  }
-  while (!delayed_.empty() && delayed_.begin()->first <= now) {
-    const DelayedWire wire = delayed_.begin()->second;
-    delayed_.erase(delayed_.begin());
-    // No second fault roll: the frame already paid its delay.
-    if (wire.is_ack) {
-      rel_write_ack_frame(wire.slot, wire.conn_slot);
-    } else {
-      rel_write_data(wire.slot, wire.seq);
-    }
-  }
-  for (std::size_t slot = 0; slot < out_channels_.size(); ++slot) {
-    rel_send_[slot].due(runtime_.now(), due_);
-    for (const std::uint64_t seq : due_) {
-      runtime_.metrics_.on_retransmit();
-      rel_transmit(slot, seq);
-    }
-  }
-}
-
-SteadyClock::time_point TcpRuntime::Worker::rel_next_deadline() const {
-  auto deadline = SteadyClock::time_point::max();
-  for (const PairConn& conn : conns_) {
-    if (conn.reconnect_at < deadline) deadline = conn.reconnect_at;
-  }
-  if (!delayed_.empty() && delayed_.begin()->first < deadline) {
-    deadline = delayed_.begin()->first;
-  }
-  for (const auto& sender : rel_send_) {
-    if (const auto next = sender.next_deadline()) {
-      const auto when = runtime_.epoch_ + std::chrono::nanoseconds(next->ns);
-      if (when < deadline) deadline = when;
-    }
-  }
-  return deadline;
-}
-
 // ---------------------------------------------------------------------------
 // TcpRuntime
 // ---------------------------------------------------------------------------
 
 TcpRuntime::TcpRuntime(Topology topology, std::vector<ProcessPtr> processes,
                        TcpRuntimeConfig config)
-    : topology_(std::move(topology)),
-      config_(config),
-      metrics_("tcp", topology_.num_processes(), channel_meta(topology_)) {
-  DDBG_ASSERT(processes.size() == topology_.num_processes(),
-              "one Process per topology process required");
+    : ThreadedRuntime(std::move(topology), "tcp"), config_(std::move(config)) {
   // Enumerate host pairs: every unordered process pair with at least one
   // channel gets exactly one connection, shared by all its channels.
   channel_pair_.resize(topology_.num_channels());
@@ -1380,14 +1096,7 @@ TcpRuntime::TcpRuntime(Topology topology, std::vector<ProcessPtr> processes,
   pair_fd_ = std::vector<std::atomic<int>>(2 * pairs_.size());
   for (auto& fd : pair_fd_) fd.store(-1, std::memory_order_relaxed);
 
-  Rng root(config_.seed);
-  workers_.reserve(processes.size());
-  for (std::size_t i = 0; i < processes.size(); ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        *this, ProcessId(static_cast<std::uint32_t>(i)),
-        std::move(processes[i]), root.fork()));
-  }
-  epoch_ = SteadyClock::now();
+  spawn_workers<Worker>(*this, std::move(processes), config_.seed);
 }
 
 TcpRuntime::~TcpRuntime() {
@@ -1398,9 +1107,14 @@ TcpRuntime::~TcpRuntime() {
   }
 }
 
+TcpRuntime::Worker& TcpRuntime::worker(std::uint32_t p) {
+  return static_cast<Worker&>(*workers_[p]);
+}
+
 std::uint16_t TcpRuntime::control_port() const {
   for (const auto& worker : workers_) {
-    if (worker->control_port() != 0) return worker->control_port();
+    const auto port = static_cast<const Worker&>(*worker).control_port();
+    if (port != 0) return port;
   }
   return 0;
 }
@@ -1415,15 +1129,15 @@ std::size_t TcpRuntime::max_channels_per_socket() const {
 
 bool TcpRuntime::start() {
   DDBG_ASSERT(!started_.exchange(true), "TcpRuntime::start called twice");
-  for (auto& worker : workers_) {
-    if (!worker->init_sockets()) return false;
+  for (std::uint32_t p = 0; p < workers_.size(); ++p) {
+    if (!worker(p).init_sockets()) return false;
   }
   if (config_.on_control_accept) {
     // The control listener lives on the debugger's worker so accepted
     // sessions share a reactor with the process they drive.
     const std::uint32_t host =
         topology_.has_debugger() ? topology_.debugger_id().value() : 0;
-    if (!workers_[host]->init_control_listener()) return false;
+    if (!worker(host).init_control_listener()) return false;
   }
   // Connect every pair: side a dials side b's listener and sends the
   // pair-index hello.  Backlogs hold the pending connections until the
@@ -1434,7 +1148,7 @@ bool TcpRuntime::start() {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(workers_[pairs_[p].b]->port());
+    addr.sin_port = htons(worker(pairs_[p].b).port());
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
       ::close(fd);
       return false;
@@ -1453,11 +1167,10 @@ bool TcpRuntime::start() {
     }
     pair_fd_[2 * p].store(fd);
   }
-  for (auto& worker : workers_) {
-    if (!worker->accept_inbound()) return false;
+  for (std::uint32_t p = 0; p < workers_.size(); ++p) {
+    if (!worker(p).accept_inbound()) return false;
   }
-  epoch_ = SteadyClock::now();
-  for (auto& worker : workers_) worker->start();
+  start_workers();
   return true;
 }
 
@@ -1472,57 +1185,7 @@ void TcpRuntime::shutdown() {
     const int fd = slot.load();
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
-  for (auto& worker : workers_) worker->stop_and_join();
-}
-
-void TcpRuntime::post(ProcessId target,
-                      std::function<void(ProcessContext&, Process&)> action) {
-  DDBG_ASSERT(target.value() < workers_.size(), "unknown process");
-  workers_[target.value()]->push_closure(std::move(action));
-}
-
-bool TcpRuntime::wait_until(const std::function<bool()>& condition,
-                            Duration timeout) {
-  const auto deadline =
-      SteadyClock::now() + std::chrono::nanoseconds(timeout.ns);
-  while (!condition()) {
-    if (SteadyClock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
-  }
-  return true;
-}
-
-Process& TcpRuntime::process(ProcessId id) {
-  DDBG_ASSERT(id.value() < workers_.size(), "unknown process");
-  return workers_[id.value()]->process();
-}
-
-TimePoint TcpRuntime::now() const {
-  const auto elapsed = SteadyClock::now() - epoch_;
-  return TimePoint{
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()};
-}
-
-void TcpRuntime::do_send(ProcessId sender, ChannelId channel,
-                         Message message) {
-  const ChannelSpec& spec = topology_.channel(channel);
-  DDBG_ASSERT(spec.source == sender,
-              "process may only send on its own outgoing channels");
-  if (message.message_id == 0) {
-    message.message_id = next_message_id_.fetch_add(1);
-  }
-  if (config_.faults) {
-    // Reliability path: stage in the sending worker's retransmit window
-    // and transmit under the fault plan.  The pair is legitimately down
-    // mid-reconnect; the window replays once the new connection is up.
-    workers_[sender.value()]->rel_send_message(channel, message);
-    return;
-  }
-  // do_send runs on the sender's own worker thread, so the frame encodes
-  // into that worker's pooled buffer and queues on the pair connection: a
-  // handler emitting several messages pays one gathered write, and
-  // steady-state sends allocate nothing.
-  workers_[sender.value()]->stage_send(channel, message);
+  for (auto& worker : workers_) worker->join();
 }
 
 void TcpRuntime::half_close_channel(ChannelId channel) {
@@ -1536,7 +1199,9 @@ void TcpRuntime::half_close_channel(ChannelId channel) {
 
 std::uint64_t TcpRuntime::poll_iterations() const {
   std::uint64_t total = 0;
-  for (const auto& worker : workers_) total += worker->poll_iterations();
+  for (const auto& worker : workers_) {
+    total += static_cast<const Worker&>(*worker).poll_iterations();
+  }
   return total;
 }
 

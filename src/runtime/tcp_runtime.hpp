@@ -21,7 +21,8 @@
 // and the debugger process run on this runtime unchanged; tests drive a
 // full halting wave across sockets.  Single-host by construction
 // (loopback), but nothing in the protocol assumes it — the address table
-// is the only thing to change.
+// is the only thing to change.  The thread, timer and context plumbing is
+// the shared threaded core (runtime/worker_core.hpp).
 #pragma once
 
 #include <atomic>
@@ -29,18 +30,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "common/ids.hpp"
 #include "common/result.hpp"
-#include "common/time.hpp"
 #include "net/fault_plan.hpp"
-#include "net/process.hpp"
 #include "net/reliable.hpp"
 #include "net/replay_hooks.hpp"
-#include "net/topology.hpp"
-#include "net/transport_hooks.hpp"
+#include "runtime/worker_core.hpp"
 
 namespace ddbg {
 
@@ -74,37 +70,22 @@ struct TcpRuntimeConfig {
   std::shared_ptr<ReplaySink> replay;
 };
 
-class TcpRuntime {
+class TcpRuntime final : public ThreadedRuntime {
  public:
   TcpRuntime(Topology topology, std::vector<ProcessPtr> processes,
              TcpRuntimeConfig config = {});
   ~TcpRuntime();
-
-  TcpRuntime(const TcpRuntime&) = delete;
-  TcpRuntime& operator=(const TcpRuntime&) = delete;
 
   // Bind/listen/connect one socket per host pair, then launch the process
   // threads.  Returns false (with everything torn down) if setup fails.
   bool start();
   void shutdown();
 
-  // Post a closure to run on `target`'s thread, in process context.
-  void post(ProcessId target,
-            std::function<void(ProcessContext&, Process&)> action);
-
   static bool wait_until(const std::function<bool()>& condition,
-                         Duration timeout);
-
-  [[nodiscard]] const Topology& topology() const { return topology_; }
-  [[nodiscard]] Process& process(ProcessId id);
-  [[nodiscard]] TransportStats stats() const {
-    return transport_stats_from(metrics_);
+                         Duration timeout) {
+    return ThreadedRuntime::wait_until(condition, timeout,
+                                       std::chrono::microseconds(300));
   }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
-  [[nodiscard]] TimePoint now() const;
 
   // Port of the debugger-session control listener; 0 when
   // on_control_accept is unset or start() has not run.
@@ -133,7 +114,6 @@ class TcpRuntime {
   [[nodiscard]] std::uint64_t poll_iterations() const;
 
  private:
-  friend class TcpProcessContext;
   class Worker;
 
   // An unordered process pair with at least one channel; exactly one TCP
@@ -145,12 +125,9 @@ class TcpRuntime {
     std::uint32_t num_channels = 0;
   };
 
-  void do_send(ProcessId sender, ChannelId channel, Message message);
+  [[nodiscard]] Worker& worker(std::uint32_t p);
 
-  Topology topology_;
   TcpRuntimeConfig config_;
-  obs::MetricsRegistry metrics_;
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<HostPair> pairs_;
   std::vector<std::uint32_t> channel_pair_;  // ChannelId -> pair index
   std::vector<std::vector<std::uint32_t>> pairs_of_process_;
@@ -159,13 +136,6 @@ class TcpRuntime {
   // fd on reconnect while shutdown()/half_close_channel() read it from
   // another thread.
   std::vector<std::atomic<int>> pair_fd_;
-  std::atomic<std::uint64_t> next_message_id_{1};
-  // Per-runtime (not static): ids restart at 1 for every instance, so runs
-  // are deterministic per instance and long test suites cannot wrap.
-  std::atomic<std::uint32_t> next_timer_id_{1};
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopped_{false};
-  std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace ddbg

@@ -83,6 +83,85 @@ class SimProcessContext final : public ProcessContext {
   bool stopped_ = false;
 };
 
+// The simulator's side of the reliability driver: frames, acks, retry
+// checks and resyncs become events timed from the dispatching event's
+// virtual time, on the dispatching worker's lane, for process `self` (the
+// channel source on the sender side, the destination on the receiver
+// side).  Built on the stack per driver call; slots are channel ids.
+class SimLinkPort final : public ReliableLink::Port {
+ public:
+  SimLinkPort(Simulation& sim, Simulation::Lane* lane, ProcessId self,
+              TimePoint at)
+      : sim_(sim), lane_(lane), self_(self), at_(at) {}
+
+  void transmit_data(std::size_t /*slot*/, ChannelId channel,
+                     std::uint64_t seq, const ReliableSender::Staged& staged,
+                     std::uint64_t attempt, Duration extra,
+                     bool copy) override {
+    // A duplicate's copy rides a delay drawn from the ack stream's key
+    // space, so it is independent of (and often overtakes) the original.
+    const Duration delay =
+        copy ? sim_.sample_latency(channel, attempt ^ 0x8000000000000000ULL)
+             : sim_.sample_latency(channel, attempt) + extra;
+    Simulation::Event event = make(Simulation::Event::Kind::kRelFrame,
+                                   at_ + delay, channel,
+                                   sim_.topology_.channel(channel).destination);
+    event.rel_seq = seq;
+    event.wire_bytes = static_cast<std::uint32_t>(staged.meta);
+    sim_.emit_parcel(lane_, event, staged.message);
+  }
+
+  void transmit_ack(std::size_t /*slot*/, ChannelId channel,
+                    std::uint64_t cum_ack, std::uint64_t attempt,
+                    Duration extra) override {
+    const Duration delay =
+        sim_.sample_latency(channel, attempt ^ 0x4000000000000000ULL) + extra;
+    Simulation::Event event =
+        make(Simulation::Event::Kind::kRelAck, at_ + delay, channel,
+             sim_.topology_.channel(channel).source);
+    event.rel_seq = cum_ack;
+    sim_.emit_child(lane_, event);
+  }
+
+  // Reconnection is a delayed resync: sender-side work, so it rides a
+  // kRelRestore event targeting the channel source, never a serial barrier.
+  void lose_connection(std::size_t /*slot*/, ChannelId channel,
+                       TimePoint resync_at) override {
+    sim_.emit_child(lane_, make(Simulation::Event::Kind::kRelRestore,
+                                resync_at, channel, self_));
+  }
+
+  void arm_retry(std::size_t /*slot*/, ChannelId channel,
+                 TimePoint when) override {
+    sim_.emit_child(lane_, make(Simulation::Event::Kind::kRelRetry, when,
+                                channel, self_));
+  }
+
+  void deliver(std::size_t /*slot*/, ChannelId channel, Message&& message,
+               std::uint64_t meta) override {
+    sim_.release_delivery(lane_, at_, channel, self_, std::move(message),
+                          static_cast<std::uint32_t>(meta));
+  }
+
+ private:
+  [[nodiscard]] static Simulation::Event make(Simulation::Event::Kind kind,
+                                              TimePoint when,
+                                              ChannelId channel,
+                                              ProcessId target) {
+    Simulation::Event event;
+    event.when = when;
+    event.kind = kind;
+    event.target = target;
+    event.channel = channel;
+    return event;
+  }
+
+  Simulation& sim_;
+  Simulation::Lane* lane_;
+  ProcessId self_;
+  TimePoint at_;
+};
+
 Simulation::Simulation(Topology topology, std::vector<ProcessPtr> processes,
                        SimulationConfig config)
     : topology_(std::move(topology)),
@@ -111,13 +190,13 @@ Simulation::Simulation(Topology topology, std::vector<ProcessPtr> processes,
   channel_in_flight_.assign(topology_.num_channels(), 0);
   channel_send_seq_.assign(topology_.num_channels(), 0);
   if (config_.faults) {
-    rel_send_.assign(topology_.num_channels(),
-                     ReliableSender(config_.reliable));
-    rel_recv_.assign(topology_.num_channels(), ReliableReceiver());
-    channel_attempts_.assign(topology_.num_channels(), 0);
-    channel_ack_attempts_.assign(topology_.num_channels(), 0);
-    retry_pending_.assign(topology_.num_channels(), 0);
-    reconnect_pending_.assign(topology_.num_channels(), 0);
+    std::vector<ChannelId> channels;
+    channels.reserve(topology_.num_channels());
+    for (const ChannelSpec& spec : topology_.channels()) {
+      channels.push_back(spec.id);
+    }
+    link_.emplace(channels, channels, *config_.faults, config_.reliable,
+                  metrics_, nullptr);
   }
 
   // Schedule on_start for every process at t=0, in id order.
@@ -570,23 +649,24 @@ void Simulation::dispatch(Lane* lane, const Event& event) {
       call.closure(ctx, *processes_[event.target.value()]);
       break;
     }
-    case Event::Kind::kRelFrame:
-      on_rel_frame(lane, event);
+    case Event::Kind::kRelFrame: {
+      SimLinkPort port(*this, lane, event.target, at);
+      link_->receive(port, event.channel.value(), event.rel_seq,
+                     take_parcel(lane, event.slot), event.wire_bytes);
+      link_->acknowledge(port, event.channel.value());
       break;
+    }
     case Event::Kind::kRelAck:
-      rel_send_[event.channel.value()].ack(event.rel_seq);
+      link_->on_ack(event.channel.value(), event.rel_seq);
       break;
-    case Event::Kind::kRelRetry:
-      retry_pending_[event.channel.value()] = 0;
-      check_retries(lane, at, event.channel);
+    case Event::Kind::kRelRetry: {
+      SimLinkPort port(*this, lane, event.target, at);
+      link_->on_retry(port, event.channel.value(), at);
       break;
+    }
     case Event::Kind::kRelRestore: {
-      const std::size_t c = event.channel.value();
-      reconnect_pending_[c] = 0;
-      metrics_.on_reconnect();
-      const std::size_t replayed = rel_send_[c].mark_all_due(at);
-      metrics_.on_resync_replayed(replayed);
-      check_retries(lane, at, event.channel);
+      SimLinkPort port(*this, lane, event.target, at);
+      link_->resync(port, event.channel.value(), at);
       break;
     }
   }
@@ -649,14 +729,12 @@ void Simulation::do_send(Lane* lane, ProcessId sender, TimePoint at,
                              channel_in_flight_[channel.value()]);
   }
 
-  if (config_.faults) {
-    // Lossy transport: stage in the retransmit window, then subject the
-    // first physical transmission attempt to the fault plan.  In-order
-    // release is the receiver's job, so no FIFO floor here.
-    const std::uint64_t seq = rel_send_[channel.value()].stage(
-        std::move(message), wire_bytes, at);
-    transmit_frame(lane, at, channel, seq);
-    schedule_retry_check(lane, at, channel);
+  if (link_) {
+    // Lossy transport: the link stages the message and subjects each
+    // transmission attempt to the fault plan.  In-order release is the
+    // receiver's job, so no FIFO floor here.
+    SimLinkPort port(*this, lane, sender, at);
+    link_->send(port, channel.value(), std::move(message), wire_bytes, at);
     return;
   }
 
@@ -691,143 +769,6 @@ Duration Simulation::sample_latency(ChannelId channel, std::uint64_t key) {
   const Duration delay = config_.latency->sample(channel, latency_rng);
   DDBG_ASSERT(delay.ns >= 0, "latency must be non-negative");
   return delay;
-}
-
-void Simulation::transmit_frame(Lane* lane, TimePoint at, ChannelId channel,
-                                std::uint64_t seq) {
-  const std::size_t c = channel.value();
-  const ReliableSender::Staged* staged = rel_send_[c].peek(seq);
-  if (staged == nullptr) return;  // acked while a retry was queued
-  const std::uint64_t attempt = channel_attempts_[c]++;
-  const FaultDecision fault = config_.faults->decide(channel, attempt);
-  Duration delay = sample_latency(channel, attempt);
-
-  switch (fault.kind) {
-    case FaultKind::kDrop:
-    case FaultKind::kPartition:
-      metrics_.on_fault(fault_index(fault.kind));
-      return;  // frame vanishes; the retransmit timer recovers
-    case FaultKind::kReset: {
-      metrics_.on_fault(fault_index(fault.kind));
-      metrics_.on_channel_down();
-      // The frame is lost with the connection.  Model reconnection as a
-      // delayed resync: once the channel is back, every unacked frame is
-      // replayed (at most one reconnect in flight per channel).  The
-      // resync is sender-side work, so it rides a kRelRestore event
-      // targeting the channel source — never a serial barrier.
-      if (reconnect_pending_[c] != 0) return;
-      reconnect_pending_[c] = 1;
-      Event restore;
-      restore.when = at + config_.reliable.rto_initial;
-      restore.kind = Event::Kind::kRelRestore;
-      restore.target = topology_.channel(channel).source;
-      restore.channel = channel;
-      emit_child(lane, restore);
-      return;
-    }
-    case FaultKind::kDuplicate: {
-      metrics_.on_fault(fault_index(fault.kind));
-      // Second copy rides a delay drawn from the ack stream's key space so
-      // it is independent of (and often overtakes) the first.
-      const Duration dup_delay =
-          sample_latency(channel, attempt ^ 0x8000000000000000ULL);
-      Event dup;
-      dup.when = at + dup_delay;
-      dup.kind = Event::Kind::kRelFrame;
-      dup.target = topology_.channel(channel).destination;
-      dup.channel = channel;
-      dup.rel_seq = seq;
-      dup.wire_bytes = static_cast<std::uint32_t>(staged->meta);
-      emit_parcel(lane, dup, staged->message);
-      break;
-    }
-    case FaultKind::kReorder:
-    case FaultKind::kDelay:
-      metrics_.on_fault(fault_index(fault.kind));
-      delay = delay + fault.extra_delay;
-      break;
-    case FaultKind::kNone:
-      break;
-  }
-
-  Event event;
-  event.when = at + delay;
-  event.kind = Event::Kind::kRelFrame;
-  event.target = topology_.channel(channel).destination;
-  event.channel = channel;
-  event.rel_seq = seq;
-  event.wire_bytes = static_cast<std::uint32_t>(staged->meta);
-  emit_parcel(lane, event, staged->message);
-}
-
-void Simulation::schedule_retry_check(Lane* lane, TimePoint at,
-                                      ChannelId channel) {
-  const std::size_t c = channel.value();
-  if (retry_pending_[c] != 0) return;
-  const auto deadline = rel_send_[c].next_deadline();
-  if (!deadline.has_value()) return;
-  retry_pending_[c] = 1;
-  Event event;
-  event.when = *deadline < at ? at : *deadline;
-  event.kind = Event::Kind::kRelRetry;
-  event.target = topology_.channel(channel).source;
-  event.channel = channel;
-  emit_child(lane, event);
-}
-
-void Simulation::check_retries(Lane* lane, TimePoint at, ChannelId channel) {
-  const std::size_t c = channel.value();
-  std::vector<std::uint64_t>& due = rel_scratch(lane).due;
-  rel_send_[c].due(at, due);
-  for (const std::uint64_t seq : due) {
-    metrics_.on_retransmit();
-    transmit_frame(lane, at, channel, seq);
-  }
-  schedule_retry_check(lane, at, channel);
-}
-
-void Simulation::send_ack(Lane* lane, TimePoint at, ChannelId channel) {
-  const std::size_t c = channel.value();
-  const std::uint64_t attempt = channel_ack_attempts_[c]++;
-  const FaultDecision fault = config_.faults->decide_ack(channel, attempt);
-  if (fault.kind == FaultKind::kDrop) {
-    metrics_.on_fault(fault_index(fault.kind));
-    return;  // a later (re)transmission elicits a fresh ack
-  }
-  Duration delay =
-      sample_latency(channel, attempt ^ 0x4000000000000000ULL);
-  if (fault.kind == FaultKind::kDelay) {
-    metrics_.on_fault(fault_index(fault.kind));
-    delay = delay + fault.extra_delay;
-  }
-  Event event;
-  event.when = at + delay;
-  event.kind = Event::Kind::kRelAck;
-  event.target = topology_.channel(channel).source;
-  event.channel = channel;
-  event.rel_seq = rel_recv_[c].cum_ack();
-  emit_child(lane, event);
-}
-
-void Simulation::on_rel_frame(Lane* lane, const Event& event) {
-  const std::size_t c = event.channel.value();
-  std::vector<ReliableReceiver::Delivery>& released =
-      rel_scratch(lane).released;
-  released.clear();
-  const auto accept =
-      rel_recv_[c].on_frame(event.rel_seq, take_parcel(lane, event.slot),
-                            event.wire_bytes, released);
-  if (accept == ReliableReceiver::Accept::kDuplicate) {
-    metrics_.on_dup_suppressed();
-  }
-  for (auto& delivery : released) {
-    release_delivery(lane, event.when, event.channel, event.target,
-                     std::move(delivery.message),
-                     static_cast<std::uint32_t>(delivery.meta));
-  }
-  // Ack every arrival, duplicates included: a re-ack is what stops the
-  // sender retransmitting a frame whose ack was lost.
-  send_ack(lane, event.when, event.channel);
 }
 
 void Simulation::release_delivery(Lane* lane, TimePoint at, ChannelId channel,

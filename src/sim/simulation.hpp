@@ -24,6 +24,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <type_traits>
 #include <unordered_set>
 #include <vector>
@@ -35,7 +36,7 @@
 #include "common/worker_pool.hpp"
 #include "net/fault_plan.hpp"
 #include "net/process.hpp"
-#include "net/reliable.hpp"
+#include "net/reliable_link.hpp"
 #include "net/topology.hpp"
 #include "net/transport_hooks.hpp"
 #include "sim/latency_model.hpp"
@@ -111,9 +112,6 @@ class Simulation {
   [[nodiscard]] TimePoint now() const { return now_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] Process& process(ProcessId id);
-  [[nodiscard]] TransportStats stats() const {
-    return transport_stats_from(metrics_);
-  }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
@@ -131,6 +129,7 @@ class Simulation {
 
  private:
   friend class SimProcessContext;
+  friend class SimLinkPort;
 
   // A queued event: a small, trivially copyable key, so the heaps, the
   // window batch and staged children hold it by value.  What an event
@@ -142,8 +141,8 @@ class Simulation {
     std::uint64_t seq = 0;      // tie-breaker: FIFO among same-time events
     std::uint64_t rel_seq = 0;  // kRelFrame: data seq; kRelAck: cum ack
     // kRelFrame/kRelAck/kRelRetry/kRelRestore exist only under a
-    // FaultPlan: a data frame arriving at the reliability receiver, a
-    // cumulative ack arriving back at the sender, a retransmit-timer
+    // FaultPlan: a data frame arriving at the destination's ReliableLink, a
+    // cumulative ack arriving back at the source's, an armed retransmit
     // check, and a post-reset reconnect resync.
     enum class Kind : std::uint8_t {
       kStart,
@@ -242,13 +241,6 @@ class Simulation {
     std::vector<Effect> effects;
   };
 
-  // Reliability-layer scratch, reused by every retry check and arriving
-  // frame: one for the sequential engine and one per lane.
-  struct RelScratch {
-    std::vector<std::uint64_t> due;
-    std::vector<ReliableReceiver::Delivery> released;
-  };
-
   // Per-worker staging lane.  Touched only by its worker between the
   // window barriers, and only by the coordinator outside them.
   struct Lane {
@@ -271,7 +263,6 @@ class Simulation {
     std::vector<std::uint64_t> bound_seq;
     // Parcel slots this worker's dispatches moved out of; commit frees them.
     std::vector<std::uint32_t> freed_parcels;
-    RelScratch rel;
     Bytes scratch;  // wire-size encoding buffer (pool_ is coordinator-only)
   };
 
@@ -283,9 +274,6 @@ class Simulation {
   void emit_parcel(Lane* lane, Event event, Message message);
   // Move a parcel's message out of its slot.
   Message take_parcel(Lane* lane, std::uint32_t slot);
-  [[nodiscard]] RelScratch& rel_scratch(Lane* lane) {
-    return lane != nullptr ? lane->rel : rel_scratch_;
-  }
   void dispatch(Lane* lane, const Event& event);
   void do_send(Lane* lane, ProcessId sender, TimePoint at, ChannelId channel,
                Message message);
@@ -306,17 +294,7 @@ class Simulation {
     return p.value() % lanes_.size();
   }
 
-  // ---- reliability layer (faults != nullptr only) ----
   [[nodiscard]] Duration sample_latency(ChannelId channel, std::uint64_t key);
-  // One physical transmission attempt of staged frame `seq`, subjected to
-  // the fault plan.
-  void transmit_frame(Lane* lane, TimePoint at, ChannelId channel,
-                      std::uint64_t seq);
-  // Retransmit everything due on `channel` and re-arm the retry event.
-  void check_retries(Lane* lane, TimePoint at, ChannelId channel);
-  void schedule_retry_check(Lane* lane, TimePoint at, ChannelId channel);
-  void send_ack(Lane* lane, TimePoint at, ChannelId channel);
-  void on_rel_frame(Lane* lane, const Event& event);
   void release_delivery(Lane* lane, TimePoint at, ChannelId channel,
                         ProcessId target, Message message,
                         std::uint32_t wire_bytes);
@@ -356,16 +334,14 @@ class Simulation {
   // Per-channel send counts, keying the stateless latency streams.
   std::vector<std::uint64_t> channel_send_seq_;
 
-  // Reliability state, indexed by channel; empty unless config_.faults.
-  // Sender-side state is touched only by the channel source's dispatch
-  // context, receiver-side only by the destination's.
-  std::vector<ReliableSender> rel_send_;
-  std::vector<ReliableReceiver> rel_recv_;
-  std::vector<std::uint64_t> channel_attempts_;      // data fault stream
-  std::vector<std::uint64_t> channel_ack_attempts_;  // ack fault stream
-  std::vector<char> retry_pending_;      // a kRelRetry event is queued
-  std::vector<char> reconnect_pending_;  // a post-reset resync is queued
-  RelScratch rel_scratch_;  // sequential engine's
+  // The reliability driver, set iff config_.faults.  One link drives every
+  // channel, with the channel id as both its out and in slot, so the
+  // per-channel state stays in flat arrays (per-process links measured
+  // ~8% slower on the chaos tier benchmark).  An out slot is touched only
+  // from its channel source's dispatch context, an in slot only from its
+  // destination's: sender-side events target the source, frames the
+  // destination.
+  std::optional<ReliableLink> link_;
 
   // Parallel engine state; lanes_ is sized on first parallel run (deque:
   // lanes hold move-only staging state and never relocate).

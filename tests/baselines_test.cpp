@@ -39,7 +39,7 @@ TEST(CentralHub, MessagesFlowThroughHub) {
   const auto& hub = dynamic_cast<HubRouterProcess&>(sim.process(info.hub));
   EXPECT_EQ(hub.forwarded(), 12u);  // every token hop crossed the hub
   // Exactly double the wire messages of the direct run.
-  EXPECT_EQ(sim.stats().messages_sent, 24u);
+  EXPECT_EQ(sim.metrics().totals().messages_sent, 24u);
 }
 
 TEST(CentralHub, DoublesMessageCountVsDirect) {
@@ -50,12 +50,12 @@ TEST(CentralHub, DoublesMessageCountVsDirect) {
   {
     Simulation sim(Topology::ring(4), make_gossip(4, gossip));
     sim.run_until_quiescent();
-    direct_messages = sim.stats().messages_sent;
+    direct_messages = sim.metrics().totals().messages_sent;
   }
   const HubTopology info = make_hub_topology(Topology::ring(4));
   Simulation sim(info.topology, wrap_for_hub(info, make_gossip(4, gossip)));
   sim.run_until_quiescent();
-  EXPECT_EQ(sim.stats().messages_sent, 2 * direct_messages);
+  EXPECT_EQ(sim.metrics().totals().messages_sent, 2 * direct_messages);
 }
 
 TEST(CentralHub, UserSeesOriginalTopology) {

@@ -10,13 +10,16 @@
 // checks (analysis/consistency) must keep holding on every halted state.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/consistency.hpp"
@@ -27,6 +30,9 @@
 #include "debugger/session.hpp"
 #include "net/fault_plan.hpp"
 #include "net/reliable.hpp"
+#include "net/reliable_link.hpp"
+#include "net/replay_hooks.hpp"
+#include "net/transport_hooks.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/tcp_runtime.hpp"
 #include "sim/simulation.hpp"
@@ -437,6 +443,394 @@ TEST(ChaosReliable, HeaderRoundTrip) {
   corrupt[0] = 0x7f;  // bad tag
   ByteReader bad(corrupt);
   EXPECT_FALSE(RelHeader::decode(bad).ok());
+}
+
+// ---------------------------------------------------------------------------
+// ReliableLink: the one reliability driver, through a fake port and a
+// hand-set clock
+// ---------------------------------------------------------------------------
+
+// One request the link made of its substrate.
+struct PortCall {
+  enum class Kind { kData, kAck, kLose, kRetry, kDeliver } kind;
+  std::size_t slot = 0;
+  // kData: frame seq; kAck: cumulative ack; kDeliver: payload number.
+  std::uint64_t value = 0;
+  std::uint64_t attempt = 0;  // kData / kAck
+  Duration extra{0};          // kData / kAck
+  bool copy = false;          // kData
+  TimePoint at{0};            // kLose: resync time; kRetry: retry time
+
+  bool operator==(const PortCall&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const PortCall& c) {
+    return os << "{kind " << static_cast<int>(c.kind) << " slot " << c.slot
+              << " value " << c.value << " attempt " << c.attempt
+              << " extra " << c.extra.ns << " copy " << c.copy << " at "
+              << c.at.ns << "}";
+  }
+};
+
+PortCall data(std::uint64_t seq, std::uint64_t attempt, Duration extra = {},
+              bool copy = false) {
+  return {PortCall::Kind::kData, 0, seq, attempt, extra, copy, TimePoint{0}};
+}
+PortCall ack(std::uint64_t cum, std::uint64_t attempt, Duration extra = {}) {
+  return {PortCall::Kind::kAck, 0, cum, attempt, extra, false, TimePoint{0}};
+}
+PortCall lose(TimePoint resync_at) {
+  return {PortCall::Kind::kLose, 0, 0, 0, Duration{0}, false, resync_at};
+}
+PortCall retry(TimePoint when) {
+  return {PortCall::Kind::kRetry, 0, 0, 0, Duration{0}, false, when};
+}
+PortCall delivered(std::uint64_t number) {
+  return {PortCall::Kind::kDeliver, 0, number, 0, Duration{0}, false,
+          TimePoint{0}};
+}
+
+class FakePort final : public ReliableLink::Port {
+ public:
+  void transmit_data(std::size_t slot, ChannelId channel, std::uint64_t seq,
+                     const ReliableSender::Staged& staged,
+                     std::uint64_t attempt, Duration extra,
+                     bool copy) override {
+    EXPECT_EQ(channel, ChannelId(0));    // p0's out-slot 0
+    EXPECT_EQ(number_of(&staged), seq);  // numbered(seq) was sent as seq
+    calls.push_back(
+        {PortCall::Kind::kData, slot, seq, attempt, extra, copy, {}});
+  }
+  void transmit_ack(std::size_t slot, ChannelId channel,
+                    std::uint64_t cum_ack, std::uint64_t attempt,
+                    Duration extra) override {
+    EXPECT_EQ(channel, ChannelId(1));  // p0's in-slot 0
+    calls.push_back(
+        {PortCall::Kind::kAck, slot, cum_ack, attempt, extra, false, {}});
+  }
+  void lose_connection(std::size_t slot, ChannelId channel,
+                       TimePoint resync_at) override {
+    EXPECT_EQ(channel, ChannelId(0));
+    calls.push_back({PortCall::Kind::kLose, slot, 0, 0, {}, false, resync_at});
+  }
+  void arm_retry(std::size_t slot, ChannelId channel,
+                 TimePoint when) override {
+    EXPECT_EQ(channel, ChannelId(0));
+    calls.push_back({PortCall::Kind::kRetry, slot, 0, 0, {}, false, when});
+  }
+  void deliver(std::size_t slot, ChannelId channel, Message&& message,
+               std::uint64_t) override {
+    EXPECT_EQ(channel, ChannelId(1));
+    ByteReader reader(message.payload);
+    calls.push_back({PortCall::Kind::kDeliver, slot, reader.u32().value(), 0,
+                     {}, false, {}});
+  }
+
+  // The calls since the last take(), in order.
+  std::vector<PortCall> take() { return std::exchange(calls, {}); }
+
+  std::vector<PortCall> calls;
+};
+
+// Replay annotations as (kind, channel, detail), in order.
+using Note = std::array<std::uint64_t, 3>;
+
+class AnnotationLog final : public ReplaySink {
+ public:
+  void record_delivery(ProcessId, ChannelId, std::uint64_t, std::uint64_t,
+                       std::uint64_t) override {}
+  void record_timer_set(ProcessId, std::uint64_t, TimerId) override {}
+  void record_timer_fire(ProcessId, std::uint64_t) override {}
+  void record_halt_cut(std::uint64_t, Bytes) override {}
+  void record_annotation(std::uint8_t kind, ChannelId channel,
+                         std::uint64_t detail) override {
+    notes.push_back({kind, channel.value(), detail});
+  }
+
+  std::vector<Note> notes;
+};
+
+// Every transport counter the link moves.
+struct Counters {
+  std::array<std::uint64_t, kNumFaultKinds> faults{};
+  std::uint64_t retransmits = 0;
+  std::uint64_t dup_suppressed = 0;
+  std::uint64_t reconnects = 0;
+  std::uint64_t resync_replayed = 0;
+  std::uint64_t channel_down = 0;
+
+  bool operator==(const Counters&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const Counters& c) {
+    os << "{faults";
+    for (const std::uint64_t n : c.faults) os << ' ' << n;
+    return os << " retransmits " << c.retransmits << " dup_suppressed "
+              << c.dup_suppressed << " reconnects " << c.reconnects
+              << " resync_replayed " << c.resync_replayed << " channel_down "
+              << c.channel_down << "}";
+  }
+};
+
+Counters only_fault(FaultKind kind, std::uint64_t n = 1) {
+  Counters c;
+  c.faults[fault_index(kind)] = n;
+  return c;
+}
+
+Topology two_way_pair() {
+  Topology topology(2);
+  topology.add_channel(ProcessId(0), ProcessId(1));  // c0: p0's out slot 0
+  topology.add_channel(ProcessId(1), ProcessId(0));  // c1: p0's in slot 0
+  return topology;
+}
+
+ReliableConfig link_config() {
+  ReliableConfig config;
+  config.rto_initial = Duration::millis(10);
+  config.rto_max = Duration::millis(40);
+  return config;
+}
+
+constexpr std::uint8_t note_kind(FaultKind kind) {
+  return static_cast<std::uint8_t>(fault_index(kind));
+}
+
+// Process 0's link under `spec`: sends on c0, receives on c1.
+struct LinkRig {
+  explicit LinkRig(FaultSpec spec = {})
+      : plan(spec, 7),
+        topology(two_way_pair()),
+        metrics("sim", 2, channel_meta(topology)),
+        link(topology.out_channels(ProcessId(0)),
+             topology.in_channels(ProcessId(0)), plan, link_config(),
+             metrics, &log) {}
+
+  void send(std::uint32_t number, TimePoint now) {
+    link.send(port, 0, numbered(number), number, now);
+  }
+  void receive(std::uint32_t seq) {
+    link.receive(port, 0, seq, numbered(seq), 0);
+  }
+
+  [[nodiscard]] Counters counters() const {
+    const obs::TransportSnapshot t = metrics.snapshot(TimePoint{0}).transport;
+    Counters c;
+    for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
+      c.faults[k] = t.faults_injected[k];
+    }
+    c.retransmits = t.retransmits;
+    c.dup_suppressed = t.dup_suppressed;
+    c.reconnects = t.reconnects;
+    c.resync_replayed = t.resync_replayed;
+    c.channel_down = t.channel_down;
+    return c;
+  }
+
+  FaultPlan plan;
+  Topology topology;
+  obs::MetricsRegistry metrics;
+  AnnotationLog log;
+  ReliableLink link;
+  FakePort port;
+};
+
+constexpr TimePoint at_ms(std::int64_t ms) {
+  return TimePoint{Duration::millis(ms).ns};
+}
+
+TEST(ChaosReliableLink, CleanSendTransmitsOnceAndArmsOneRetry) {
+  LinkRig rig;
+  rig.send(1, at_ms(0));
+  EXPECT_EQ(rig.port.take(),
+            (std::vector<PortCall>{data(1, 0), retry(at_ms(10))}));
+  // The armed check covers the second frame too: no second arm.
+  rig.send(2, at_ms(1));
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{data(2, 1)}));
+  EXPECT_EQ(rig.counters(), Counters{});
+  EXPECT_TRUE(rig.log.notes.empty());
+}
+
+TEST(ChaosReliableLink, DropVanishesAndTheRetryResends) {
+  FaultSpec spec;
+  spec.drop = 1.0;
+  LinkRig rig(spec);
+  rig.send(1, at_ms(0));
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{retry(at_ms(10))}));
+  EXPECT_EQ(rig.counters(), only_fault(FaultKind::kDrop));
+  // The retry retransmits (dropped again) and re-arms with doubled RTO.
+  rig.link.on_retry(rig.port, 0, at_ms(10));
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{retry(at_ms(30))}));
+  Counters expected = only_fault(FaultKind::kDrop, 2);
+  expected.retransmits = 1;
+  EXPECT_EQ(rig.counters(), expected);
+  EXPECT_EQ(rig.log.notes,
+            (std::vector<Note>{{note_kind(FaultKind::kDrop), 0, 0},
+                               {note_kind(FaultKind::kDrop), 0, 1}}));
+}
+
+TEST(ChaosReliableLink, PartitionDropsOnlyInsideItsWindow) {
+  FaultSpec spec;
+  spec.partition_from = 0;
+  spec.partition_until = 1;
+  LinkRig rig(spec);
+  rig.send(1, at_ms(0));
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{retry(at_ms(10))}));
+  rig.link.on_retry(rig.port, 0, at_ms(10));
+  EXPECT_EQ(rig.port.take(),
+            (std::vector<PortCall>{data(1, 1), retry(at_ms(30))}));
+  Counters expected = only_fault(FaultKind::kPartition);
+  expected.retransmits = 1;
+  EXPECT_EQ(rig.counters(), expected);
+  EXPECT_EQ(rig.log.notes,
+            (std::vector<Note>{{note_kind(FaultKind::kPartition), 0, 0}}));
+}
+
+TEST(ChaosReliableLink, DuplicateSendsTheCopyThenTheOriginal) {
+  FaultSpec spec;
+  spec.duplicate = 1.0;
+  LinkRig rig(spec);
+  rig.send(1, at_ms(0));
+  EXPECT_EQ(rig.port.take(),
+            (std::vector<PortCall>{data(1, 0, Duration{0}, true), data(1, 0),
+                                   retry(at_ms(10))}));
+  EXPECT_EQ(rig.counters(), only_fault(FaultKind::kDuplicate));
+  EXPECT_EQ(rig.log.notes,
+            (std::vector<Note>{{note_kind(FaultKind::kDuplicate), 0, 0}}));
+}
+
+TEST(ChaosReliableLink, ReorderAndDelayAddTheirExtraTime) {
+  for (const FaultKind kind : {FaultKind::kReorder, FaultKind::kDelay}) {
+    FaultSpec spec;
+    spec.reorder_delay = Duration::millis(8);
+    spec.extra_delay = Duration::millis(3);
+    (kind == FaultKind::kReorder ? spec.reorder : spec.delay) = 1.0;
+    const Duration extra = kind == FaultKind::kReorder ? spec.reorder_delay
+                                                       : spec.extra_delay;
+    LinkRig rig(spec);
+    rig.send(1, at_ms(0));
+    EXPECT_EQ(rig.port.take(),
+              (std::vector<PortCall>{data(1, 0, extra), retry(at_ms(10))}))
+        << to_string(kind);
+    EXPECT_EQ(rig.counters(), only_fault(kind)) << to_string(kind);
+    EXPECT_EQ(rig.log.notes, (std::vector<Note>{{note_kind(kind), 0, 0}}))
+        << to_string(kind);
+  }
+}
+
+TEST(ChaosReliableLink, ResetLosesTheConnectionOncePerOutage) {
+  FaultSpec spec;
+  spec.reset = 1.0;
+  LinkRig rig(spec);
+  rig.send(1, at_ms(0));
+  EXPECT_EQ(rig.port.take(),
+            (std::vector<PortCall>{lose(at_ms(10)), retry(at_ms(10))}));
+  // A second reset while the reconnect is pending is counted but schedules
+  // no second resync.
+  rig.send(2, at_ms(1));
+  EXPECT_TRUE(rig.port.take().empty());
+  Counters expected = only_fault(FaultKind::kReset, 2);
+  expected.channel_down = 2;
+  EXPECT_EQ(rig.counters(), expected);
+  // The resync replays both frames; the first one's reset starts a new
+  // outage, the second is inside it.
+  rig.link.resync(rig.port, 0, at_ms(10));
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{lose(at_ms(20))}));
+  expected = only_fault(FaultKind::kReset, 4);
+  expected.channel_down = 4;
+  expected.retransmits = 2;
+  expected.reconnects = 1;
+  expected.resync_replayed = 2;
+  EXPECT_EQ(rig.counters(), expected);
+  const std::uint8_t reset = note_kind(FaultKind::kReset);
+  EXPECT_EQ(rig.log.notes,
+            (std::vector<Note>{{reset, 0, 0},
+                               {reset, 0, 1},
+                               {kReplayAnnotationReconnect, 0, 0},
+                               {kReplayAnnotationResync, 0, 2},
+                               {reset, 0, 2},
+                               {reset, 0, 3}}));
+}
+
+TEST(ChaosReliableLink, ResyncReplaysExactlyTheUnackedWindow) {
+  LinkRig rig;
+  for (std::uint32_t n = 1; n <= 3; ++n) rig.send(n, at_ms(0));
+  rig.port.take();
+  rig.link.on_ack(0, 1);
+  rig.link.resync(rig.port, 0, at_ms(5));
+  // Frames 2 and 3 go out again; the check armed at t=10ms still stands.
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{data(2, 3), data(3, 4)}));
+  Counters expected;
+  expected.retransmits = 2;
+  expected.reconnects = 1;
+  expected.resync_replayed = 2;
+  EXPECT_EQ(rig.counters(), expected);
+  EXPECT_EQ(rig.log.notes,
+            (std::vector<Note>{{kReplayAnnotationReconnect, 0, 0},
+                               {kReplayAnnotationResync, 0, 2}}));
+}
+
+TEST(ChaosReliableLink, FrameAckedBeforeItsRetryIsNotResent) {
+  LinkRig rig;
+  rig.send(1, at_ms(0));
+  rig.send(2, at_ms(0));
+  rig.port.take();
+  rig.link.on_ack(0, 1);
+  // Only frame 2 is still unacked when the retry fires.
+  rig.link.on_retry(rig.port, 0, at_ms(10));
+  EXPECT_EQ(rig.port.take(),
+            (std::vector<PortCall>{data(2, 2), retry(at_ms(30))}));
+  EXPECT_EQ(rig.link.peek(0, 1), nullptr);
+  // Once everything is acked the retry resends nothing and disarms.
+  rig.link.on_ack(0, 2);
+  rig.link.on_retry(rig.port, 0, at_ms(30));
+  EXPECT_TRUE(rig.port.take().empty());
+  Counters expected;
+  expected.retransmits = 1;
+  EXPECT_EQ(rig.counters(), expected);
+  EXPECT_TRUE(rig.log.notes.empty());
+}
+
+TEST(ChaosReliableLink, ReceiverReleasesInOrderAndAcksEveryArrival) {
+  LinkRig rig;
+  rig.receive(2);  // early: held
+  rig.link.acknowledge(rig.port, 0);
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{ack(0, 0)}));
+  rig.receive(1);  // fills the gap: both released, in order
+  rig.link.acknowledge(rig.port, 0);
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{delivered(1), delivered(2),
+                                                    ack(2, 1)}));
+  rig.receive(1);  // duplicate: suppressed, but still acked
+  rig.link.acknowledge(rig.port, 0);
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{ack(2, 2)}));
+  Counters expected;
+  expected.dup_suppressed = 1;
+  EXPECT_EQ(rig.counters(), expected);
+  EXPECT_TRUE(rig.log.notes.empty());
+}
+
+TEST(ChaosReliableLink, AckDropIsCountedAndNothingIsSent) {
+  FaultSpec spec;
+  spec.drop = 1.0;
+  LinkRig rig(spec);
+  rig.receive(1);
+  rig.link.acknowledge(rig.port, 0);
+  EXPECT_EQ(rig.port.take(), (std::vector<PortCall>{delivered(1)}));
+  EXPECT_EQ(rig.counters(), only_fault(FaultKind::kDrop));
+  // Ack faults are annotated on the in-channel (c1).
+  EXPECT_EQ(rig.log.notes,
+            (std::vector<Note>{{note_kind(FaultKind::kDrop), 1, 0}}));
+}
+
+TEST(ChaosReliableLink, AckDelayAddsItsExtraTime) {
+  FaultSpec spec;
+  spec.delay = 1.0;
+  spec.extra_delay = Duration::millis(3);
+  LinkRig rig(spec);
+  rig.receive(1);
+  rig.link.acknowledge(rig.port, 0);
+  EXPECT_EQ(rig.port.take(),
+            (std::vector<PortCall>{delivered(1),
+                                   ack(1, 0, Duration::millis(3))}));
+  EXPECT_EQ(rig.counters(), only_fault(FaultKind::kDelay));
+  EXPECT_EQ(rig.log.notes,
+            (std::vector<Note>{{note_kind(FaultKind::kDelay), 1, 0}}));
 }
 
 // ---------------------------------------------------------------------------

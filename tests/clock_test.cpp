@@ -2,37 +2,17 @@
 // graph, including a cross-check of the two ordering mechanisms.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstddef>
 
 #include "clock/happened_before.hpp"
 #include "clock/lamport.hpp"
 #include "clock/vector_clock.hpp"
 #include "common/serialization.hpp"
 
-// Global allocation counter for the hot-path allocation tests below.
-// Replacing operator new is binary-wide, so keep the hooks trivial.
-namespace {
-std::atomic<std::size_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Allocations made so far by this binary.  tests/alloc_counter.cpp replaces
+// the global operator new to count them; it is a separate translation unit
+// so the replaced operators are never inlined into the code under test.
+std::size_t allocation_count();
 
 namespace ddbg {
 namespace {
@@ -234,7 +214,7 @@ TEST(VectorClock, MergeAndCompareAreAllocationFreeOnceSized) {
   for (std::uint32_t i = 0; i < kProcs; i += 3) a.tick(ProcessId(i));
   for (std::uint32_t i = 1; i < kProcs; i += 2) b.tick(ProcessId(i));
 
-  const std::size_t before = g_allocation_count.load();
+  const std::size_t before = allocation_count();
   for (int round = 0; round < 100; ++round) {
     a.merge(b);
     b.merge(a);
@@ -243,7 +223,7 @@ TEST(VectorClock, MergeAndCompareAreAllocationFreeOnceSized) {
     a.tick(ProcessId(round % kProcs));
     b.on_receive(ProcessId((round + 7) % kProcs), a);
   }
-  EXPECT_EQ(g_allocation_count.load(), before)
+  EXPECT_EQ(allocation_count(), before)
       << "merge/compare/tick allocated on pre-sized clocks";
 }
 
@@ -253,11 +233,11 @@ TEST(VectorClock, CompareAgainstWiderClockIsAllocationFree) {
   narrow.tick(ProcessId(2));
   wide.tick(ProcessId(40));
   wide.tick(ProcessId(3));
-  const std::size_t before = g_allocation_count.load();
+  const std::size_t before = allocation_count();
   // Zero-extension comparison in both directions, no temporaries.
   EXPECT_EQ(narrow.compare(wide), CausalOrder::kConcurrent);
   EXPECT_EQ(wide.compare(narrow), CausalOrder::kConcurrent);
-  EXPECT_EQ(g_allocation_count.load(), before);
+  EXPECT_EQ(allocation_count(), before);
 }
 
 }  // namespace

@@ -5,9 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <cstddef>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "analysis/consistency.hpp"
@@ -17,27 +16,10 @@
 #include "obs/metrics.hpp"
 #include "workload/behaviors.hpp"
 
-// Replacing operator new is binary-wide, so keep the hooks trivial (same
-// pattern as clock_test.cpp): count every allocation so the convergecast
-// move-semantics tests can pin "no payload copies" as an allocation budget.
-namespace {
-std::atomic<std::size_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Allocations made so far by this binary (tests/alloc_counter.cpp): the
+// convergecast move-semantics tests pin "no payload copies" as an
+// allocation budget.
+std::size_t allocation_count();
 
 namespace ddbg {
 namespace {
@@ -408,9 +390,9 @@ ProcessSnapshot heavy_snapshot(std::uint32_t pid) {
 TEST(GlobalStateMove, AddByRvalueDoesNotCopyPayloads) {
   GlobalState state{HaltId(1)};
   ProcessSnapshot snapshot = heavy_snapshot(3);
-  const std::size_t before = g_allocation_count.load();
+  const std::size_t before = allocation_count();
   state.add(std::move(snapshot));
-  const std::size_t allocations = g_allocation_count.load() - before;
+  const std::size_t allocations = allocation_count() - before;
   // One map node plus slack; the 128 payload buffers must move, not copy.
   EXPECT_LE(allocations, 4u) << "aggregation path is copying snapshots";
   EXPECT_EQ(state.at(ProcessId(3)).in_channels.size(), 8u);
@@ -419,9 +401,9 @@ TEST(GlobalStateMove, AddByRvalueDoesNotCopyPayloads) {
 TEST(GlobalStateMove, TakeAllMovesSnapshotsOut) {
   GlobalState state{HaltId(1)};
   for (std::uint32_t p = 0; p < 4; ++p) state.add(heavy_snapshot(p));
-  const std::size_t before = g_allocation_count.load();
+  const std::size_t before = allocation_count();
   std::vector<ProcessSnapshot> all = state.take_all();
-  const std::size_t allocations = g_allocation_count.load() - before;
+  const std::size_t allocations = allocation_count() - before;
   // One vector allocation plus slack; 4 * 129 payload buffers must move.
   EXPECT_LE(allocations, 4u) << "take_all is copying snapshots";
   EXPECT_EQ(state.size(), 0u);

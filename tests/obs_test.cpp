@@ -315,20 +315,6 @@ TEST(MetricsParity, TcpRuntimeTransportCounters) {
   check_ring_transport(run_ring_tcp(), /*has_write_path=*/true);
 }
 
-// The TransportStats compatibility view must agree with the registry it is
-// derived from.
-TEST(MetricsParity, TransportStatsViewMatchesRegistry) {
-  Simulation sim(Topology::ring(kRingSize),
-                 make_token_ring(kRingSize, ring_config()));
-  sim.run_for(Duration::seconds(2));
-  const TransportStats stats = sim.stats();
-  const obs::TotalsSnapshot totals = sim.metrics().totals();
-  EXPECT_EQ(stats.messages_sent, totals.messages_sent);
-  EXPECT_EQ(stats.bytes_sent, totals.bytes_sent);
-  EXPECT_EQ(stats.app_messages_sent, totals.sent[kApp]);
-  EXPECT_EQ(stats.messages_sent, kExpectedTokens);
-}
-
 // ---------------------------------------------------------------------------
 // Golden outputs
 // ---------------------------------------------------------------------------

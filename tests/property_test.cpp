@@ -69,7 +69,7 @@ TEST_P(HaltSweep, HaltWaveInvariants) {
   harness.sim().run_for(Duration::millis(30));
 
   const std::uint64_t markers_before =
-      harness.sim().stats().halt_markers_sent;
+      sent_count(harness.sim().metrics().totals(), MessageKind::kHaltMarker);
   harness.session().halt();
   auto wave = harness.session().wait_for_halt(kWait);
 
@@ -95,7 +95,8 @@ TEST_P(HaltSweep, HaltWaveInvariants) {
 
   // P5: marker bound.
   const std::uint64_t markers =
-      harness.sim().stats().halt_markers_sent - markers_before;
+      sent_count(harness.sim().metrics().totals(), MessageKind::kHaltMarker) -
+      markers_before;
   EXPECT_LE(markers, total_channels);
 }
 

@@ -57,7 +57,7 @@ TEST(Runtime, DeliversMessagesAcrossThreads) {
   EXPECT_TRUE(Runtime::wait_until(
       [&] { return counter_ptr->received.load() == 100; }, kWait));
   runtime.shutdown();
-  EXPECT_EQ(runtime.stats().messages_sent, 100u);
+  EXPECT_EQ(runtime.metrics().totals().messages_sent, 100u);
 }
 
 TEST(Runtime, TimersFire) {

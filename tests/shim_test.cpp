@@ -133,12 +133,12 @@ TEST(DebugShim, VectorClockStampingCanBeDisabled) {
   users.push_back(std::make_unique<Instrumented>());
   users.push_back(std::make_unique<Instrumented>());
 
-  TransportStats stats_with;
+  std::uint64_t bytes_without = 0;
   {
     Simulation sim(topology,
                    wrap_in_shims(topology, std::move(users), options));
     sim.run_until_quiescent();
-    stats_with = sim.stats();
+    bytes_without = sim.metrics().totals().bytes_sent;
   }
   // With stamping on, the app message carries the clock -> more bytes.
   std::vector<ProcessPtr> users2;
@@ -149,7 +149,7 @@ TEST(DebugShim, VectorClockStampingCanBeDisabled) {
   Simulation sim2(topology, wrap_in_shims(topology, std::move(users2),
                                           options2));
   sim2.run_until_quiescent();
-  EXPECT_GT(sim2.stats().bytes_sent, stats_with.bytes_sent);
+  EXPECT_GT(sim2.metrics().totals().bytes_sent, bytes_without);
 }
 
 TEST(DebugShim, VarTableTracksLatestValue) {

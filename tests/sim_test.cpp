@@ -79,9 +79,9 @@ TEST(Simulation, DeliversMessages) {
   EXPECT_TRUE(sim.run_until_quiescent());
   auto& recorder = dynamic_cast<Recorder&>(sim.process(ProcessId(1)));
   EXPECT_EQ(recorder.received.size(), 3u);
-  EXPECT_EQ(sim.stats().messages_sent, 3u);
-  EXPECT_EQ(sim.stats().messages_delivered, 3u);
-  EXPECT_EQ(sim.stats().app_messages_sent, 3u);
+  EXPECT_EQ(sim.metrics().totals().messages_sent, 3u);
+  EXPECT_EQ(sim.metrics().totals().messages_delivered, 3u);
+  EXPECT_EQ(sent_count(sim.metrics().totals(), MessageKind::kApplication), 3u);
 }
 
 TEST(Simulation, FifoUnderRandomLatency) {

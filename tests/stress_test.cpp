@@ -147,13 +147,15 @@ TEST(Stress, LargeRandomTopology) {
       harness.topology().num_channels();
   harness.sim().run_for(Duration::millis(20));
   const std::uint64_t markers_before =
-      harness.sim().stats().halt_markers_sent;
+      sent_count(harness.sim().metrics().totals(), MessageKind::kHaltMarker);
   harness.session().halt();
   auto wave = harness.session().wait_for_halt(kWait);
   ASSERT_TRUE(wave.has_value());
   EXPECT_EQ(wave->state.size(), n);
   EXPECT_TRUE(consistent_cut(wave->state));
-  EXPECT_LE(harness.sim().stats().halt_markers_sent - markers_before,
+  EXPECT_LE(sent_count(harness.sim().metrics().totals(),
+                       MessageKind::kHaltMarker) -
+                markers_before,
             channels_with_control);
 }
 

@@ -19,7 +19,7 @@ TEST(TokenRing, CompletesConfiguredRounds) {
     EXPECT_EQ(process.tokens_seen(), 5u) << "p" << i;
   }
   // 5 rounds x 4 hops = 20 token messages.
-  EXPECT_EQ(sim.stats().app_messages_sent, 20u);
+  EXPECT_EQ(sent_count(sim.metrics().totals(), MessageKind::kApplication), 20u);
 }
 
 TEST(TokenRing, SnapshotStateReflectsProgress) {
@@ -83,7 +83,7 @@ TEST(Gossip, PayloadSizeHonored) {
   config.payload_bytes = 64;
   Simulation sim(Topology::ring(2), make_gossip(2, config));
   sim.run_until_quiescent();
-  EXPECT_GE(sim.stats().bytes_sent, 2u * 64u);
+  EXPECT_GE(sim.metrics().totals().bytes_sent, 2u * 64u);
 }
 
 TEST(Bank, ConservationAtQuiescence) {

@@ -1,17 +1,13 @@
-// Scale sweep: sequential vs windowed-parallel simulation.
+// Scale sweep of the simulator's event loop.
 //
 // Sweeps N in {64, 256, 1024} over {ring, tree, complete} topologies and
-// runs the same multi-token workload under the classic sequential event
-// loop (workers=1) and the conservative time-windowed parallel engine
-// (workers=4).  For every configuration it
+// runs a multi-token workload.  For every configuration it
 //
-//   1. times both modes (min of kTimingReps wall-clock repetitions),
-//   2. re-runs both with a recording transport observer and checks that
-//      the observer stream, event count, final virtual clock, workload
-//      checksum — and, where affordable, the full ddbg.metrics.v1 JSON —
-//      are byte-identical, aborting the binary on any divergence,
-//   3. records both snapshots into BENCH_scale.json with the measured
-//      wall-clock and speedup embedded in the run labels.
+//   1. times the run (min of kTimingReps wall-clock repetitions),
+//   2. re-runs it under a recording transport observer, optionally dumping
+//      the observer stream (see DDBG_SCALE_TRACE_DIR),
+//   3. records that run's metrics snapshot into BENCH_scale.json with the
+//      measured wall-clock embedded in the run label.
 //
 // A second table sweeps the hierarchical debugger tier: halt waves through
 // a fanout-16 aggregator tree over up to 100k simulated processes, each
@@ -23,8 +19,9 @@
 //   DDBG_SCALE_N          comma list restricting the N sweep and the
 //                         complete-graph halt sweep (e.g. "256")
 //   DDBG_SCALE_TREE_N     comma list restricting the tier sweep
-//   DDBG_SCALE_TRACE_DIR  directory to dump per-mode observer traces into,
-//                         as <topo>_n<N>_{seq,par}.trace, for external diff
+//   DDBG_SCALE_TRACE_DIR  directory to dump observer traces into, as
+//                         <topo>_n<N>.trace; two runs of the binary must
+//                         write identical files (CI diffs them)
 //   DDBG_METRICS_DIR      where BENCH_scale.json goes (bench_util.hpp)
 #include <benchmark/benchmark.h>
 
@@ -45,8 +42,7 @@ namespace {
 // Every process injects one token at start; each token is forwarded kHops
 // times with kSpin rounds of deterministic integer mixing per delivery
 // (standing in for a real handler body).  N concurrent tokens advance in
-// lockstep — one window per hop — so the parallel engine has N events to
-// distribute per window.
+// lockstep, one hop per millisecond of virtual time.
 constexpr std::uint32_t kHops = 48;
 constexpr std::uint32_t kSpin = 2000;
 constexpr int kTimingReps = 3;
@@ -129,11 +125,9 @@ Topology make_ring(std::uint32_t n) { return Topology::ring(n); }
 Topology make_tree(std::uint32_t n) { return Topology::tree(n, 2); }
 Topology make_complete(std::uint32_t n) { return Topology::complete(n); }
 
-std::unique_ptr<Simulation> make_sim(const Config& config,
-                                     std::uint32_t workers) {
+std::unique_ptr<Simulation> make_sim(const Config& config) {
   SimulationConfig sim_config;
   sim_config.seed = 1;
-  sim_config.workers = workers;
   sim_config.latency = constant_latency(Duration::millis(1));
   return std::make_unique<Simulation>(config.make(config.n),
                                       make_scale_tokens(config.n),
@@ -149,10 +143,10 @@ std::uint64_t checksum_sum(Simulation& sim, std::uint32_t n) {
   return sum;
 }
 
-double time_mode(const Config& config, std::uint32_t workers) {
+double time_run(const Config& config) {
   double best_ms = 0;
   for (int rep = 0; rep < kTimingReps; ++rep) {
-    auto sim = make_sim(config, workers);
+    auto sim = make_sim(config);
     const auto start = std::chrono::steady_clock::now();
     sim->run_until_quiescent();
     const auto stop = std::chrono::steady_clock::now();
@@ -164,12 +158,11 @@ double time_mode(const Config& config, std::uint32_t workers) {
   return best_ms;
 }
 
-void write_trace(const Config& config, const char* mode,
-                 const std::string& trace) {
+void write_trace(const Config& config, const std::string& trace) {
   const char* dir = std::getenv("DDBG_SCALE_TRACE_DIR");
   if (dir == nullptr || *dir == '\0') return;
   const std::string path = std::string(dir) + "/" + config.topo + "_n" +
-                           std::to_string(config.n) + "_" + mode + ".trace";
+                           std::to_string(config.n) + ".trace";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_scale: cannot write %s\n", path.c_str());
@@ -177,14 +170,6 @@ void write_trace(const Config& config, const char* mode,
   }
   std::fwrite(trace.data(), 1, trace.size(), f);
   std::fclose(f);
-}
-
-void fail(const Config& config, const char* what) {
-  std::fprintf(stderr,
-               "bench_scale: %s n=%u: parallel run diverged from "
-               "sequential (%s)\n",
-               config.topo, config.n, what);
-  std::exit(1);
 }
 
 // Comma list of sizes from environment variable `name`, or `defaults` when
@@ -202,49 +187,28 @@ std::vector<std::uint32_t> sizes_from_env(const char* name,
   return sizes;
 }
 
-// Returns {seq_wall_ms, par_wall_ms} and records both metrics snapshots.
-std::pair<double, double> run_config(const Config& config) {
-  const double seq_ms = time_mode(config, 1);
-  const double par_ms = time_mode(config, 4);
-  const double speedup = par_ms > 0 ? seq_ms / par_ms : 0;
+// Returns the wall-clock ms and records the metrics snapshot.
+double run_config(const Config& config) {
+  const double wall_ms = time_run(config);
 
-  // Verification pass: both modes under a recording observer.
-  auto seq = make_sim(config, 1);
-  RecordingObserver seq_observer;
-  seq->set_observer(&seq_observer);
-  seq->run_until_quiescent();
-  auto par = make_sim(config, 4);
-  RecordingObserver par_observer;
-  par->set_observer(&par_observer);
-  par->run_until_quiescent();
-
-  if (seq_observer.str() != par_observer.str()) fail(config, "observer");
-  if (seq->events_processed() != par->events_processed())
-    fail(config, "event count");
-  if (seq->now().ns != par->now().ns) fail(config, "final clock");
-  if (checksum_sum(*seq, config.n) != checksum_sum(*par, config.n))
-    fail(config, "workload checksum");
-  write_trace(config, "seq", seq_observer.str());
-  write_trace(config, "par", par_observer.str());
+  auto sim = make_sim(config);
+  RecordingObserver observer;
+  sim->set_observer(&observer);
+  sim->run_until_quiescent();
+  write_trace(config, observer.str());
 
   // Metrics snapshots materialize channels sparsely (only channels with
   // recorded activity appear), so even complete(1024) — ~1M channel slots,
-  // ~50k of them active — compares and records in milliseconds.  Every
-  // seq/par configuration therefore gets JSON-verified and a
-  // BENCH_scale.json row; the only remaining exclusion in this binary is
-  // the tier sweep's N >= 10k rows (see run_tier_config below).
-  const std::string seq_json = seq->metrics().snapshot(seq->now()).to_json();
-  const std::string par_json = par->metrics().snapshot(par->now()).to_json();
-  if (seq_json != par_json) fail(config, "metrics JSON");
+  // ~50k of them active — records in milliseconds.  Every configuration
+  // therefore gets a BENCH_scale.json row; the only exclusions in this
+  // binary are the tier sweep's N >= 10k rows (see run_tier_config below)
+  // and the large complete-graph halt rows.  The "seq" in the label keeps
+  // the row names the committed baseline is keyed by.
   char label[128];
   std::snprintf(label, sizeof label, "%s n=%u seq wall_ms=%.2f",
-                config.topo, config.n, seq_ms);
-  record_metrics(label, *seq);
-  std::snprintf(label, sizeof label,
-                "%s n=%u par workers=4 wall_ms=%.2f speedup=%.2f",
-                config.topo, config.n, par_ms, speedup);
-  record_metrics(label, *par);
-  return {seq_ms, par_ms};
+                config.topo, config.n, wall_ms);
+  record_metrics(label, *sim);
+  return wall_ms;
 }
 
 // ---------------------------------------------------------------------------
@@ -564,38 +528,29 @@ void print_complete_table() {
 
 void print_table() {
   print_header(
-      "Scale sweep: sequential vs windowed-parallel simulation",
+      "Scale sweep: the sequential event loop",
       "N concurrent tokens, 48 hops each, deterministic per-hop mixing "
-      "work.\nThe parallel engine (4 workers, 1ms lookahead windows) must "
-      "be byte-identical\nto the sequential loop and faster once windows "
-      "hold enough events.");
-  print_row("%9s %6s %12s %12s %9s", "topology", "n", "seq ms", "par4 ms",
-            "speedup");
+      "work.");
+  print_row("%9s %6s %12s", "topology", "n", "wall ms");
   for (const std::uint32_t n : sweep_sizes()) {
     const Config configs[] = {{"ring", n, make_ring},
                               {"tree", n, make_tree},
                               {"complete", n, make_complete}};
     for (const Config& config : configs) {
-      const auto [seq_ms, par_ms] = run_config(config);
-      print_row("%9s %6u %12.2f %12.2f %8.2fx", config.topo, n, seq_ms,
-                par_ms, par_ms > 0 ? seq_ms / par_ms : 0);
+      print_row("%9s %6u %12.2f", config.topo, n, run_config(config));
     }
   }
-  print_row("\n(every row verified byte-identical between modes before "
-            "timing was reported)");
 }
 
-void BM_Window(benchmark::State& state) {
+void BM_Ring256(benchmark::State& state) {
   const Config config{"ring", 256, make_ring};
-  const auto workers = static_cast<std::uint32_t>(state.range(0));
   for (auto _ : state) {
-    auto sim = make_sim(config, workers);
+    auto sim = make_sim(config);
     sim->run_until_quiescent();
     benchmark::DoNotOptimize(checksum_sum(*sim, config.n));
   }
-  state.SetLabel(workers == 1 ? "sequential" : "parallel");
 }
-BENCHMARK(BM_Window)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Ring256)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ddbg::bench

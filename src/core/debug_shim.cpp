@@ -64,9 +64,6 @@ class DebugShim::ShimContext final : public ProcessContext {
   void cancel_timer(TimerId timer) override {
     shim_.interpose_cancel_timer(*outer_, timer);
   }
-  void run_ordered(std::function<void()> fn) override {
-    outer_->run_ordered(std::move(fn));
-  }
   [[nodiscard]] Rng& rng() override { return outer_->rng(); }
   [[nodiscard]] obs::MetricsRegistry* metrics() const override {
     return outer_->metrics();
@@ -154,9 +151,7 @@ void DebugShim::on_start(ProcessContext& ctx) {
       HaltingEngine::Callbacks{
           [this] { return capture_state(); },
           [this](HaltId wave, const std::vector<ProcessId>&) {
-            if (options_.on_halted) {
-              notify_ordered([this, wave] { options_.on_halted(wave); });
-            }
+            if (options_.on_halted) options_.on_halted(wave);
           },
           [this](const ProcessSnapshot& snapshot) {
             DDBG_ASSERT(current_ctx_ != nullptr,
@@ -167,10 +162,8 @@ void DebugShim::on_start(ProcessContext& ctx) {
                                    self_, halting_->last_halt_id(), snapshot));
             }
             if (options_.local_halt_report) {
-              notify_ordered([this, wave = halting_->last_halt_id(),
-                              snapshot] {
-                options_.local_halt_report(self_, wave, snapshot);
-              });
+              options_.local_halt_report(self_, halting_->last_halt_id(),
+                                         snapshot);
             }
           }},
       suppress);
@@ -423,9 +416,7 @@ void DebugShim::handle_control(ProcessContext& ctx, const Command& command) {
 
 void DebugShim::do_resume(ProcessContext& ctx, std::uint64_t wave) {
   HaltingEngine::ResumeData data = halting_->resume();
-  if (options_.on_resumed) {
-    notify_ordered([this, wave] { options_.on_resumed(HaltId(wave)); });
-  }
+  if (options_.on_resumed) options_.on_resumed(HaltId(wave));
 
   // Replay everything that stayed "in the channels" while halted, in
   // arrival order, through the normal dispatch paths.  A halt marker for a
@@ -444,9 +435,7 @@ void DebugShim::note_armed(ProcessContext& ctx, BreakpointId bp) {
   if (auto* m = ctx.metrics()) {
     m->span_end(obs::Span::kArm, bp_span_key(bp, self_), ctx.now());
   }
-  if (options_.on_armed) {
-    notify_ordered([this, bp] { options_.on_armed(self_, bp); });
-  }
+  if (options_.on_armed) options_.on_armed(self_, bp);
 }
 
 void DebugShim::event(std::string_view name, std::int64_t value) {
@@ -487,25 +476,11 @@ std::int64_t DebugShim::var(const std::string& name) const {
   return it != vars_.end() ? it->second : 0;
 }
 
-void DebugShim::notify_ordered(std::function<void()> fn) {
-  if (current_ctx_ != nullptr) {
-    current_ctx_->run_ordered(std::move(fn));
-  } else {
-    fn();
-  }
-}
-
 void DebugShim::emit_event(LocalEvent event) {
   event.process = self_;
   event.local_seq = local_seq_++;
   if (current_ctx_ != nullptr) event.when = current_ctx_->now();
-  if (options_.trace_sink) {
-    // The sink typically appends to a shared analysis trace; routing it
-    // through run_ordered keeps the recorded interleaving identical across
-    // execution modes (the parallel simulator replays these at window
-    // commit, in sequential-equivalent order).
-    notify_ordered([sink = &options_.trace_sink, event] { (*sink)(event); });
-  }
+  if (options_.trace_sink) options_.trace_sink(event);
   detector_.on_local_event(event);
 }
 
@@ -679,9 +654,7 @@ void DebugShim::finish_recording(ProcessContext& ctx) {
     send_to_debugger(ctx, Command::snapshot_report(self_, wave, snapshot));
   }
   if (options_.local_snapshot_report) {
-    notify_ordered([this, wave, snapshot] {
-      options_.local_snapshot_report(self_, wave, snapshot);
-    });
+    options_.local_snapshot_report(self_, wave, snapshot);
   }
 }
 

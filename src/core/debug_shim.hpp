@@ -181,10 +181,6 @@ class DebugShim final : public Process, public DebugApi {
   void dispatch(ProcessContext& ctx, ChannelId in, Message message);
   void handle_control(ProcessContext& ctx, const Command& command);
   void emit_event(LocalEvent event);
-  // Routes an Options callback through the context's run_ordered so that
-  // externally observable notifications keep a total, mode-independent
-  // order (the parallel simulator defers them to window commit).
-  void notify_ordered(std::function<void()> fn);
   void flush_pending(ProcessContext& ctx);
   void send_to_debugger(ProcessContext& ctx, const Command& command);
   [[nodiscard]] ProcessSnapshot capture_state() const;

@@ -59,7 +59,6 @@ auto substrate_config(HarnessConfig& config,
     sim.latency = std::move(config.latency);
     sim.faults = std::move(config.faults);
     sim.reliable = config.reliable;
-    sim.workers = config.workers;
     return sim;
   } else {
     std::conditional_t<std::same_as<S, Runtime>, RuntimeConfig,

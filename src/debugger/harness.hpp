@@ -67,9 +67,6 @@ struct HarnessConfig {
   // Null keeps the reliable fast paths untouched.
   std::shared_ptr<FaultPlan> faults;
   ReliableConfig reliable;
-  // Simulator worker threads (SimulationConfig::workers); results are
-  // byte-identical for any value.  Ignored by the threaded runtime.
-  std::uint32_t workers = 1;
   // Record/replay sink (src/replay): wired into every DebugShim (delivery/
   // timer records), the DebuggerProcess (halt cuts) and the substrate
   // (fault/reconnect annotations).  Null keeps every path untouched.

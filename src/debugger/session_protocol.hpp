@@ -13,6 +13,7 @@
 //   response := req_id:u64  status:u8  text:str  number:i64  payload:bytes
 //
 // `status` is 0 for success, otherwise 1 + ErrorCode (common/result.hpp).
+// Both decoders reject an out-of-range op or status and trailing bytes.
 // `text` is the human-readable rendering the CLI prints verbatim; `number`
 // and `payload` carry op-specific machine-readable results (see SessionOp).
 #pragma once
@@ -46,6 +47,8 @@ enum class SessionOp : std::uint8_t {
 
 inline constexpr std::uint8_t kMaxSessionOp =
     static_cast<std::uint8_t>(SessionOp::kReplay);
+inline constexpr std::uint8_t kMaxSessionStatus =
+    1 + static_cast<std::uint8_t>(ErrorCode::kInternal);
 
 struct SessionRequest {
   std::uint64_t req_id = 0;
@@ -80,6 +83,9 @@ struct SessionRequest {
     auto number = reader.i64();
     if (!number.ok()) return number.error();
     req.number = number.value();
+    if (!reader.exhausted()) {
+      return Error(ErrorCode::kParseError, "trailing bytes after request");
+    }
     return req;
   }
 };
@@ -135,6 +141,10 @@ struct SessionResponse {
     resp.req_id = id.value();
     auto status = reader.u8();
     if (!status.ok()) return status.error();
+    if (status.value() > kMaxSessionStatus) {
+      return Error(ErrorCode::kParseError,
+                   "unknown session status " + std::to_string(status.value()));
+    }
     resp.status = status.value();
     auto text = reader.str();
     if (!text.ok()) return text.error();
@@ -145,6 +155,9 @@ struct SessionResponse {
     auto payload = reader.bytes();
     if (!payload.ok()) return payload.error();
     resp.payload = std::move(payload).value();
+    if (!reader.exhausted()) {
+      return Error(ErrorCode::kParseError, "trailing bytes after response");
+    }
     return resp;
   }
 };

@@ -55,15 +55,9 @@ class ProcessContext {
   // Deterministic per-process randomness.
   [[nodiscard]] virtual Rng& rng() = 0;
 
-  // Run `fn` at a point where effects from different processes are totally
-  // ordered.  On the sequential simulator and the threaded runtimes that is
-  // right now (handlers already interleave in a well-defined order, or the
-  // caller synchronizes); the parallel simulator defers `fn` to the commit
-  // of the current time window, where staged effects replay in the exact
-  // order the sequential engine would have produced them.  The debug shim
-  // routes its externally observable callbacks (trace sink, halt/arm
-  // notifications) through this so analysis traces come out byte-identical
-  // in every execution mode.
+  // Runs `fn` now.  No library code calls this; it is kept only because
+  // the benchmark harness's context proxy (perfbench/tracing.hpp) overrides
+  // it, and goes when that proxy does.
   virtual void run_ordered(std::function<void()> fn) { fn(); }
 
   // Marks this process as finished with its own work.  A stopped process

@@ -64,9 +64,9 @@ MetricsRegistry::MetricsRegistry(std::string runtime_label,
 
 void MetricsRegistry::span_begin(Span span, std::uint64_t key, TimePoint now) {
   std::lock_guard<std::mutex> guard{span_mutex_};
-  // Keep the earliest begin for a key: concurrent begin attempts (e.g. a
-  // halt wave observed by several workers in the same window) must resolve
-  // to the same span start regardless of arrival order.
+  // Keep the earliest begin for a key: begin attempts from several threads
+  // of a threaded runtime (e.g. a halt wave observed by several processes)
+  // must resolve to the same span start regardless of arrival order.
   auto& open = open_spans_[static_cast<std::size_t>(span)];
   auto [it, inserted] = open.try_emplace(key, now.ns);
   if (!inserted && now.ns < it->second) it->second = now.ns;

@@ -18,21 +18,12 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
   [[nodiscard]] virtual Duration sample(ChannelId channel, Rng& rng) = 0;
-
-  // Lower bound on sample() across every channel: no draw may come back
-  // smaller.  This is the parallel engine's lookahead — events inside a
-  // conservative time window shorter than this bound cannot be affected by
-  // messages sent inside the same window.  A model that cannot promise a
-  // positive bound returns zero, which makes the simulator fall back to
-  // sequential execution.
-  [[nodiscard]] virtual Duration min_latency() const { return Duration{0}; }
 };
 
 class ConstantLatency final : public LatencyModel {
  public:
   explicit ConstantLatency(Duration delay) : delay_(delay) {}
   Duration sample(ChannelId, Rng&) override { return delay_; }
-  [[nodiscard]] Duration min_latency() const override { return delay_; }
 
  private:
   Duration delay_;
@@ -46,7 +37,6 @@ class UniformLatency final : public LatencyModel {
   Duration sample(ChannelId, Rng& rng) override {
     return Duration{rng.next_in(low_.ns, high_.ns)};
   }
-  [[nodiscard]] Duration min_latency() const override { return low_; }
 
  private:
   Duration low_;
@@ -73,7 +63,6 @@ class ExponentialLatency final : public LatencyModel {
     }
     return Duration{min_.ns + static_cast<std::int64_t>(extra)};
   }
-  [[nodiscard]] Duration min_latency() const override { return min_; }
 
  private:
   Duration mean_;

@@ -39,29 +39,18 @@ class Slab {
 
   // Move the value out of `slot` and free the slot.
   T take(std::uint32_t slot) {
-    T value = detach(slot);
-    release(slot);
-    return value;
-  }
-
-  // Move the value out of `slot` but leave the slot off the free list until
-  // release().  Distinct slots may be detached concurrently, provided
-  // nothing calls put() or release() meanwhile (the storage does not grow).
-  T detach(std::uint32_t slot) {
     DDBG_ASSERT(slot < live_.size() && live_[slot] != 0,
                 "slab: read of a free slot");
     live_[slot] = 0;
+    free_.push_back(slot);
     return std::move(slots_[slot]);
   }
-
-  // Return a detached slot to the free list.
-  void release(std::uint32_t slot) { free_.push_back(slot); }
 
  private:
   std::deque<T> slots_;
   std::vector<std::uint32_t> free_;  // LIFO: the warmest slot is reused
-  // One byte per slot, so concurrent detaches of distinct slots do not
-  // race.  Checked in every build type, like the engine's other invariants.
+  // One flag per slot, checked in every build type like the engine's other
+  // invariants.
   std::deque<char> live_;
 };
 

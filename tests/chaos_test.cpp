@@ -955,72 +955,6 @@ TEST(ChaosSim, SameSeedSamePlanIsByteIdentical) {
   EXPECT_NE(first.find("\"faults_injected\""), std::string::npos);
 }
 
-// The windowed parallel engine must replay the whole chaos pipeline —
-// fault decisions, retransmits, acks, resets and reconnects — in exactly
-// the sequential order.  Any divergence shows up as differing metrics
-// JSON, event counts or final clocks.
-TEST(ChaosSim, ParallelMatchesSequentialUnderMixedFaults) {
-  const auto run = [](std::uint32_t workers) {
-    TokenRingConfig ring;
-    ring.rounds = 15;
-    FaultSpec spec = mixed_spec();
-    spec.reset = 0.03;
-    SimulationConfig config;
-    config.seed = 21;
-    config.workers = workers;
-    config.faults = make_plan(spec, 21);
-    Simulation sim(Topology::ring(6), make_token_ring(6, ring),
-                   std::move(config));
-    sim.run_for(Duration::seconds(30));
-    return std::make_tuple(sim.metrics().snapshot(sim.now()).to_json(),
-                           sim.events_processed(), sim.now().ns);
-  };
-  const auto seq = run(1);
-  const auto par = run(4);
-  EXPECT_EQ(std::get<0>(seq), std::get<0>(par));
-  EXPECT_EQ(std::get<1>(seq), std::get<1>(par));
-  EXPECT_EQ(std::get<2>(seq), std::get<2>(par));
-  EXPECT_NE(std::get<0>(seq).find("\"retransmits\""), std::string::npos);
-}
-
-// Same equivalence through the full debugger harness: halt wave verdict,
-// consistent cut and metrics must be identical with parallel simulation
-// underneath the session machinery.
-TEST(ChaosSim, ParallelHaltVerdictMatchesSequential) {
-  const auto run = [](std::uint32_t workers) {
-    GossipConfig gossip;
-    HarnessConfig config;
-    config.seed = 5;
-    config.workers = workers;
-    FaultSpec spec = mixed_spec();
-    spec.reset = 0.02;
-    config.faults = make_plan(spec, 5);
-    SimDebugHarness harness(Topology::ring(4), make_gossip(4, gossip),
-                            std::move(config));
-    harness.sim().run_for(Duration::millis(50));
-    harness.session().halt();
-    auto wave = harness.session().wait_for_halt(kWait);
-    EXPECT_TRUE(wave.has_value());
-    std::string cut;
-    if (wave.has_value()) {
-      EXPECT_TRUE(wave->complete);
-      EXPECT_TRUE(consistent_cut(wave->state));
-      for (const auto& [process, snapshot] : wave->state.snapshots()) {
-        ByteWriter writer;
-        snapshot.encode(writer);
-        cut += std::to_string(process.value()) + ":" +
-               std::to_string(writer.size()) + ";";
-      }
-    }
-    return std::make_pair(
-        cut, harness.sim().metrics().snapshot(harness.sim().now()).to_json());
-  };
-  const auto seq = run(1);
-  const auto par = run(4);
-  EXPECT_EQ(seq.first, par.first);
-  EXPECT_EQ(seq.second, par.second);
-}
-
 // Halting under chaos: the wave completes, every process freezes, the cut
 // is consistent, and the verdict matches a fault-free run of the same
 // system (completeness, size, per-process halted flags).

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "core/commands.hpp"
 #include "core/predicate.hpp"
+#include "debugger/session_protocol.hpp"
 #include "net/framing.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
@@ -232,6 +233,206 @@ TEST(DecodeBoundary, MessageWithHugePayloadLengthFails) {
   ByteReader reader(encoded);
   (void)reader.u8();
   EXPECT_FALSE(reader.bytes().ok());
+}
+
+// -- Session protocol: client requests and server responses ---------------
+//
+// A decoded request or response must be in range (a known op, a status that
+// names an ErrorCode) and must survive encode -> decode unchanged.  Varint
+// length prefixes may arrive non-canonical, so the check compares fields,
+// not bytes.
+
+namespace session_test {
+
+Bytes encode_request(const SessionRequest& request) {
+  ByteWriter writer;
+  request.encode(writer);
+  return std::move(writer).take();
+}
+
+Bytes encode_response(const SessionResponse& response) {
+  ByteWriter writer;
+  response.encode(writer);
+  return std::move(writer).take();
+}
+
+void expect_request_round_trips(const SessionRequest& request) {
+  EXPECT_LE(static_cast<std::uint8_t>(request.op), kMaxSessionOp);
+  auto again = SessionRequest::decode(encode_request(request));
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(again.value().req_id, request.req_id);
+  EXPECT_EQ(again.value().op, request.op);
+  EXPECT_EQ(again.value().text, request.text);
+  EXPECT_EQ(again.value().number, request.number);
+}
+
+void expect_response_round_trips(const SessionResponse& response) {
+  EXPECT_LE(response.status, kMaxSessionStatus);
+  if (const auto code = response.error_code()) {
+    EXPECT_LE(static_cast<int>(*code), static_cast<int>(ErrorCode::kInternal));
+  }
+  auto again = SessionResponse::decode(encode_response(response));
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(again.value().req_id, response.req_id);
+  EXPECT_EQ(again.value().status, response.status);
+  EXPECT_EQ(again.value().text, response.text);
+  EXPECT_EQ(again.value().number, response.number);
+  EXPECT_EQ(again.value().payload, response.payload);
+}
+
+// A valid request and response with seed-dependent field lengths.
+SessionRequest sample_request(Rng& rng) {
+  SessionRequest request;
+  request.req_id = rng.next_u64();
+  request.op = static_cast<SessionOp>(rng.next_below(kMaxSessionOp + 1));
+  request.text = std::string(rng.next_below(200), 'r');
+  request.number = static_cast<std::int64_t>(rng.next_u64());
+  return request;
+}
+
+SessionResponse sample_response(Rng& rng) {
+  SessionResponse response = SessionResponse::success(
+      rng.next_u64(), std::string(rng.next_below(200), 's'),
+      static_cast<std::int64_t>(rng.next_u64()), random_bytes(rng, 200));
+  response.status =
+      static_cast<std::uint8_t>(rng.next_below(kMaxSessionStatus + 1));
+  return response;
+}
+
+}  // namespace session_test
+
+TEST_P(FuzzDecode, RandomBytesFailCleanlyOrRoundTripSessionRequest) {
+  using namespace session_test;
+  Rng rng(GetParam() ^ 0x5555);
+  int decoded = 0;
+  for (int i = 0; i < 2000; ++i) {
+    // Half the inputs get a text length that fills the body exactly and an
+    // op at or just past the last one, so some decode; the rest are noise.
+    Bytes bytes = random_bytes(rng, 48);
+    if (i % 2 == 0 && bytes.size() >= 18) {
+      bytes[8] = static_cast<std::uint8_t>(rng.next_below(kMaxSessionOp + 2));
+      bytes[9] = static_cast<std::uint8_t>(bytes.size() - 18);
+    }
+    auto result = SessionRequest::decode(bytes);
+    if (result.ok()) {
+      ++decoded;
+      expect_request_round_trips(result.value());
+    } else {
+      EXPECT_EQ(result.error().code(), ErrorCode::kParseError);
+    }
+  }
+  EXPECT_GT(decoded, 0);
+}
+
+TEST_P(FuzzDecode, RandomBytesFailCleanlyOrRoundTripSessionResponse) {
+  using namespace session_test;
+  Rng rng(GetParam() ^ 0x6666);
+  int decoded = 0;
+  for (int i = 0; i < 2000; ++i) {
+    // Half the inputs get text and payload lengths that fill the body
+    // exactly and a status at or just past the last one; the rest are noise.
+    Bytes bytes = random_bytes(rng, 48);
+    if (i % 2 == 0 && bytes.size() >= 19) {
+      const std::size_t text = rng.next_below(bytes.size() - 18);
+      bytes[8] =
+          static_cast<std::uint8_t>(rng.next_below(kMaxSessionStatus + 2));
+      bytes[9] = static_cast<std::uint8_t>(text);
+      bytes[18 + text] = static_cast<std::uint8_t>(bytes.size() - 19 - text);
+    }
+    auto result = SessionResponse::decode(bytes);
+    if (result.ok()) {
+      ++decoded;
+      expect_response_round_trips(result.value());
+    } else {
+      EXPECT_EQ(result.error().code(), ErrorCode::kParseError);
+    }
+  }
+  EXPECT_GT(decoded, 0);
+}
+
+TEST_P(FuzzDecode, BitFlipsOfSessionMessagesFailCleanlyOrRoundTrip) {
+  using namespace session_test;
+  Rng rng(GetParam() ^ 0x7777);
+  const Bytes request = encode_request(sample_request(rng));
+  const Bytes response = encode_response(sample_response(rng));
+  for (int i = 0; i < 500; ++i) {
+    Bytes mutated = request;
+    std::size_t pos = rng.next_below(mutated.size());
+    mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+    auto req = SessionRequest::decode(mutated);
+    if (req.ok()) {
+      expect_request_round_trips(req.value());
+    } else {
+      EXPECT_EQ(req.error().code(), ErrorCode::kParseError);
+    }
+
+    mutated = response;
+    pos = rng.next_below(mutated.size());
+    mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+    auto resp = SessionResponse::decode(mutated);
+    if (resp.ok()) {
+      expect_response_round_trips(resp.value());
+    } else {
+      EXPECT_EQ(resp.error().code(), ErrorCode::kParseError);
+    }
+  }
+}
+
+// Every field is required, so no proper prefix of a valid body decodes.
+TEST_P(FuzzDecode, TruncationsOfSessionMessagesFail) {
+  using namespace session_test;
+  Rng rng(GetParam() ^ 0x8888);
+  const Bytes request = encode_request(sample_request(rng));
+  const Bytes response = encode_response(sample_response(rng));
+  for (std::size_t cut = 0; cut < request.size(); ++cut) {
+    const Bytes prefix(request.begin(),
+                       request.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_FALSE(SessionRequest::decode(prefix).ok()) << "cut=" << cut;
+  }
+  for (std::size_t cut = 0; cut < response.size(); ++cut) {
+    const Bytes prefix(response.begin(),
+                       response.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_FALSE(SessionResponse::decode(prefix).ok()) << "cut=" << cut;
+  }
+  EXPECT_TRUE(SessionRequest::decode(request).ok());
+  EXPECT_TRUE(SessionResponse::decode(response).ok());
+}
+
+// The last ErrorCode (kInternal) travels as status 8; 9 names nothing.
+TEST(DecodeBoundary, SessionResponseStatusPastLastErrorCodeRejected) {
+  using namespace session_test;
+  SessionResponse response =
+      SessionResponse::failure(9, Error(ErrorCode::kTimeout, "slow"));
+  response.status = kMaxSessionStatus;
+  auto last = SessionResponse::decode(encode_response(response));
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last.value().error_code(), ErrorCode::kInternal);
+
+  response.status = kMaxSessionStatus + 1;
+  EXPECT_EQ(response.status, 9);
+  auto past = SessionResponse::decode(encode_response(response));
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.error().code(), ErrorCode::kParseError);
+}
+
+TEST(DecodeBoundary, SessionRequestTrailingByteRejected) {
+  using namespace session_test;
+  Rng rng(1);
+  Bytes bytes = encode_request(sample_request(rng));
+  bytes.push_back(0);
+  auto decoded = SessionRequest::decode(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code(), ErrorCode::kParseError);
+}
+
+TEST(DecodeBoundary, SessionResponseTrailingByteRejected) {
+  using namespace session_test;
+  Rng rng(1);
+  Bytes bytes = encode_response(sample_response(rng));
+  bytes.push_back(0);
+  auto decoded = SessionResponse::decode(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code(), ErrorCode::kParseError);
 }
 
 // -- FrameParser: stream reassembly and the frame-length sanity cap --------

@@ -321,9 +321,8 @@ TEST(MetricsParity, TcpRuntimeTransportCounters) {
 
 // Byte-for-byte pins of the trace and the ddbg.metrics.v1 JSON for a tiny
 // fixed run.  This is the regression tripwire for any ordering leak — an
-// unordered container iterated into a trace, a metrics field emitted in
-// hash order, or the parallel engine replaying effects out of sequence
-// changes these literal bytes.
+// unordered container iterated into a trace, or a metrics field emitted in
+// hash order, changes these literal bytes.
 TEST(MetricsGolden, TinyTokenRingTraceAndJsonArePinned) {
   constexpr const char* kGoldenTrace =
       "p0/process_started @L1 seq0\n"
@@ -388,30 +387,26 @@ TEST(MetricsGolden, TinyTokenRingTraceAndJsonArePinned) {
       R"("max_ns":0},"breakpoint_notify":{"count":0,"total_ns":0,"min_ns":0,)"
       R"("max_ns":0},"arm":{"count":0,"total_ns":0,"min_ns":0,"max_ns":0}}})";
 
-  for (const std::uint32_t workers : {1u, 2u}) {
-    std::ostringstream trace;
-    DebugShim::Options options;
-    options.trace_sink = [&trace](const LocalEvent& event) {
-      trace << event.describe() << "\n";
-    };
-    Topology topology = Topology::ring(2);
-    std::vector<ProcessPtr> users;
-    for (int i = 0; i < 2; ++i) {
-      TokenRingConfig token_config;
-      token_config.rounds = 1;
-      users.push_back(std::make_unique<TokenRingProcess>(token_config));
-    }
-    SimulationConfig config;
-    config.seed = 1;
-    config.latency = constant_latency(Duration::millis(1));
-    config.workers = workers;
-    Simulation sim(topology, wrap_in_shims(topology, std::move(users), options),
-                   std::move(config));
-    ASSERT_TRUE(sim.run_until_quiescent());
-    EXPECT_EQ(trace.str(), kGoldenTrace) << "workers=" << workers;
-    EXPECT_EQ(sim.metrics().snapshot(sim.now()).to_json(), kGoldenJson)
-        << "workers=" << workers;
+  std::ostringstream trace;
+  DebugShim::Options options;
+  options.trace_sink = [&trace](const LocalEvent& event) {
+    trace << event.describe() << "\n";
+  };
+  Topology topology = Topology::ring(2);
+  std::vector<ProcessPtr> users;
+  for (int i = 0; i < 2; ++i) {
+    TokenRingConfig token_config;
+    token_config.rounds = 1;
+    users.push_back(std::make_unique<TokenRingProcess>(token_config));
   }
+  SimulationConfig config;
+  config.seed = 1;
+  config.latency = constant_latency(Duration::millis(1));
+  Simulation sim(topology, wrap_in_shims(topology, std::move(users), options),
+                 std::move(config));
+  ASSERT_TRUE(sim.run_until_quiescent());
+  EXPECT_EQ(trace.str(), kGoldenTrace);
+  EXPECT_EQ(sim.metrics().snapshot(sim.now()).to_json(), kGoldenJson);
 }
 
 }  // namespace

@@ -29,6 +29,12 @@ void VectorClock::encode(ByteWriter& writer) const {
   for (const std::uint64_t c : counts_) writer.varint(c);
 }
 
+std::size_t VectorClock::encoded_size() const {
+  std::size_t size = varint_size(counts_.size());
+  for (const std::uint64_t c : counts_) size += varint_size(c);
+  return size;
+}
+
 Result<VectorClock> VectorClock::decode(ByteReader& reader) {
   auto n = reader.count();
   if (!n.ok()) return n.error();

@@ -85,6 +85,8 @@ class VectorClock {
 
   void encode(ByteWriter& writer) const;
   [[nodiscard]] static Result<VectorClock> decode(ByteReader& reader);
+  // Bytes encode() appends, computed without encoding.
+  [[nodiscard]] std::size_t encoded_size() const;
 
   [[nodiscard]] std::string to_string() const;
 

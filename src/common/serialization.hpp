@@ -20,11 +20,22 @@ namespace ddbg {
 
 using Bytes = std::vector<std::uint8_t>;
 
+// Bytes ByteWriter::varint(v) appends: one per started 7-bit group.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 class ByteWriter {
  public:
   ByteWriter() = default;
   // Encode into an existing buffer, appending after its current contents
-  // (e.g. a pooled frame that already holds a length-prefix placeholder).
+  // (e.g. a connection's output buffer whose open frame already holds a
+  // length-prefix placeholder).
   // The writer must not outlive `external`; take() is owning-mode only.
   explicit ByteWriter(Bytes& external) : out_(&external) {}
 

@@ -15,6 +15,19 @@ std::uint64_t bp_span_key(BreakpointId bp, ProcessId p) {
   return obs::MetricsRegistry::key(bp.value(), p.value());
 }
 
+// Why the detector must not arm `lp` at `self`, or null if it may.  The
+// debugger ships only expanded LPs (every stage repeat 1) to processes
+// involved in their first DP; anything else came from a buggy or hostile
+// peer and would trip the detector's assertions.
+const char* unarmable(const LinkedPredicate& lp, ProcessId self) {
+  if (lp.empty()) return "empty linked predicate";
+  for (const LinkedPredicate::Stage& stage : lp.stages) {
+    if (stage.repeat != 1) return "stage repeat is not 1 (unexpanded LP)";
+  }
+  if (!lp.first().involves(self)) return "first DP does not involve it";
+  return nullptr;
+}
+
 }  // namespace
 
 // Context handed to the *user* process: interposes on sends (clock
@@ -314,22 +327,10 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
     }
     case MessageKind::kPredicateMarker: {
       DDBG_ASSERT(message.predicate.has_value(), "predicate marker w/o data");
-      auto lp = LinkedPredicate::decode_from_bytes(
-          message.predicate->encoded_predicate);
-      if (!lp.ok()) {
-        DDBG_ERROR() << to_string(self_)
-                     << " bad predicate marker: " << lp.error().to_string();
-        return;
-      }
-      if (!lp.value().first().involves(self_)) {
-        DDBG_WARN() << to_string(self_)
-                    << " received predicate marker not involving it";
-        return;
-      }
-      detector_.arm(message.predicate->breakpoint, std::move(lp).value(),
+      arm_from_wire(ctx, "predicate marker", message.predicate->breakpoint,
+                    message.predicate->encoded_predicate,
                     message.predicate->stage_index,
                     message.predicate->monitor);
-      note_armed(ctx, message.predicate->breakpoint);
       return;
     }
     case MessageKind::kApplication: {
@@ -372,24 +373,21 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
 
 void DebugShim::handle_control(ProcessContext& ctx, const Command& command) {
   switch (command.kind) {
-    case CommandKind::kArmPredicate: {
-      auto lp = LinkedPredicate::decode_from_bytes(command.predicate);
-      if (!lp.ok()) {
-        DDBG_ERROR() << to_string(self_)
-                     << " bad arm_predicate: " << lp.error().to_string();
-        return;
-      }
-      detector_.arm(command.breakpoint, std::move(lp).value(),
-                    command.stage_index, command.monitor);
-      note_armed(ctx, command.breakpoint);
+    case CommandKind::kArmPredicate:
+      arm_from_wire(ctx, "arm_predicate", command.breakpoint,
+                    command.predicate, command.stage_index, command.monitor);
       return;
-    }
     case CommandKind::kArmNotify: {
       ByteReader reader(command.predicate);
       auto sp = SimplePredicate::decode(reader);
       if (!sp.ok()) {
         DDBG_ERROR() << to_string(self_)
                      << " bad arm_notify: " << sp.error().to_string();
+        return;
+      }
+      if (sp.value().process != self_) {
+        DDBG_ERROR() << to_string(self_)
+                     << " bad arm_notify: predicate is not local";
         return;
       }
       detector_.arm_notify(command.breakpoint, std::move(sp).value(),
@@ -412,6 +410,24 @@ void DebugShim::handle_control(ProcessContext& ctx, const Command& command) {
       DDBG_WARN() << to_string(self_) << " unexpected control command "
                   << to_string(command.kind);
   }
+}
+
+void DebugShim::arm_from_wire(ProcessContext& ctx, const char* what,
+                              BreakpointId bp,
+                              std::span<const std::uint8_t> encoded,
+                              std::uint32_t stage_index, bool monitor) {
+  auto lp = LinkedPredicate::decode_from_bytes(encoded);
+  if (!lp.ok()) {
+    DDBG_ERROR() << to_string(self_) << " bad " << what << ": "
+                 << lp.error().to_string();
+    return;
+  }
+  if (const char* reason = unarmable(lp.value(), self_)) {
+    DDBG_ERROR() << to_string(self_) << " bad " << what << ": " << reason;
+    return;
+  }
+  detector_.arm(bp, std::move(lp).value(), stage_index, monitor);
+  note_armed(ctx, bp);
 }
 
 void DebugShim::do_resume(ProcessContext& ctx, std::uint64_t wave) {

@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -180,6 +181,12 @@ class DebugShim final : public Process, public DebugApi {
 
   void dispatch(ProcessContext& ctx, ChannelId in, Message message);
   void handle_control(ProcessContext& ctx, const Command& command);
+  // Decode, validate and arm an LP that arrived off the wire (`what`: an
+  // arm command or a predicate marker).  Malformed input is logged and
+  // dropped, never asserted on.
+  void arm_from_wire(ProcessContext& ctx, const char* what, BreakpointId bp,
+                     std::span<const std::uint8_t> encoded,
+                     std::uint32_t stage_index, bool monitor);
   void emit_event(LocalEvent event);
   void flush_pending(ProcessContext& ctx);
   void send_to_debugger(ProcessContext& ctx, const Command& command);

@@ -273,8 +273,9 @@ Result<LinkedPredicate> LinkedPredicate::decode(ByteReader& reader) {
     if (!dp.ok()) return dp.error();
     auto repeat = reader.varint();
     if (!repeat.ok()) return repeat.error();
-    if (repeat.value() == 0) {
-      return Error(ErrorCode::kParseError, "stage repeat must be >= 1");
+    if (repeat.value() == 0 || repeat.value() > UINT32_MAX) {
+      return Error(ErrorCode::kParseError,
+                   "stage repeat must be in [1, 2^32 - 1]");
     }
     lp.stages.push_back(Stage{std::move(dp).value(),
                               static_cast<std::uint32_t>(repeat.value())});

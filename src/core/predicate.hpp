@@ -108,6 +108,12 @@ struct LinkedPredicate {
 
   std::vector<Stage> stages;
 
+  // Most stages an LP may expand to.  The debugger ships LPs expanded, and
+  // every forwarded predicate marker carries the whole remainder, so this
+  // bounds arm-command and marker sizes and the debugger's memory.  The
+  // parser and DebuggerProcess::set_breakpoint enforce it.
+  static constexpr std::size_t kMaxDepth = 256;
+
   [[nodiscard]] bool empty() const { return stages.empty(); }
   // Expand repeat counts into consecutive repeat-1 stages.
   [[nodiscard]] LinkedPredicate expanded() const;

@@ -271,9 +271,18 @@ class Parser {
 
   Result<LinkedPredicate> parse_linked() {
     LinkedPredicate lp;
+    std::size_t depth = 0;
     while (true) {
+      const std::size_t stage_pos = peek().pos;
       auto stage = parse_stage();
       if (!stage.ok()) return stage.error();
+      depth += stage.value().repeat;
+      if (depth > LinkedPredicate::kMaxDepth) {
+        return parse_error_at(
+            stage_pos, "linked predicate expands past " +
+                           std::to_string(LinkedPredicate::kMaxDepth) +
+                           " stages");
+      }
       lp.stages.push_back(std::move(stage).value());
       if (!match(TokenKind::kArrow)) break;
     }
@@ -292,7 +301,8 @@ class Parser {
         }
         const Token count_tok = consume();
         const std::int64_t count = count_tok.number;
-        if (count < 1 || count > 1'000'000) {
+        if (count < 1 ||
+            count > static_cast<std::int64_t>(LinkedPredicate::kMaxDepth)) {
           return parse_error_at(count_tok.pos, "repetition out of range");
         }
         repeat = static_cast<std::uint32_t>(count);

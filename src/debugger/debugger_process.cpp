@@ -329,7 +329,9 @@ void DebuggerProcess::handle_command(ProcessContext& ctx, Command command) {
 namespace {
 
 // Every process a spec names must exist as a user process; otherwise the
-// arm commands would target nonexistent control channels.
+// arm commands would target nonexistent control channels.  A linked spec
+// must also expand to at most LinkedPredicate::kMaxDepth stages (specs
+// built in code skip the parser's check).
 bool spec_targets_valid(const BreakpointSpec& spec,
                         std::uint32_t num_user_processes) {
   auto all_valid = [num_user_processes](const std::vector<ProcessId>& ids) {
@@ -339,7 +341,10 @@ bool spec_targets_valid(const BreakpointSpec& spec,
     return true;
   };
   if (spec.kind == BreakpointSpec::Kind::kLinked) {
-    if (spec.linked.empty()) return false;
+    if (spec.linked.empty() ||
+        spec.linked.depth() > LinkedPredicate::kMaxDepth) {
+      return false;
+    }
     for (const auto& stage : spec.linked.stages) {
       if (stage.dp.alternatives.empty()) return false;
       if (!all_valid(stage.dp.involved_processes())) return false;
@@ -356,7 +361,7 @@ BreakpointId DebuggerProcess::set_breakpoint(ProcessContext& ctx,
                                              const BreakpointSpec& spec) {
   if (!spec_targets_valid(spec, topology_->num_user_processes())) {
     DDBG_WARN() << "debugger: breakpoint names a process outside the "
-                   "topology or is empty: "
+                   "topology, is empty or is too deep: "
                 << spec.describe();
     return BreakpointId();  // invalid
   }

@@ -72,7 +72,8 @@ class DebuggerProcess final : public Process {
 
   // ---- commands (must run in process context, e.g. via post()) ----
   // Register a breakpoint and arm it on the involved processes.  Returns
-  // the new breakpoint id.
+  // the new breakpoint id, or an invalid id for a spec that names a
+  // nonexistent process, is empty or expands past kMaxDepth stages.
   BreakpointId set_breakpoint(ProcessContext& ctx, const BreakpointSpec& spec);
   // Disarm everywhere.
   void clear_breakpoint(ProcessContext& ctx, BreakpointId bp);

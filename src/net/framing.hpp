@@ -3,7 +3,8 @@
 // The wire format is a 4-byte little-endian body length followed by the
 // encoded message.  Senders build frames in place (begin_frame reserves
 // the prefix, end_frame patches it once the body is encoded after it), so
-// one pooled buffer carries header and body with no body->frame copy.
+// frames are encoded straight into a connection's output buffer, back to
+// back, with no body->frame copy.
 //
 // Receivers feed raw socket bytes into a FrameParser, which yields one
 // complete frame body at a time.  A frame length above the sanity cap

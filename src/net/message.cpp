@@ -102,13 +102,35 @@ Result<Message> Message::decode(ByteReader& reader) {
         std::move(lp).value(), static_cast<std::uint32_t>(stage.value()),
         monitor.value() != 0};
   }
+  // Receivers assume a marker carries its payload; a frame that lies
+  // about it must not reach them.
+  if ((m.kind == MessageKind::kHaltMarker && !m.halt) ||
+      (m.kind == MessageKind::kSnapshotMarker && !m.snapshot) ||
+      (m.kind == MessageKind::kPredicateMarker && !m.predicate)) {
+    return Error(ErrorCode::kParseError, "marker without its payload");
+  }
   return m;
 }
 
 std::size_t Message::encoded_size() const {
-  ByteWriter writer;
-  encode(writer);
-  return writer.size();
+  // Field by field, in encode()'s order.  Fixed part: kind, message_id,
+  // flags.
+  std::size_t size = 1 + 8 + varint_size(lamport) + 1;
+  size += varint_size(payload.size()) + payload.size();
+  if (!vclock.empty()) size += vclock.encoded_size();
+  if (halt) {
+    size += varint_size(halt->halt_id.value()) +
+            varint_size(halt->halt_path.size());
+    for (const ProcessId p : halt->halt_path) size += varint_size(p.value());
+  }
+  if (snapshot) size += varint_size(snapshot->snapshot_id);
+  if (predicate) {
+    size += varint_size(predicate->breakpoint.value()) +
+            varint_size(predicate->stage_index) + 1 +
+            varint_size(predicate->encoded_predicate.size()) +
+            predicate->encoded_predicate.size();
+  }
+  return size;
 }
 
 std::string Message::describe() const {

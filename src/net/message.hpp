@@ -123,10 +123,12 @@ struct Message {
   }
 
   // Wire encoding.  In-memory transports hand the struct across directly;
-  // encode/decode exist for wire realism (size accounting in the overhead
-  // experiments) and for any byte-oriented transport.
+  // encode/decode exist for byte-oriented transports (TCP).
   void encode(ByteWriter& writer) const;
   [[nodiscard]] static Result<Message> decode(ByteReader& reader);
+  // The one definition of a message's wire size: the bytes encode() would
+  // append, computed field by field without encoding.  Every substrate's
+  // byte accounting uses it.
   [[nodiscard]] std::size_t encoded_size() const;
 
   [[nodiscard]] std::string describe() const;

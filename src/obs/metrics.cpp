@@ -107,8 +107,6 @@ MetricsSnapshot MetricsRegistry::snapshot(TimePoint now) const {
   snap.runtime = runtime_label_;
   snap.elapsed_ns = now.ns;
 
-  snap.transport.pool_hits = transport_.pool_hits.get();
-  snap.transport.pool_misses = transport_.pool_misses.get();
   snap.transport.deliver_batches = transport_.deliver_batches.get();
   snap.transport.deliver_batch_messages =
       transport_.deliver_batch_messages.get();

@@ -194,24 +194,25 @@ struct TotalsSnapshot {
   std::uint64_t bytes_delivered = 0;
 };
 
-// Message-pipeline mechanics: encode-buffer pool reuse and batching on the
-// delivery and socket-write paths.  These quantify the hot-path overhaul
-// the per-channel traffic counters cannot see (a pooled send and a
-// malloc-per-send both count one message).
+// Message-pipeline mechanics: batching on the delivery and socket-write
+// paths, which the per-channel traffic counters cannot see.
 struct TransportSnapshot {
-  std::uint64_t pool_hits = 0;    // encode buffer served from the free list
-  std::uint64_t pool_misses = 0;  // encode buffer freshly allocated
+  // Retired: no substrate pools encode buffers any more (wire sizes are
+  // computed, TCP frames are encoded in place), so both read 0 everywhere.
+  // Kept in the v1 schema for existing readers of pool hit ratios.
+  std::uint64_t pool_hits = 0;
+  std::uint64_t pool_misses = 0;
   std::uint64_t deliver_batches = 0;        // handler-dispatch batches
   std::uint64_t deliver_batch_messages = 0; // messages across those batches
   std::uint64_t max_deliver_batch = 0;
-  std::uint64_t write_batches = 0;        // socket writes (one sendmsg each)
-  std::uint64_t write_batch_frames = 0;   // frames across those writes
+  std::uint64_t write_batches = 0;        // sends that completed frames
+  std::uint64_t write_batch_frames = 0;   // frames those sends completed
   std::uint64_t max_write_batch = 0;
   // Epoll reactor mechanics (TCP runtime).  All zero on the sim/threads
   // substrates, which have no reactor.
   std::uint64_t epoll_wakeups = 0;  // epoll_wait returns across all workers
   std::uint64_t frames_per_wakeup_max = 0;  // most frames parsed per wakeup
-  std::uint64_t eagain_deferrals = 0;  // sendmsg EAGAIN/partial -> EPOLLOUT
+  std::uint64_t eagain_deferrals = 0;  // send EAGAIN/partial -> EPOLLOUT
   std::uint64_t mux_channels_per_socket = 0;  // widest channel->socket fan-in
   // Fault injection + reliability layer.  All zero when no FaultPlan is
   // active (the fault-off path never touches them).
@@ -325,9 +326,6 @@ class MetricsRegistry {
   // Transport-mechanics counters.  Unlike the per-channel cells these are
   // shared across worker threads, so the relaxed atomic add is contended —
   // still correct, and these fire at most once per batch/send.
-  void on_pool_acquire(bool hit) noexcept {
-    (hit ? transport_.pool_hits : transport_.pool_misses).inc();
-  }
   void on_deliver_batch(std::size_t messages) noexcept {
     transport_.deliver_batches.inc();
     transport_.deliver_batch_messages.add(messages);
@@ -474,8 +472,6 @@ class MetricsRegistry {
   };
 
   struct TransportCells {
-    Counter pool_hits;
-    Counter pool_misses;
     Counter deliver_batches;
     Counter deliver_batch_messages;
     MaxGauge max_deliver_batch;

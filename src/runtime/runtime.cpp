@@ -5,9 +5,7 @@
 #include <future>
 #include <utility>
 
-#include "common/buffer_pool.hpp"
 #include "common/logging.hpp"
-#include "common/serialization.hpp"
 #include "net/transport_hooks.hpp"
 
 namespace ddbg {
@@ -77,9 +75,6 @@ class Runtime::Worker final : public WorkerCore {
                        TimePoint resync_at) override;
 
   Runtime& runtime_;
-  // Encode-buffer pool for sends issued from this worker's thread; only
-  // that thread may touch it.
-  BufferPool pool_;
   std::condition_variable cv_;
   std::deque<Item> inbox_;
 };
@@ -159,16 +154,7 @@ void Runtime::Worker::run() {
 }
 
 void Runtime::Worker::transmit(ChannelId channel, Message message) {
-  // Wire-size accounting encodes into this worker's pooled buffer (send
-  // runs on the sender's thread), so steady-state sends allocate nothing.
-  std::uint32_t wire_bytes = 0;
-  {
-    BufferPool::Lease lease = pool_.acquire();
-    runtime_.metrics_.on_pool_acquire(lease.reused());
-    ByteWriter writer(lease.bytes());
-    message.encode(writer);
-    wire_bytes = static_cast<std::uint32_t>(writer.size());
-  }
+  const auto wire_bytes = static_cast<std::uint32_t>(message.encoded_size());
   runtime_.metrics_.on_send(channel.value(), traffic_class(message.kind),
                             wire_bytes);
   if (link_) {

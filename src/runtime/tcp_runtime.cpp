@@ -6,7 +6,6 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,10 +13,10 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
-#include "common/buffer_pool.hpp"
 #include "common/logging.hpp"
 #include "common/serialization.hpp"
 #include "net/framing.hpp"
@@ -33,15 +32,6 @@ using SteadyClock = std::chrono::steady_clock;
 // Every frame body starts with the 4-byte channel id it belongs to — the
 // demultiplexing key on a shared pair socket.
 constexpr std::size_t kChannelPrefixSize = 4;
-
-// Adaptive write budget: the most bytes one gathered sendmsg may carry.
-// Starts small (a handler burst fits in one call), doubles while the pair
-// stays backpressured, and decays once the queue drains.
-constexpr std::size_t kWriteBudgetMin = 16 * 1024;
-constexpr std::size_t kWriteBudgetMax = 1024 * 1024;
-// Frames per gathered write; a cap on iovec array size, not on batching —
-// the reactor loops until the budget or the socket buffer is exhausted.
-constexpr std::size_t kMaxWriteIov = 64;
 
 constexpr int kMaxEpollEvents = 64;
 
@@ -82,7 +72,34 @@ void close_fd(int& fd) {
   }
 }
 
-void apply_pair_socket_options(int fd, const TcpRuntimeConfig& config) {
+sockaddr_in loopback_addr(std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  return addr;
+}
+
+// A loopback listener on an ephemeral port, written to `port`; -1 on
+// failure.
+int listen_loopback(int backlog, std::uint16_t& port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr = loopback_addr(0);
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, backlog) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  port = ntohs(addr.sin_port);
+  return fd;
+}
+
+// Hand a connected pair socket to the reactor: socket options, then
+// nonblocking.  Returns the fd, or closes it and returns -1.
+int ready_pair_socket(int fd, const TcpRuntimeConfig& config) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (config.sndbuf_bytes > 0) {
@@ -93,6 +110,43 @@ void apply_pair_socket_options(int fd, const TcpRuntimeConfig& config) {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &config.rcvbuf_bytes,
                  sizeof(config.rcvbuf_bytes));
   }
+  if (set_nonblocking(fd)) return fd;
+  ::close(fd);
+  return -1;
+}
+
+// Dial the acceptor's listener on `port` and send the 4-byte pair-index
+// hello; returns the ready fd, or -1.
+int dial_pair(std::uint16_t port, std::uint32_t pair,
+              const TcpRuntimeConfig& config) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const sockaddr_in addr = loopback_addr(port);
+  std::uint8_t hello[4];
+  std::memcpy(hello, &pair, sizeof(pair));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0 ||
+      !write_all(fd, hello, sizeof(hello))) {
+    ::close(fd);
+    return -1;
+  }
+  return ready_pair_socket(fd, config);
+}
+
+// Read the pair-index hello from a freshly accepted (blocking) fd.  The
+// dialer writes it right after connect, so the read is momentary.
+std::optional<std::uint32_t> read_hello(int fd) {
+  std::uint8_t hello[4];
+  std::size_t got = 0;
+  while (got < sizeof(hello)) {
+    const ssize_t n = ::read(fd, hello + got, sizeof(hello) - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return std::nullopt;
+    got += static_cast<std::size_t>(n);
+  }
+  std::uint32_t pair = 0;
+  std::memcpy(&pair, hello, sizeof(pair));
+  return pair;
 }
 
 }  // namespace
@@ -132,26 +186,37 @@ class TcpRuntime::Worker final : public WorkerCore {
     int fd = -1;
     bool read_open = false;
     bool write_open = false;
-    bool want_write = false;      // EPOLLOUT armed (queue hit EAGAIN)
+    bool want_write = false;      // EPOLLOUT armed (send hit EAGAIN)
     std::uint32_t epoll_mask = 0;  // currently registered interest
-    std::size_t write_budget = kWriteBudgetMin;
     FrameParser parser;
-    struct QueuedFrame {
+    // Frames encoded in place, back to back; out[written..] is not yet on
+    // the socket.
+    Bytes out;
+    std::size_t written = 0;
+    // One entry per frame not yet fully written: where it ends in `out`
+    // and its channel (write batches count the frames a send completes;
+    // send-blocked time goes to the oldest unwritten frame's channel).
+    struct Unwritten {
+      std::size_t end;
       ChannelId channel;
-      BufferPool::Lease frame;
     };
-    std::deque<QueuedFrame> outq;
-    std::size_t front_offset = 0;  // bytes of outq.front() already written
+    std::deque<Unwritten> unwritten;
     SteadyClock::time_point blocked_since{};
     ChannelId blocked_channel{};
     // Dialer-side redial backoff; max() = no redial scheduled.
     SteadyClock::time_point reconnect_at = SteadyClock::time_point::max();
+
+    void clear_output() {
+      out.clear();
+      written = 0;
+      unwritten.clear();
+    }
   };
 
   void run() override;
   void wake() override;
-  // Encode the message into a pooled frame and queue it on the channel's
-  // pair connection, through the link when there is one.  Runs on this
+  // Account the message's wire bytes and frame it onto the channel's pair
+  // connection, through the link when there is one.  Runs on this
   // worker's own thread only (the sender's), like all sends.
   void transmit(ChannelId channel, Message message) override;
   void setup_conns();
@@ -164,14 +229,12 @@ class TcpRuntime::Worker final : public WorkerCore {
   [[nodiscard]] int next_timeout_ms();
 
   // ---- send path ----
-  void queue_frame(ChannelId channel, BufferPool::Lease frame);
-  void queue_frame_on(std::size_t slot, ChannelId channel,
-                      BufferPool::Lease frame);
+  // Encode one frame (channel id, optional reliability header, optional
+  // message) at the end of the channel's pair output buffer.
+  void append_frame(ChannelId channel, const RelHeader* header,
+                    const Message* body);
   void flush_sends();
   void try_flush(std::size_t slot);
-  // Retire fully written frames against `written` bytes; returns how many
-  // frames completed.
-  std::size_t advance_out_queue(PairConn& conn, std::size_t written);
   void fail_write_side(std::size_t slot);
 
   // ---- connection lifecycle ----
@@ -197,7 +260,7 @@ class TcpRuntime::Worker final : public WorkerCore {
                     Duration extra) override;
   void lose_connection(std::size_t slot, ChannelId channel,
                        TimePoint resync_at) override;
-  // Queue one reliable frame on `channel`: data frame `seq` of out-slot
+  // Append one reliable frame on `channel`: data frame `seq` of out-slot
   // `slot` while it is still unacked, or (`ack`) the cumulative ack `seq`.
   void write_rel_frame(std::size_t slot, ChannelId channel, bool ack,
                        std::uint64_t seq);
@@ -212,12 +275,7 @@ class TcpRuntime::Worker final : public WorkerCore {
   int pipe_write_ = -1;
   int epoll_fd_ = -1;
 
-  // Declared before conns_: the queued frames in PairConn hold leases that
-  // recycle into this pool when destroyed, so the pool must outlive them.
-  BufferPool pool_;
-
-  // deque, not vector: PairConn holds move-only pooled leases and must
-  // never be relocated (epoll events reference slots by index).
+  // Indexed by slot (epoll events carry it).
   std::deque<PairConn> conns_;
   // pair index -> the conn slot this worker sends on (side 0 for a
   // self-pair, the worker's only side otherwise).
@@ -261,50 +319,16 @@ bool TcpRuntime::Worker::init_sockets() {
   pipe_read_ = pipe_fds[0];
   pipe_write_ = pipe_fds[1];
   if (!set_nonblocking(pipe_read_)) return false;
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return false;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return false;
-  }
   // start() dials every pair before any worker accepts, so the backlog
   // must hold this worker's whole acceptor-side fan-in.
-  if (::listen(listen_fd_, 1024) != 0) return false;
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    return false;
-  }
-  port_ = ntohs(addr.sin_port);
-  return true;
+  listen_fd_ = listen_loopback(1024, port_);
+  return listen_fd_ >= 0;
 }
 
 bool TcpRuntime::Worker::init_control_listener() {
-  control_listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (control_listen_fd_ < 0) return false;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  if (::bind(control_listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return false;
-  }
-  if (::listen(control_listen_fd_, 64) != 0) return false;
-  socklen_t len = sizeof(addr);
-  if (::getsockname(control_listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &len) != 0) {
-    return false;
-  }
+  control_listen_fd_ = listen_loopback(64, control_port_);
   // Nonblocking so the reactor's accept loop can drain until EAGAIN.
-  if (!set_nonblocking(control_listen_fd_)) return false;
-  control_port_ = ntohs(addr.sin_port);
-  return true;
+  return control_listen_fd_ >= 0 && set_nonblocking(control_listen_fd_);
 }
 
 bool TcpRuntime::Worker::accept_inbound() {
@@ -315,31 +339,15 @@ bool TcpRuntime::Worker::accept_inbound() {
   for (std::size_t i = 0; i < expected; ++i) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return false;
-    // Hello frame: the 4-byte pair index this connection realizes.
-    std::uint8_t hello[4];
-    std::size_t got = 0;
-    while (got < sizeof(hello)) {
-      const ssize_t n = ::read(fd, hello + got, sizeof(hello) - got);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        ::close(fd);
-        return false;
-      }
-      got += static_cast<std::size_t>(n);
-    }
-    std::uint32_t pair = 0;
-    std::memcpy(&pair, hello, sizeof(pair));
-    if (pair >= runtime_.pairs_.size() ||
-        runtime_.pairs_[pair].b != id_.value()) {
+    const std::optional<std::uint32_t> pair = read_hello(fd);
+    if (!pair || *pair >= runtime_.pairs_.size() ||
+        runtime_.pairs_[*pair].b != id_.value()) {
       ::close(fd);
       return false;
     }
-    apply_pair_socket_options(fd, runtime_.config_);
-    if (!set_nonblocking(fd)) {
-      ::close(fd);
-      return false;
-    }
-    runtime_.pair_fd_[2 * pair + 1].store(fd);
+    const int ready = ready_pair_socket(fd, runtime_.config_);
+    if (ready < 0) return false;
+    runtime_.pair_fd_[2 * *pair + 1].store(ready);
   }
   return true;
 }
@@ -492,9 +500,7 @@ void TcpRuntime::Worker::conn_down(std::size_t slot, bool count_loss) {
   conn.want_write = false;
   conn.epoll_mask = 0;
   conn.parser = FrameParser();
-  conn.outq.clear();
-  conn.front_offset = 0;
-  conn.write_budget = kWriteBudgetMin;
+  conn.clear_output();
   if (runtime_.config_.faults && live && conn.side == 0 &&
       conn.reconnect_at == SteadyClock::time_point::max()) {
     conn.reconnect_at =
@@ -689,74 +695,43 @@ void TcpRuntime::Worker::run() {
 // ---------------------------------------------------------------------------
 
 void TcpRuntime::Worker::transmit(ChannelId channel, Message message) {
+  // Bytes are accounted once per logical send on both paths.  With a link
+  // the frame is re-encoded per transmission attempt, and the size rides
+  // with the staged message so retransmissions never re-measure.
+  const std::size_t wire = message.encoded_size();
+  runtime_.metrics_.on_send(channel.value(), traffic_class(message.kind),
+                            static_cast<std::uint32_t>(wire));
   if (link_) {
-    // Bytes are accounted once per logical send, like the bare path; the
-    // frame itself is rebuilt per transmission attempt, and the size rides
-    // with the staged message so retransmissions never re-measure.
-    const std::uint64_t wire = message.encoded_size();
-    runtime_.metrics_.on_send(channel.value(), traffic_class(message.kind),
-                              static_cast<std::uint32_t>(wire));
     link_->send(*this, runtime_.topology_.out_slot(channel),
                 std::move(message), wire, now());
     return;
   }
-  // The frame encodes into this worker's pooled buffer and queues on the
-  // pair connection: a handler emitting several messages pays one gathered
-  // write, and steady-state sends allocate nothing.
-  BufferPool::Lease lease = pool_.acquire();
-  runtime_.metrics_.on_pool_acquire(lease.reused());
-  Bytes& frame = lease.bytes();
-  const std::size_t header_at = begin_frame(frame);
-  ByteWriter writer(frame);
-  writer.u32(channel.value());
-  message.encode(writer);
-  end_frame(frame, header_at);
-  // Wire bytes exclude the frame prefix and the channel id so byte
-  // accounting stays identical across the sim/threads/tcp substrates.
-  runtime_.metrics_.on_send(
-      channel.value(), traffic_class(message.kind),
-      static_cast<std::uint32_t>(frame.size() - kFrameHeaderSize -
-                                 kChannelPrefixSize));
-  queue_frame(channel, std::move(lease));
+  // Encoded straight into the pair's output buffer: a handler emitting
+  // several messages pays one send, and encoding does not allocate once
+  // the buffer has grown.
+  append_frame(channel, nullptr, &message);
 }
 
-void TcpRuntime::Worker::queue_frame(ChannelId channel,
-                                     BufferPool::Lease frame) {
+void TcpRuntime::Worker::append_frame(ChannelId channel,
+                                      const RelHeader* header,
+                                      const Message* body) {
   const std::uint32_t pair = runtime_.channel_pair_[channel.value()];
   const auto it = send_slot_of_pair_.find(pair);
   DDBG_ASSERT(it != send_slot_of_pair_.end(),
               "send on a pair this worker does not own");
-  queue_frame_on(it->second, channel, std::move(frame));
-}
-
-void TcpRuntime::Worker::queue_frame_on(std::size_t slot, ChannelId channel,
-                                        BufferPool::Lease frame) {
-  PairConn& conn = conns_[slot];
+  PairConn& conn = conns_[it->second];
   if (!conn.write_open) {
     // Bare mode: the loss was counted when the write side died; with
     // faults the retransmit window replays once the pair reconnects.
     return;
   }
-  conn.outq.push_back(PairConn::QueuedFrame{channel, std::move(frame)});
-}
-
-std::size_t TcpRuntime::Worker::advance_out_queue(PairConn& conn,
-                                                  std::size_t written) {
-  std::size_t retired = 0;
-  while (written > 0 && !conn.outq.empty()) {
-    const std::size_t remaining =
-        conn.outq.front().frame.bytes().size() - conn.front_offset;
-    if (written >= remaining) {
-      written -= remaining;
-      conn.front_offset = 0;
-      conn.outq.pop_front();
-      ++retired;
-    } else {
-      conn.front_offset += written;
-      written = 0;
-    }
-  }
-  return retired;
+  const std::size_t header_at = begin_frame(conn.out);
+  ByteWriter writer(conn.out);
+  writer.u32(channel.value());
+  if (header != nullptr) header->encode(writer);
+  if (body != nullptr) body->encode(writer);
+  end_frame(conn.out, header_at);
+  conn.unwritten.push_back(PairConn::Unwritten{conn.out.size(), channel});
 }
 
 void TcpRuntime::Worker::fail_write_side(std::size_t slot) {
@@ -770,16 +745,15 @@ void TcpRuntime::Worker::fail_write_side(std::size_t slot) {
     return;
   }
   if (live) {
-    // Bare-TCP mode has no retransmit window: the queued frames are lost
-    // with the connection.  Count the event so tests and operators see
-    // the drop instead of relying on a log line.
+    // Bare-TCP mode has no retransmit window: the unwritten frames are
+    // lost with the connection.  Count the event so tests and operators
+    // see the drop instead of relying on a log line.
     runtime_.metrics_.on_channel_down();
     DDBG_ERROR() << "tcp: write failed on pair " << conn.pair;
   }
   conn.write_open = false;
   conn.want_write = false;
-  conn.outq.clear();
-  conn.front_offset = 0;
+  conn.clear_output();
   if (!conn.read_open) {
     conn_down(slot, /*count_loss=*/false);
     return;
@@ -789,77 +763,40 @@ void TcpRuntime::Worker::fail_write_side(std::size_t slot) {
 
 void TcpRuntime::Worker::try_flush(std::size_t slot) {
   PairConn& conn = conns_[slot];
-  while (conn.fd >= 0 && conn.write_open && !conn.outq.empty()) {
-    // Gather frames under the adaptive byte budget (always at least the
-    // remainder of the front frame, so progress is guaranteed).
-    iovec iov[kMaxWriteIov];
-    std::size_t count = 0;
-    std::size_t total = 0;
-    for (PairConn::QueuedFrame& queued : conn.outq) {
-      if (count == kMaxWriteIov) break;
-      Bytes& bytes = queued.frame.bytes();
-      const std::size_t offset = count == 0 ? conn.front_offset : 0;
-      iov[count].iov_base = bytes.data() + offset;
-      iov[count].iov_len = bytes.size() - offset;
-      total += iov[count].iov_len;
-      ++count;
-      if (total >= conn.write_budget) break;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = count;
-    // The send-blocked clock brackets the syscall; on a nonblocking fd it
-    // is ~0, and the real wedge time (EPOLLOUT armed -> queue drained) is
-    // added in try_flush when the backpressure clears.
-    const ChannelId front_channel = conn.outq.front().channel;
-    const auto write_start = SteadyClock::now();
-    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-    runtime_.metrics_.add_send_blocked(
-        front_channel.value(),
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            SteadyClock::now() - write_start)
-            .count());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Socket buffer full: park the queue on EPOLLOUT instead of
-        // spinning — the reactor resumes the flush when space frees up.
-        runtime_.metrics_.on_eagain_deferral();
-        if (!conn.want_write) {
-          conn.want_write = true;
-          conn.blocked_since = SteadyClock::now();
-          conn.blocked_channel = front_channel;
-          update_epoll_interest(slot);
-        }
-        return;
-      }
-      fail_write_side(slot);
-      return;
-    }
-    const auto written = static_cast<std::size_t>(n);
-    const std::size_t retired = advance_out_queue(conn, written);
-    if (retired > 0) runtime_.metrics_.on_write_batch(retired);
-    if (written < total) {
-      // Partial write: the kernel buffer is full mid-frame.  Same
-      // deferral as EAGAIN, and sustained backpressure earns a bigger
-      // budget so the next writable window moves more per syscall.
-      runtime_.metrics_.on_eagain_deferral();
-      conn.write_budget = std::min(conn.write_budget * 2, kWriteBudgetMax);
-      if (!conn.want_write) {
-        conn.want_write = true;
-        conn.blocked_since = SteadyClock::now();
-        conn.blocked_channel = front_channel;
-        update_epoll_interest(slot);
-      }
-      return;
-    }
-    if (!conn.outq.empty()) {
-      // Budget-limited, not kernel-limited: grow and keep draining.
-      conn.write_budget = std::min(conn.write_budget * 2, kWriteBudgetMax);
-    }
+  if (conn.fd < 0 || !conn.write_open || conn.written == conn.out.size()) {
+    return;
   }
-  if (conn.outq.empty()) {
-    conn.write_budget = std::max(conn.write_budget / 2, kWriteBudgetMin);
+  // The send-blocked clock brackets the syscall; on a nonblocking fd it is
+  // ~0, and the real wedge time (EPOLLOUT armed -> buffer drained) is
+  // added below when the backpressure clears.
+  const ChannelId front_channel = conn.unwritten.front().channel;
+  const auto write_start = SteadyClock::now();
+  ssize_t n = 0;
+  do {
+    n = ::send(conn.fd, conn.out.data() + conn.written,
+               conn.out.size() - conn.written, MSG_NOSIGNAL);
+  } while (n < 0 && errno == EINTR);
+  runtime_.metrics_.add_send_blocked(
+      front_channel.value(),
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          SteadyClock::now() - write_start)
+          .count());
+  if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) {
+    fail_write_side(slot);
+    return;
+  }
+  if (n > 0) {
+    conn.written += static_cast<std::size_t>(n);
+    std::size_t completed = 0;
+    while (!conn.unwritten.empty() &&
+           conn.unwritten.front().end <= conn.written) {
+      conn.unwritten.pop_front();
+      ++completed;
+    }
+    if (completed > 0) runtime_.metrics_.on_write_batch(completed);
+  }
+  if (conn.written == conn.out.size()) {
+    conn.clear_output();  // keeps the capacity for the next batch
     if (conn.want_write) {
       conn.want_write = false;
       runtime_.metrics_.add_send_blocked(
@@ -869,14 +806,33 @@ void TcpRuntime::Worker::try_flush(std::size_t slot) {
               .count());
       update_epoll_interest(slot);
     }
+    return;
+  }
+  // EAGAIN or a partial write: the socket buffer is full.  Park on
+  // EPOLLOUT instead of spinning; the reactor resumes the flush when space
+  // frees up.  Once the written prefix is at least half the buffer, drop
+  // it so a long backlog does not keep sent bytes alive.
+  runtime_.metrics_.on_eagain_deferral();
+  if (2 * conn.written >= conn.out.size()) {
+    const auto prefix = static_cast<std::ptrdiff_t>(conn.written);
+    conn.out.erase(conn.out.begin(), conn.out.begin() + prefix);
+    for (PairConn::Unwritten& frame : conn.unwritten) {
+      frame.end -= conn.written;
+    }
+    conn.written = 0;
+  }
+  if (!conn.want_write) {
+    conn.want_write = true;
+    conn.blocked_since = SteadyClock::now();
+    conn.blocked_channel = conn.unwritten.front().channel;
+    update_epoll_interest(slot);
   }
 }
 
 void TcpRuntime::Worker::flush_sends() {
   for (std::size_t slot = 0; slot < conns_.size(); ++slot) {
-    if (!conns_[slot].outq.empty() && !conns_[slot].want_write) {
-      try_flush(slot);
-    }
+    const PairConn& conn = conns_[slot];
+    if (conn.written < conn.out.size() && !conn.want_write) try_flush(slot);
   }
 }
 
@@ -938,18 +894,9 @@ void TcpRuntime::Worker::write_rel_frame(std::size_t slot, ChannelId channel,
     header.seq = seq;
     body = &staged->message;
   }
-  BufferPool::Lease lease = pool_.acquire();
-  runtime_.metrics_.on_pool_acquire(lease.reused());
-  Bytes& frame = lease.bytes();
-  const std::size_t header_at = begin_frame(frame);
-  ByteWriter writer(frame);
-  writer.u32(channel.value());
-  header.encode(writer);
-  if (body != nullptr) body->encode(writer);
-  end_frame(frame, header_at);
   // Acks ride this worker's end of the pair (full duplex); if that
   // connection is being replaced, the resync re-acks.
-  queue_frame(channel, std::move(lease));
+  append_frame(channel, &header, body);
 }
 
 void TcpRuntime::Worker::conn_up(std::size_t slot, int fd) {
@@ -959,8 +906,7 @@ void TcpRuntime::Worker::conn_up(std::size_t slot, int fd) {
   conn.read_open = conn.write_open = true;
   conn.want_write = false;
   conn.parser = FrameParser();
-  conn.outq.clear();
-  conn.front_offset = 0;
+  conn.clear_output();
   epoll_add_conn(slot);
   runtime_.pair_fd_[2 * conn.pair + conn.side].store(fd);
   // Every unacked frame on this worker's channels across the pair replays
@@ -981,28 +927,10 @@ void TcpRuntime::Worker::try_reconnect(std::size_t slot) {
       runtime_.stopped_.load(std::memory_order_relaxed)) {
     return;
   }
-  const HostPair& pair = runtime_.pairs_[conn.pair];
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  bool ok = fd >= 0;
-  if (ok) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(runtime_.worker(pair.b).port());
-    ok = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-  if (ok) {
-    const std::uint32_t pair_index = conn.pair;
-    std::uint8_t hello[4];
-    std::memcpy(hello, &pair_index, sizeof(pair_index));
-    ok = write_all(fd, hello, sizeof(hello));
-  }
-  if (ok) {
-    apply_pair_socket_options(fd, runtime_.config_);
-    ok = set_nonblocking(fd);
-  }
-  if (!ok) {
-    if (fd >= 0) ::close(fd);
+  const int fd =
+      dial_pair(runtime_.worker(runtime_.pairs_[conn.pair].b).port(),
+                conn.pair, runtime_.config_);
+  if (fd < 0) {
     conn.reconnect_at =
         SteadyClock::now() +
         std::chrono::nanoseconds(runtime_.config_.reliable.rto_initial.ns);
@@ -1014,33 +942,20 @@ void TcpRuntime::Worker::try_reconnect(std::size_t slot) {
 void TcpRuntime::Worker::accept_runtime_connection() {
   const int fd = ::accept(listen_fd_, nullptr, nullptr);
   if (fd < 0) return;
-  // Same 4-byte pair-index hello as the startup dial.  The dialer writes
-  // it immediately after connect, so this blocking read is momentary.
-  std::uint8_t hello[4];
-  std::size_t got = 0;
-  while (got < sizeof(hello)) {
-    const ssize_t n = ::read(fd, hello + got, sizeof(hello) - got);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);
-      return;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  std::uint32_t pair = 0;
-  std::memcpy(&pair, hello, sizeof(pair));
-  for (std::size_t slot = 0; slot < conns_.size(); ++slot) {
-    const PairConn& conn = conns_[slot];
-    if (conn.pair != pair || conn.side != 1) continue;
-    apply_pair_socket_options(fd, runtime_.config_);
-    if (!set_nonblocking(fd)) {
-      ::close(fd);
-      return;
-    }
-    conn_up(slot, fd);
+  // Same pair-index hello as the startup dial.
+  const std::optional<std::uint32_t> pair = read_hello(fd);
+  if (!pair) {
+    ::close(fd);
     return;
   }
-  DDBG_ERROR() << "tcp: reconnect hello for unknown pair " << pair;
+  for (std::size_t slot = 0; slot < conns_.size(); ++slot) {
+    const PairConn& conn = conns_[slot];
+    if (conn.pair != *pair || conn.side != 1) continue;
+    const int ready = ready_pair_socket(fd, runtime_.config_);
+    if (ready >= 0) conn_up(slot, ready);
+    return;
+  }
+  DDBG_ERROR() << "tcp: reconnect hello for unknown pair " << *pair;
   ::close(fd);
 }
 
@@ -1143,28 +1058,9 @@ bool TcpRuntime::start() {
   // pair-index hello.  Backlogs hold the pending connections until the
   // acceptors drain them below.
   for (std::size_t p = 0; p < pairs_.size(); ++p) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = dial_pair(worker(pairs_[p].b).port(),
+                             static_cast<std::uint32_t>(p), config_);
     if (fd < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(worker(pairs_[p].b).port());
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      ::close(fd);
-      return false;
-    }
-    const auto pair_index = static_cast<std::uint32_t>(p);
-    std::uint8_t hello[4];
-    std::memcpy(hello, &pair_index, sizeof(pair_index));
-    if (!write_all(fd, hello, sizeof(hello))) {
-      ::close(fd);
-      return false;
-    }
-    apply_pair_socket_options(fd, config_);
-    if (!set_nonblocking(fd)) {
-      ::close(fd);
-      return false;
-    }
     pair_fd_[2 * p].store(fd);
   }
   for (std::uint32_t p = 0; p < workers_.size(); ++p) {

@@ -9,11 +9,12 @@
 //
 // Each worker runs a level-triggered epoll reactor: fds are registered
 // once and interest sets are mutated on state change (EPOLLOUT is armed
-// only while a pair's out-queue is blocked on a full socket buffer, and a
-// dead fd is deleted from the set, never re-polled).  Writes are
-// nonblocking gathered sendmsg calls under an adaptive byte budget that
-// grows while backpressure persists; EAGAIN and partial writes park the
-// queue on EPOLLOUT instead of spinning or blocking the worker.
+// only while a pair's output is blocked on a full socket buffer, and a
+// dead fd is deleted from the set, never re-polled).  Each pair connection
+// has one output buffer: frames are encoded in place at its end, and the
+// unwritten span goes out in a single nonblocking send per flush; EAGAIN
+// and partial writes park it on EPOLLOUT instead of spinning or blocking
+// the worker.
 //
 // TCP still gives exactly the paper's channel model per channel: reliable,
 // FIFO, unbounded (one stream carries each pair's channels in order, so

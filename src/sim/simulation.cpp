@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/serialization.hpp"
 
 namespace ddbg {
 
@@ -264,14 +263,6 @@ void Simulation::preload_channel(ChannelId channel, Bytes payload) {
   message.message_id =
       transport_message_id(channel, ++channel_msg_seq_[channel.value()]);
   ++channel_in_flight_[channel.value()];
-  std::uint32_t wire_bytes = 0;
-  {
-    BufferPool::Lease lease = pool_.acquire();
-    metrics_.on_pool_acquire(lease.reused());
-    ByteWriter writer(lease.bytes());
-    message.encode(writer);
-    wire_bytes = static_cast<std::uint32_t>(writer.size());
-  }
 
   Event event;
   // Delivered at t=0 after the on_start events (which were queued first),
@@ -280,7 +271,7 @@ void Simulation::preload_channel(ChannelId channel, Bytes payload) {
   event.kind = Event::Kind::kDeliver;
   event.target = spec.destination;
   event.channel = channel;
-  event.wire_bytes = wire_bytes;
+  event.wire_bytes = static_cast<std::uint32_t>(message.encoded_size());
   push_parcel(event, std::move(message));
 }
 
@@ -378,16 +369,6 @@ void Simulation::dispatch(const Event& event) {
   }
 }
 
-std::uint32_t Simulation::encoded_wire_bytes(const Message& message) {
-  // Wire-size accounting encodes into a pooled buffer so steady-state
-  // sends allocate nothing.
-  BufferPool::Lease lease = pool_.acquire();
-  metrics_.on_pool_acquire(lease.reused());
-  ByteWriter writer(lease.bytes());
-  message.encode(writer);
-  return static_cast<std::uint32_t>(writer.size());
-}
-
 void Simulation::do_send(ProcessId sender, TimePoint at, ChannelId channel,
                          Message message) {
   const ChannelSpec& spec = topology_.channel(channel);
@@ -401,7 +382,7 @@ void Simulation::do_send(ProcessId sender, TimePoint at, ChannelId channel,
         transport_message_id(channel, ++channel_msg_seq_[channel.value()]);
   }
 
-  const std::uint32_t wire_bytes = encoded_wire_bytes(message);
+  const auto wire_bytes = static_cast<std::uint32_t>(message.encoded_size());
   metrics_.on_send(channel.value(), traffic_class(message.kind), wire_bytes);
   if (observer_ != nullptr) observer_->on_send(at, channel, message);
   ++channel_in_flight_[channel.value()];

@@ -17,7 +17,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/buffer_pool.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -187,7 +186,6 @@ class Simulation {
   [[nodiscard]] Duration sample_latency(ChannelId channel, std::uint64_t key);
   void release_delivery(TimePoint at, ChannelId channel, ProcessId target,
                         Message message, std::uint32_t wire_bytes);
-  [[nodiscard]] std::uint32_t encoded_wire_bytes(const Message& message);
 
   Topology topology_;
   std::vector<ProcessPtr> processes_;
@@ -224,9 +222,6 @@ class Simulation {
   std::optional<ReliableLink> link_;
 
   obs::MetricsRegistry metrics_;
-  // Wire-size accounting encodes every sent message; the pool keeps that
-  // from allocating per send.
-  BufferPool pool_;
   TransportObserver* observer_ = nullptr;
   std::uint64_t events_processed_ = 0;
 };

@@ -6,7 +6,6 @@
 #include <set>
 #include <unordered_set>
 
-#include "common/buffer_pool.hpp"
 #include "common/ids.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -259,84 +258,6 @@ TEST(Serialization, MalformedVarintIsError) {
   Bytes data(11, 0xff);  // continuation bit forever
   ByteReader reader(data);
   EXPECT_FALSE(reader.varint().ok());
-}
-
-TEST(BufferPool, FirstAcquireIsAMiss) {
-  BufferPool pool;
-  auto lease = pool.acquire();
-  EXPECT_FALSE(lease.reused());
-  EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.misses(), 1u);
-}
-
-TEST(BufferPool, ReleasedBufferIsReusedWithCapacityRetained) {
-  BufferPool pool;
-  const std::uint8_t* data = nullptr;
-  {
-    auto lease = pool.acquire();
-    lease.bytes().assign(100, 0xab);
-    data = lease.bytes().data();
-  }
-  EXPECT_EQ(pool.idle(), 1u);
-  auto lease = pool.acquire();
-  EXPECT_TRUE(lease.reused());
-  EXPECT_TRUE(lease.bytes().empty());        // contents cleared...
-  EXPECT_GE(lease.bytes().capacity(), 100u);  // ...capacity kept
-  EXPECT_EQ(lease.bytes().data(), data);      // same allocation, no alloc
-  EXPECT_EQ(pool.hits(), 1u);
-}
-
-TEST(BufferPool, TakeDetachesFromPool) {
-  BufferPool pool;
-  {
-    auto lease = pool.acquire();
-    lease.bytes().assign(8, 0x01);
-    Bytes taken = std::move(lease).take();
-    EXPECT_EQ(taken.size(), 8u);
-  }
-  EXPECT_EQ(pool.idle(), 0u);  // taken buffer never came back
-}
-
-TEST(BufferPool, MoveTransfersOwnershipOnce) {
-  BufferPool pool;
-  {
-    auto a = pool.acquire();
-    BufferPool::Lease b = std::move(a);
-    (void)b;
-  }
-  // Exactly one recycle despite the moved-from lease also destructing.
-  EXPECT_EQ(pool.idle(), 1u);
-}
-
-TEST(BufferPool, FreeListDepthIsCapped) {
-  BufferPool pool(BufferPool::Config{.max_buffers = 2,
-                                     .max_retained_capacity = 1u << 20});
-  {
-    auto a = pool.acquire();
-    auto b = pool.acquire();
-    auto c = pool.acquire();
-  }
-  EXPECT_EQ(pool.idle(), 2u);
-}
-
-TEST(BufferPool, OversizedBuffersAreNotRetained) {
-  BufferPool pool(
-      BufferPool::Config{.max_buffers = 32, .max_retained_capacity = 64});
-  {
-    auto lease = pool.acquire();
-    lease.bytes().assign(1024, 0x00);  // grows capacity past the cap
-  }
-  EXPECT_EQ(pool.idle(), 0u);
-}
-
-TEST(BufferPool, SteadyStateHitRateIsHigh) {
-  BufferPool pool;
-  for (int i = 0; i < 1000; ++i) {
-    auto lease = pool.acquire();
-    lease.bytes().assign(64, 0x2a);
-  }
-  EXPECT_EQ(pool.misses(), 1u);
-  EXPECT_EQ(pool.hits(), 999u);
 }
 
 TEST(Time, DurationArithmetic) {

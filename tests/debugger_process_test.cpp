@@ -155,6 +155,24 @@ TEST(DebuggerProcess, SetLinkedBreakpointArmsFirstStageProcesses) {
   EXPECT_EQ(arms, 2u);
 }
 
+TEST(DebuggerProcess, OverDeepLinkedSpecIsRejected) {
+  // A spec built in code skips the parser's depth check; set_breakpoint
+  // must still refuse one that expands past kMaxDepth stages, before any
+  // arm command is built.
+  Fixture fx;
+  BreakpointSpec spec;
+  spec.kind = BreakpointSpec::Kind::kLinked;
+  DisjunctivePredicate dp;
+  dp.alternatives.push_back(SimplePredicate::message_received(ProcessId(0)));
+  spec.linked = LinkedPredicate::single(dp);
+  spec.linked.stages[0].repeat = LinkedPredicate::kMaxDepth + 1;
+  EXPECT_FALSE(fx.debugger.set_breakpoint(fx.ctx, spec).valid());
+  EXPECT_TRUE(fx.ctx.sent.empty());
+  // Exactly at the cap is fine.
+  spec.linked.stages[0].repeat = LinkedPredicate::kMaxDepth;
+  EXPECT_TRUE(fx.debugger.set_breakpoint(fx.ctx, spec).valid());
+}
+
 TEST(DebuggerProcess, OrderedConjunctionArmsAllPermutations) {
   Fixture fx;
   BreakpointSpec spec;

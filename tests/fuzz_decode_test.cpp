@@ -32,9 +32,11 @@ TEST_P(FuzzDecode, RandomBytesNeverCrashMessageDecode) {
     ByteReader reader(bytes);
     auto result = Message::decode(reader);
     if (result.ok()) {
-      // Whatever decoded must re-encode without crashing.
+      // Whatever decoded must re-encode without crashing, to exactly the
+      // computed wire size.
       ByteWriter writer;
       result.value().encode(writer);
+      EXPECT_EQ(result.value().encoded_size(), writer.size());
     }
   }
 }
@@ -190,6 +192,22 @@ TEST(DecodeBoundary, ElevenByteVarintRejected) {
   ByteReader reader(encoded);
   auto result = reader.varint();
   EXPECT_FALSE(result.ok());
+}
+
+// A stage repeat must fit the u32 it is stored in: 2^32 would otherwise
+// truncate to a zero-repeat stage.
+TEST(DecodeBoundary, LinkedPredicateRepeatPastU32Rejected) {
+  DisjunctivePredicate dp;
+  dp.alternatives.push_back(SimplePredicate::message_received(ProcessId(0)));
+  for (const std::uint64_t repeat :
+       {std::uint64_t{1} << 32, ~std::uint64_t{0}}) {
+    ByteWriter writer;
+    writer.varint(1);  // one stage
+    dp.encode(writer);
+    writer.varint(repeat);
+    EXPECT_FALSE(LinkedPredicate::decode_from_bytes(writer.buffer()).ok())
+        << repeat;
+  }
 }
 
 // Truncated prefixes: the varint length parses but the payload is short.

@@ -1,6 +1,10 @@
 // Unit tests for message wire encoding and the command protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/commands.hpp"
 #include "net/message.hpp"
 
@@ -77,11 +81,79 @@ TEST(Message, DecodeRejectsGarbageKind) {
   EXPECT_FALSE(Message::decode(reader).ok());
 }
 
+TEST(Message, DecodeRejectsMarkerWithoutPayload) {
+  // A peer could send a marker kind with its payload flag cleared; the
+  // shim would then assert on the missing payload.
+  for (const MessageKind kind :
+       {MessageKind::kHaltMarker, MessageKind::kSnapshotMarker,
+        MessageKind::kPredicateMarker}) {
+    Message m;
+    m.kind = kind;
+    ByteWriter writer;
+    m.encode(writer);
+    ByteReader reader(writer.buffer());
+    EXPECT_FALSE(Message::decode(reader).ok()) << to_string(kind);
+  }
+}
+
 TEST(Message, EncodedSizeGrowsWithPayload) {
   Message small = Message::application(Bytes(4, 0));
   Message large = Message::application(Bytes(400, 0));
   EXPECT_LT(small.encoded_size(), large.encoded_size());
   EXPECT_GE(large.encoded_size(), 400u);
+}
+
+TEST(Message, EncodedSizeEqualsEncodedBytes) {
+  // 0 and 2^(7k) for k = 1..9: varints of every length from 1 to 10 bytes.
+  std::vector<std::uint64_t> values{0};
+  for (int k = 1; k <= 9; ++k) values.push_back(std::uint64_t{1} << (7 * k));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::uint64_t v = values[i];
+    ByteWriter varint;
+    varint.varint(v);
+    EXPECT_EQ(varint.size(), i + 1) << v;
+    EXPECT_EQ(varint_size(v), i + 1) << v;
+    if (v > 0) {
+      EXPECT_EQ(varint_size(v - 1), i) << v;
+    }
+  }
+  const auto v32 = [](std::uint64_t v) {
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(v, UINT32_MAX));
+  };
+  for (const std::uint64_t v : values) {
+    // Payload lengths cross the 1/2/3-byte length-varint boundaries.
+    for (const std::size_t payload : {0u, 127u, 128u, 16384u}) {
+      // Every subset of the optional fields: vclock, halt, snapshot,
+      // predicate.
+      for (int mask = 0; mask < 16; ++mask) {
+        Message m = Message::application(Bytes(payload, 0x5a));
+        m.message_id = v;
+        m.lamport = v;
+        if (mask & 1) {
+          ByteWriter clock;
+          clock.varint(3);
+          clock.varint(v);
+          clock.varint(1);
+          clock.varint(v);
+          ByteReader reader(clock.buffer());
+          m.vclock = VectorClock::decode(reader).value();
+        }
+        if (mask & 2) {
+          m.halt = HaltMarkerData{HaltId(v), {ProcessId(v32(v)), ProcessId(0)}};
+        }
+        if (mask & 4) m.snapshot = SnapshotMarkerData{v};
+        if (mask & 8) {
+          m.predicate = PredicateMarkerData{BreakpointId(v32(v)),
+                                            Bytes(payload, 0xa5), v32(v),
+                                            true};
+        }
+        ByteWriter writer;
+        m.encode(writer);
+        EXPECT_EQ(m.encoded_size(), writer.size())
+            << "v=" << v << " payload=" << payload << " mask=" << mask;
+      }
+    }
+  }
 }
 
 TEST(Message, DescribeIsInformative) {

@@ -274,24 +274,21 @@ TEST(MetricsParity, IdenticalWorkloadIdenticalBytesAcrossRuntimes) {
   EXPECT_EQ(tcp.runtime, "tcp");
 }
 
-// Hot-path transport counters (pool + batching) must be populated by all
-// three runtimes and obey the same invariants: one pooled acquire per send
-// (misses bounded by warmup), batch-message totals equal to deliveries.
+// Hot-path transport counters (batching) must be populated by all three
+// runtimes and obey the same invariants: batch-message totals equal to
+// deliveries, and the retired pool counters read zero.
 void check_ring_transport(const obs::MetricsSnapshot& snap,
                           bool has_write_path) {
   const obs::TransportSnapshot& t = snap.transport;
-  // Every send encodes through exactly one pooled buffer.
-  EXPECT_EQ(t.pool_hits + t.pool_misses, snap.totals.messages_sent);
-  EXPECT_GT(t.pool_hits, 0u);
-  // Cold misses only: at most one buffer per worker pool warms up (the
-  // sim has a single pool and shows exactly one).
-  EXPECT_LE(t.pool_misses, kRingSize);
+  // No substrate pools encode buffers: wire sizes are computed.
+  EXPECT_EQ(t.pool_hits, 0u);
+  EXPECT_EQ(t.pool_misses, 0u);
   // Batched delivery accounts for every delivered message exactly once.
   EXPECT_EQ(t.deliver_batch_messages, snap.totals.messages_delivered);
   EXPECT_GT(t.deliver_batches, 0u);
   EXPECT_GE(t.max_deliver_batch, 1u);
   if (has_write_path) {
-    // The TCP runtime flushes every frame through a gathered write.
+    // The TCP runtime completes every frame in some socket write.
     EXPECT_EQ(t.write_batch_frames, snap.totals.messages_sent);
     EXPECT_GT(t.write_batches, 0u);
     EXPECT_GE(t.max_write_batch, 1u);
@@ -347,7 +344,7 @@ TEST(MetricsGolden, TinyTokenRingTraceAndJsonArePinned) {
       R"("bytes_delivered":45,"sent":{"app":2,"halt_marker":0,)"
       R"("snapshot_marker":0,"predicate_marker":0,"control":0},"delivered":{)"
       R"("app":2,"halt_marker":0,"snapshot_marker":0,"predicate_marker":0,)"
-      R"("control":0}},"transport":{"pool_hits":1,"pool_misses":1,)"
+      R"("control":0}},"transport":{"pool_hits":0,"pool_misses":0,)"
       R"("deliver_batches":2,"deliver_batch_messages":2,"max_deliver_batch":1,)"
       R"("write_batches":0,"write_batch_frames":0,"max_write_batch":0,)"
       R"("epoll_wakeups":0,"frames_per_wakeup_max":0,"eagain_deferrals":0,)"

@@ -250,6 +250,8 @@ TEST(Parser, MalformedBoundaryCorpus) {
       "p0:x<-9223372036854775809",          // below INT64_MIN
       "(p0:recv)^9223372036854775808",      // overflowing repetition count
       "(p0:recv)^0",                        // zero repetition
+      "(p0:recv)^1000000 -> (p1:recv)^1000000",  // 2M stages once expanded
+      "(p0:recv)^200 -> (p1:recv)^57",      // kMaxDepth + 1 stages in total
       "p4294967296:recv",                   // process id past 2^32 - 1
       "p99999999999999999999:recv",         // process id past 2^64
       "p0:sent(4294967296)",                // channel id past 2^32 - 1
@@ -273,6 +275,10 @@ TEST(Parser, IntegerBoundaryValuesStillAccepted) {
             -std::numeric_limits<std::int64_t>::max());
   auto big_proc = parse_breakpoint("p4294967295:recv");
   ASSERT_TRUE(big_proc.ok());
+  // An LP expanding to exactly kMaxDepth stages.
+  auto deepest = parse_breakpoint("(p0:recv)^200 -> (p1:recv)^56");
+  ASSERT_TRUE(deepest.ok());
+  EXPECT_EQ(deepest.value().linked.depth(), LinkedPredicate::kMaxDepth);
 }
 
 TEST(Parser, ErrorsCarryColumnPositions) {

@@ -4,6 +4,7 @@
 
 #include "analysis/trace.hpp"
 #include "core/debug_shim.hpp"
+#include "core/predicate_parser.hpp"
 #include "debugger/harness.hpp"
 #include "sim/simulation.hpp"
 #include "tests/test_util.hpp"
@@ -216,6 +217,85 @@ TEST(DebugShim, HaltsViaBreakpointOnUserEvent) {
   auto wave = harness.session().wait_for_halt(Duration::seconds(30));
   ASSERT_TRUE(wave.has_value());
   EXPECT_TRUE(harness.shim(ProcessId(0)).halted());
+}
+
+// A started shim on p0 of a two-way pair with a debugger, fed raw wire
+// input the way a buggy debugger or a hostile neighbour could send it.
+// Armed as sent, each input below would trip a detector assertion and
+// abort the process; the shim must log and drop it, arm nothing, and keep
+// running.
+struct HostileInput {
+  Topology topology = [] {
+    Topology t(2);
+    t.add_channel(ProcessId(0), ProcessId(1));
+    t.add_channel(ProcessId(1), ProcessId(0));
+    return t.with_debugger();
+  }();
+  testing::FakeContext ctx{ProcessId(0), &topology};
+  DebugShim shim{ProcessId(0), std::make_unique<Instrumented>()};
+  const ChannelId app_in = *topology.channel_between(ProcessId(1),
+                                                     ProcessId(0));
+
+  HostileInput() { shim.on_start(ctx); }
+
+  void command(const Command& command) {
+    shim.on_message(ctx, topology.control_to(ProcessId(0)),
+                    Message::control(command.encode()));
+  }
+  // An application message: fires p0:recv.
+  void app_message() {
+    shim.on_message(ctx, app_in, Message::application(Bytes{1}));
+  }
+};
+
+LinkedPredicate lp_of(const char* text) {
+  return parse_linked_predicate(text).value();
+}
+
+TEST(DebugShim, ArmWithEmptyLinkedPredicateIsDropped) {
+  HostileInput in;
+  in.command(Command::arm_predicate(BreakpointId(1),
+                                    LinkedPredicate{}.encode_to_bytes(), 0));
+  EXPECT_EQ(in.shim.armed_watches(), 0u);
+  in.app_message();
+}
+
+TEST(DebugShim, ArmWhoseFirstStageIsElsewhereIsDropped) {
+  HostileInput in;
+  in.command(Command::arm_predicate(
+      BreakpointId(1), lp_of("p1:recv -> p0:recv").encode_to_bytes(), 0));
+  EXPECT_EQ(in.shim.armed_watches(), 0u);
+  in.app_message();
+}
+
+TEST(DebugShim, ArmWithUnexpandedRepeatIsDropped) {
+  // Armed as sent, (p0:recv)^2 would abort in rest() on the first
+  // receive.
+  HostileInput in;
+  in.command(Command::arm_predicate(
+      BreakpointId(1), lp_of("(p0:recv)^2").encode_to_bytes(), 0));
+  EXPECT_EQ(in.shim.armed_watches(), 0u);
+  in.app_message();
+  EXPECT_FALSE(in.shim.halted());
+}
+
+TEST(DebugShim, EmptyPredicateMarkerFromNeighbourIsDropped) {
+  HostileInput in;
+  in.shim.on_message(in.ctx, in.app_in,
+                     Message::predicate_marker(
+                         BreakpointId(1), LinkedPredicate{}.encode_to_bytes(),
+                         0));
+  EXPECT_EQ(in.shim.armed_watches(), 0u);
+  in.app_message();
+}
+
+TEST(DebugShim, ArmNotifyForAnotherProcessIsDropped) {
+  HostileInput in;
+  ByteWriter sp;
+  SimplePredicate::message_received(ProcessId(1)).encode(sp);
+  in.command(Command::arm_notify(BreakpointId(1), std::move(sp).take(), 0));
+  EXPECT_EQ(in.shim.armed_watches(), 0u);
+  in.app_message();
 }
 
 TEST(DebugShim, ArmedWatchCountTracksDisarm) {

@@ -476,7 +476,7 @@ TEST(TcpRuntime, ShortWriteBackpressureRecoversInOrder) {
   ASSERT_TRUE(TcpRuntime::wait_until([&] { return parked->load(); }, kWait));
 
   // Burst 512 KiB, more than both socket buffers hold: the sender MUST
-  // hit EAGAIN or a partial sendmsg and defer to EPOLLOUT.
+  // hit EAGAIN or a partial send and defer to EPOLLOUT.
   runtime.post(ProcessId(0), [](ProcessContext& ctx, Process&) {
     for (std::uint32_t i = 0; i < kCount; ++i) {
       ByteWriter writer;
@@ -501,6 +501,79 @@ TEST(TcpRuntime, ShortWriteBackpressureRecoversInOrder) {
   const auto transport = runtime.metrics().snapshot(runtime.now()).transport;
   EXPECT_GE(transport.eagain_deferrals, 1u);
   EXPECT_EQ(runtime.metrics().totals().messages_delivered, kCount);
+}
+
+// The pair's output buffer keeps growing while the receiver is parked:
+// frames are appended behind a parked partial write, the drain after the
+// release goes through more partial writes and drops the written prefix,
+// and a third burst is appended mid-drain.  Every frame must arrive once,
+// in order, and be counted in exactly one completed write.
+TEST(TcpRuntime, AppendWhileParkedDrainsExactlyOnceInOrder) {
+  constexpr std::uint32_t kBurst = 64;
+  constexpr std::uint32_t kPayload = 8 * 1024;
+  Topology topology(2);
+  topology.add_channel(ProcessId(0), ProcessId(1));
+  std::vector<ProcessPtr> processes;
+  processes.push_back(std::make_unique<Counter>());  // p0 sends on command
+  auto checker = std::make_unique<StallableCounter>();
+  StallableCounter* checker_ptr = checker.get();
+  processes.push_back(std::move(checker));
+
+  TcpRuntimeConfig config;
+  config.sndbuf_bytes = 64 * 1024;
+  config.rcvbuf_bytes = 64 * 1024;
+  TcpRuntime runtime(std::move(topology), std::move(processes), config);
+  ASSERT_TRUE(runtime.start());
+
+  auto release = std::make_shared<std::atomic<bool>>(false);
+  auto parked = std::make_shared<std::atomic<bool>>(false);
+  runtime.post(ProcessId(1), [release, parked](ProcessContext&, Process&) {
+    parked->store(true);
+    while (!release->load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  ASSERT_TRUE(TcpRuntime::wait_until([&] { return parked->load(); }, kWait));
+
+  // Bursts number their payloads consecutively; `sent` counts bursts
+  // whose frames are all appended.
+  auto sent = std::make_shared<std::atomic<std::uint32_t>>(0);
+  const auto burst = [&runtime, sent](std::uint32_t index) {
+    runtime.post(ProcessId(0), [sent, index](ProcessContext& ctx, Process&) {
+      for (std::uint32_t i = 0; i < kBurst; ++i) {
+        ByteWriter writer;
+        writer.u32(index * kBurst + i);
+        Bytes payload = std::move(writer).take();
+        payload.resize(kPayload, 0xab);
+        ctx.send(ChannelId(0), Message::application(std::move(payload)));
+      }
+      sent->fetch_add(1);
+    });
+  };
+  const auto eagain = [&runtime] {
+    return runtime.metrics().snapshot(runtime.now()).transport
+        .eagain_deferrals;
+  };
+  // 512 KiB overfills both socket buffers: the first send is partial or
+  // EAGAIN and parks the buffer on EPOLLOUT.
+  burst(0);
+  ASSERT_TRUE(TcpRuntime::wait_until([&] { return eagain() >= 1; }, kWait));
+  // Appended behind the parked span; nothing is written meanwhile.
+  burst(1);
+  ASSERT_TRUE(TcpRuntime::wait_until([&] { return sent->load() == 2; },
+                                     kWait));
+  release->store(true);
+  burst(2);
+  EXPECT_TRUE(TcpRuntime::wait_until(
+      [&] { return checker_ptr->next.load() == 3 * kBurst; }, kWait));
+  runtime.shutdown();
+  EXPECT_TRUE(checker_ptr->ordered.load()) << "parked appends broke FIFO";
+  EXPECT_EQ(checker_ptr->next.load(), 3 * kBurst);
+  const obs::MetricsSnapshot snap = runtime.metrics().snapshot(runtime.now());
+  EXPECT_EQ(snap.totals.messages_sent, 3 * kBurst);
+  EXPECT_EQ(snap.totals.messages_delivered, 3 * kBurst);
+  EXPECT_EQ(snap.transport.write_batch_frames, snap.totals.messages_sent);
+  EXPECT_GE(snap.transport.eagain_deferrals, 2u);
 }
 
 // Arms a timer on command and records how long it took to fire.

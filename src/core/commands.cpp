@@ -14,12 +14,9 @@ Bytes Command::encode() const {
   writer.u32(target.valid() ? target.value() : ProcessId::kInvalid);
   writer.varint(wave_id);
   writer.u32(reporter.valid() ? reporter.value() : ProcessId::kInvalid);
-  writer.u8(report.has_value() ? 1 : 0);
-  if (report.has_value()) report->encode(writer);
   writer.str(text);
   writer.varint(reports.size());
   for (const ProcessSnapshot& snapshot : reports) snapshot.encode(writer);
-  writer.bytes(inner);
   return std::move(writer).take();
 }
 
@@ -29,7 +26,7 @@ Result<Command> Command::decode(std::span<const std::uint8_t> data) {
 
   auto kind = reader.u8();
   if (!kind.ok()) return kind.error();
-  if (kind.value() > static_cast<std::uint8_t>(CommandKind::kTierUnicast)) {
+  if (kind.value() > static_cast<std::uint8_t>(CommandKind::kStateReport)) {
     return Error(ErrorCode::kParseError, "unknown command kind");
   }
   cmd.kind = static_cast<CommandKind>(kind.value());
@@ -62,14 +59,6 @@ Result<Command> Command::decode(std::span<const std::uint8_t> data) {
   if (!reporter.ok()) return reporter.error();
   cmd.reporter = ProcessId(reporter.value());
 
-  auto has_report = reader.u8();
-  if (!has_report.ok()) return has_report.error();
-  if (has_report.value() != 0) {
-    auto snapshot = ProcessSnapshot::decode(reader);
-    if (!snapshot.ok()) return snapshot.error();
-    cmd.report = std::move(snapshot).value();
-  }
-
   auto text = reader.str();
   if (!text.ok()) return text.error();
   cmd.text = std::move(text).value();
@@ -86,10 +75,6 @@ Result<Command> Command::decode(std::span<const std::uint8_t> data) {
     if (!snapshot.ok()) return snapshot.error();
     cmd.reports.push_back(std::move(snapshot).value());
   }
-
-  auto inner = reader.bytes();
-  if (!inner.ok()) return inner.error();
-  cmd.inner = std::move(inner).value();
 
   if (!reader.exhausted()) {
     return Error(ErrorCode::kParseError, "trailing bytes after command");
@@ -139,23 +124,23 @@ Command Command::query_state() {
 }
 
 Command Command::halt_report(ProcessId reporter, std::uint64_t halt_id,
-                             ProcessSnapshot snapshot) {
+                             std::vector<ProcessSnapshot> snapshots) {
   Command cmd;
   cmd.kind = CommandKind::kHaltReport;
   cmd.reporter = reporter;
   cmd.wave_id = halt_id;
-  cmd.report = std::move(snapshot);
+  cmd.reports = std::move(snapshots);
   return cmd;
 }
 
 Command Command::snapshot_report(ProcessId reporter,
                                  std::uint64_t snapshot_id,
-                                 ProcessSnapshot snapshot) {
+                                 std::vector<ProcessSnapshot> snapshots) {
   Command cmd;
   cmd.kind = CommandKind::kSnapshotReport;
   cmd.reporter = reporter;
   cmd.wave_id = snapshot_id;
-  cmd.report = std::move(snapshot);
+  cmd.reports = std::move(snapshots);
   return cmd;
 }
 
@@ -197,44 +182,7 @@ Command Command::state_report(ProcessId reporter, ProcessSnapshot snapshot) {
   Command cmd;
   cmd.kind = CommandKind::kStateReport;
   cmd.reporter = reporter;
-  cmd.report = std::move(snapshot);
-  return cmd;
-}
-
-Command Command::aggregated_halt_report(ProcessId reporter,
-                                        std::uint64_t halt_id,
-                                        std::vector<ProcessSnapshot> snapshots) {
-  Command cmd;
-  cmd.kind = CommandKind::kAggregatedHaltReport;
-  cmd.reporter = reporter;
-  cmd.wave_id = halt_id;
-  cmd.reports = std::move(snapshots);
-  return cmd;
-}
-
-Command Command::aggregated_snapshot_report(
-    ProcessId reporter, std::uint64_t snapshot_id,
-    std::vector<ProcessSnapshot> snapshots) {
-  Command cmd;
-  cmd.kind = CommandKind::kAggregatedSnapshotReport;
-  cmd.reporter = reporter;
-  cmd.wave_id = snapshot_id;
-  cmd.reports = std::move(snapshots);
-  return cmd;
-}
-
-Command Command::tier_broadcast(Bytes inner) {
-  Command cmd;
-  cmd.kind = CommandKind::kTierBroadcast;
-  cmd.inner = std::move(inner);
-  return cmd;
-}
-
-Command Command::tier_unicast(ProcessId target, Bytes inner) {
-  Command cmd;
-  cmd.kind = CommandKind::kTierUnicast;
-  cmd.target = target;
-  cmd.inner = std::move(inner);
+  cmd.reports.push_back(std::move(snapshot));
   return cmd;
 }
 

@@ -5,10 +5,14 @@
 // even to a halted process ("user processes are always willing to accept a
 // message from the debugger process"), and it never appears in recorded
 // channel states.
+//
+// Under a debugger tier (Topology::with_debugger_tree) the same commands
+// cross the aggregators unchanged: a downward command is routed by its
+// `target` (invalid = every user), and an aggregator's merged subtree
+// fragment travels up under the same report kind a user sends.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,13 +38,12 @@ enum class CommandKind : std::uint8_t {
   kNotifySatisfied = 8,  // unordered CP: one term was satisfied here
   kRouteMarker = 9,      // forward this predicate marker to `target`
   kStateReport = 10,
-
-  // debugger tier (aggregator <-> aggregator/root); see with_debugger_tree()
-  kAggregatedHaltReport = 11,      // merged subtree contribution to S_h
-  kAggregatedSnapshotReport = 12,  // merged subtree contribution to S_r
-  kTierBroadcast = 13,  // carry `inner` command to every user in the subtree
-  kTierUnicast = 14,    // carry `inner` command to user `target` only
 };
+
+// Debugger -> process commands travel down the tier; the rest travel up.
+[[nodiscard]] constexpr bool is_downward(CommandKind kind) {
+  return kind <= CommandKind::kQueryState;
+}
 
 [[nodiscard]] constexpr const char* to_string(CommandKind kind) {
   switch (kind) {
@@ -55,11 +58,6 @@ enum class CommandKind : std::uint8_t {
     case CommandKind::kNotifySatisfied: return "notify_satisfied";
     case CommandKind::kRouteMarker: return "route_marker";
     case CommandKind::kStateReport: return "state_report";
-    case CommandKind::kAggregatedHaltReport: return "aggregated_halt_report";
-    case CommandKind::kAggregatedSnapshotReport:
-      return "aggregated_snapshot_report";
-    case CommandKind::kTierBroadcast: return "tier_broadcast";
-    case CommandKind::kTierUnicast: return "tier_unicast";
   }
   return "?";
 }
@@ -74,17 +72,16 @@ struct Command {
   std::uint32_t stage_index = 0;  // LP stages consumed so far / CP term idx
   // kArmPredicate / kRouteMarker: monitor-mode chain (record, don't halt).
   bool monitor = false;
-  ProcessId target;               // kRouteMarker: final destination
+  // Downward commands: the destination user (invalid = every user).
+  // kRouteMarker: the final destination of the predicate marker.
+  ProcessId target;
   std::uint64_t wave_id = 0;      // halt or snapshot wave
   ProcessId reporter;             // process -> debugger commands
-  std::optional<ProcessSnapshot> report;  // kHaltReport/kSnapshotReport/kStateReport
   std::string text;               // freeform description
-  // kAggregated*Report: every user snapshot collected in the sender's
-  // subtree, moved (never copied) up the convergecast path.
+  // kHaltReport / kSnapshotReport / kStateReport: a user's own snapshot, or
+  // every snapshot an aggregator merged from its subtree, moved (never
+  // copied) up the convergecast path.
   std::vector<ProcessSnapshot> reports;
-  // kTierBroadcast / kTierUnicast: the encoded command to deliver to the
-  // destination user process(es).
-  Bytes inner;
 
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static Result<Command> decode(
@@ -99,12 +96,12 @@ struct Command {
   [[nodiscard]] static Command disarm(BreakpointId bp);
   [[nodiscard]] static Command resume(std::uint64_t halt_id);
   [[nodiscard]] static Command query_state();
-  [[nodiscard]] static Command halt_report(ProcessId reporter,
-                                           std::uint64_t halt_id,
-                                           ProcessSnapshot snapshot);
-  [[nodiscard]] static Command snapshot_report(ProcessId reporter,
-                                               std::uint64_t snapshot_id,
-                                               ProcessSnapshot snapshot);
+  [[nodiscard]] static Command halt_report(
+      ProcessId reporter, std::uint64_t halt_id,
+      std::vector<ProcessSnapshot> snapshots);
+  [[nodiscard]] static Command snapshot_report(
+      ProcessId reporter, std::uint64_t snapshot_id,
+      std::vector<ProcessSnapshot> snapshots);
   [[nodiscard]] static Command breakpoint_hit(ProcessId reporter,
                                               BreakpointId bp,
                                               std::string description);
@@ -118,14 +115,6 @@ struct Command {
                                             bool monitor = false);
   [[nodiscard]] static Command state_report(ProcessId reporter,
                                             ProcessSnapshot snapshot);
-  [[nodiscard]] static Command aggregated_halt_report(
-      ProcessId reporter, std::uint64_t halt_id,
-      std::vector<ProcessSnapshot> snapshots);
-  [[nodiscard]] static Command aggregated_snapshot_report(
-      ProcessId reporter, std::uint64_t snapshot_id,
-      std::vector<ProcessSnapshot> snapshots);
-  [[nodiscard]] static Command tier_broadcast(Bytes inner);
-  [[nodiscard]] static Command tier_unicast(ProcessId target, Bytes inner);
 };
 
 }  // namespace ddbg

@@ -170,9 +170,10 @@ void DebugShim::on_start(ProcessContext& ctx) {
             DDBG_ASSERT(current_ctx_ != nullptr,
                         "halt completion outside a handler");
             if (topology_->has_debugger()) {
-              send_to_debugger(*current_ctx_,
-                               Command::halt_report(
-                                   self_, halting_->last_halt_id(), snapshot));
+              send_to_debugger(
+                  *current_ctx_,
+                  Command::halt_report(self_, halting_->last_halt_id(),
+                                       std::vector(1, snapshot)));
             }
             if (options_.local_halt_report) {
               options_.local_halt_report(self_, halting_->last_halt_id(),
@@ -372,6 +373,11 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
 }
 
 void DebugShim::handle_control(ProcessContext& ctx, const Command& command) {
+  if (command.target.valid() && command.target != self_) {
+    DDBG_ERROR() << to_string(self_) << " control command for "
+                 << to_string(command.target) << " dropped";
+    return;
+  }
   switch (command.kind) {
     case CommandKind::kArmPredicate:
       arm_from_wire(ctx, "arm_predicate", command.breakpoint,
@@ -667,7 +673,8 @@ void DebugShim::finish_recording(ProcessContext& ctx) {
   const std::uint64_t wave = recording_->id();
   const ProcessSnapshot& snapshot = recording_->snapshot();
   if (topology_->has_debugger()) {
-    send_to_debugger(ctx, Command::snapshot_report(self_, wave, snapshot));
+    send_to_debugger(ctx, Command::snapshot_report(self_, wave,
+                                                   std::vector(1, snapshot)));
   }
   if (options_.local_snapshot_report) {
     options_.local_snapshot_report(self_, wave, snapshot);

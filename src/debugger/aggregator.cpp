@@ -8,174 +8,35 @@
 namespace ddbg {
 
 void AggregatorProcess::on_start(ProcessContext& ctx) {
-  topology_ = &ctx.topology();
-  self_ = ctx.self();
-  DDBG_ASSERT(topology_->is_aggregator(self_),
+  DDBG_ASSERT(ctx.topology().is_aggregator(ctx.self()),
               "AggregatorProcess must occupy an aggregator slot");
-  parent_ = topology_->tier_parent(self_);
-  up_channel_ = topology_->control_from(self_);
-  const auto children = topology_->tier_children(self_);
-  children_.assign(children.begin(), children.end());
-  const auto [lo, hi] = topology_->tier_user_range(self_);
-  subtree_users_ = hi - lo;
-  if (obs::MetricsRegistry* m = ctx.metrics()) {
-    m->observe_tree_fanout(children_.size());
+  bind(ctx);
+}
+
+void AggregatorProcess::handle_command(ProcessContext& ctx, ChannelId /*in*/,
+                                       Message& message, Command command) {
+  if (is_downward(command.kind)) {
+    send_down(ctx, command.target, std::move(message.payload));
+    return;
   }
-}
-
-void AggregatorProcess::on_message(ProcessContext& ctx, ChannelId in,
-                                   Message message) {
-  switch (message.kind) {
-    case MessageKind::kHaltMarker:
-      DDBG_ASSERT(message.halt.has_value(), "halt marker without data");
-      handle_halt_marker(ctx, in, *message.halt);
-      return;
-    case MessageKind::kSnapshotMarker:
-      DDBG_ASSERT(message.snapshot.has_value(), "snapshot marker w/o data");
-      handle_snapshot_marker(ctx, in, *message.snapshot);
-      return;
-    case MessageKind::kControl: {
-      auto command = Command::decode(message.payload);
-      if (!command.ok()) {
-        DDBG_ERROR() << "aggregator " << self_.value()
-                     << ": bad control message: "
-                     << command.error().to_string();
-        return;
-      }
-      handle_command(ctx, message, std::move(command).value());
-      return;
-    }
-    default:
-      DDBG_WARN() << "aggregator " << self_.value() << ": unexpected "
-                  << to_string(message.kind);
+  const bool halt = command.kind == CommandKind::kHaltReport;
+  if (!halt && command.kind != CommandKind::kSnapshotReport) {
+    // Upward relay: already encoded, forward the payload untouched.
+    ctx.send(up_channel_, Message::control(std::move(message.payload)));
+    return;
   }
-}
-
-void AggregatorProcess::forward_wave(ProcessContext& ctx, ProcessId origin,
-                                     const Message& marker) {
-  obs::MetricsRegistry* m = ctx.metrics();
-  // Upward, unless the wave just came down from the parent: the parent
-  // demonstrably knows the wave already, so the echo is pure duplicate.
-  if (origin == parent_) {
-    if (m) m->on_marker_suppressed();
-  } else {
-    ctx.send(up_channel_, marker);
-  }
-  for (const ProcessId child : children_) {
-    // A child aggregator that sent us this wave already flooded its own
-    // subtree; re-sending would bounce the marker once per tier edge.  A
-    // *user* child always gets the marker even if it originated the wave —
-    // it needs one on its control in-channel to close that channel's
-    // recorded state (Lemma 2.2).
-    if (child == origin && topology_->is_aggregator(child)) {
-      if (m) m->on_marker_suppressed();
-      continue;
-    }
-    ctx.send(topology_->control_to(child), marker);
-  }
-}
-
-void AggregatorProcess::handle_halt_marker(ProcessContext& ctx, ChannelId in,
-                                           const HaltMarkerData& data) {
-  if (data.halt_id.value() <= last_halt_id_) return;  // known wave: ignore
-  last_halt_id_ = data.halt_id.value();
-  // Forward with our own name appended to the halt path (section 2.2.4),
-  // exactly as the flat debugger does — aggregators never really halt.
-  std::vector<ProcessId> path = data.halt_path;
-  path.push_back(self_);
-  forward_wave(ctx, topology_->channel(in).source,
-               Message::halt_marker(data.halt_id, path));
-}
-
-void AggregatorProcess::handle_snapshot_marker(ProcessContext& ctx,
-                                               ChannelId in,
-                                               const SnapshotMarkerData& data) {
-  if (data.snapshot_id <= last_snapshot_id_) return;
-  last_snapshot_id_ = data.snapshot_id;
-  forward_wave(ctx, topology_->channel(in).source,
-               Message::snapshot_marker(data.snapshot_id));
-}
-
-ProcessId AggregatorProcess::route_child(ProcessId target) const {
-  for (const ProcessId child : children_) {
-    const auto [lo, hi] = topology_->tier_user_range(child);
-    if (target.value() >= lo && target.value() < hi) return child;
-  }
-  DDBG_ASSERT(false, "unicast target outside this aggregator's subtree");
-  return ProcessId();
-}
-
-void AggregatorProcess::merge_report(ProcessContext& ctx,
-                                     std::map<std::uint64_t, Fragment>& frags,
-                                     std::uint64_t wave, Command&& command,
-                                     bool halt) {
+  auto& frags = halt ? halt_frags_ : snapshot_frags_;
+  const std::uint64_t wave = command.wave_id;
   auto [it, inserted] = frags.try_emplace(wave);
   Fragment& frag = it->second;
   if (inserted) frag.state = GlobalState(HaltId(wave));
-  if (command.report.has_value()) {
-    // Leaf contribution from a user child.
-    frag.state.add(std::move(*command.report));
-  }
-  for (ProcessSnapshot& snapshot : command.reports) {
-    // Pre-merged fragment from a child aggregator: move, never copy.
-    frag.state.add(std::move(snapshot));
-  }
-  if (frag.forwarded || frag.state.size() != subtree_users_) return;
+  if (!merge(frag.state, command.reports) || frag.forwarded) return;
   frag.forwarded = true;
   const Command up =
-      halt ? Command::aggregated_halt_report(self_, wave, frag.state.take_all())
-           : Command::aggregated_snapshot_report(self_, wave,
-                                                 frag.state.take_all());
+      halt ? Command::halt_report(self_, wave, frag.state.take_all())
+           : Command::snapshot_report(self_, wave, frag.state.take_all());
   ctx.send(up_channel_, Message::control(up.encode()));
   if (obs::MetricsRegistry* m = ctx.metrics()) m->on_ack_aggregated();
-}
-
-void AggregatorProcess::handle_command(ProcessContext& ctx, Message& message,
-                                       Command command) {
-  switch (command.kind) {
-    case CommandKind::kHaltReport:
-    case CommandKind::kAggregatedHaltReport:
-      merge_report(ctx, halt_frags_, command.wave_id, std::move(command),
-                   /*halt=*/true);
-      return;
-    case CommandKind::kSnapshotReport:
-    case CommandKind::kAggregatedSnapshotReport:
-      merge_report(ctx, snapshot_frags_, command.wave_id, std::move(command),
-                   /*halt=*/false);
-      return;
-    case CommandKind::kBreakpointHit:
-    case CommandKind::kNotifySatisfied:
-    case CommandKind::kRouteMarker:
-    case CommandKind::kStateReport:
-      // Upward relay: already encoded, forward the payload untouched.
-      ctx.send(up_channel_, Message::control(std::move(message.payload)));
-      return;
-    case CommandKind::kTierBroadcast:
-      for (const ProcessId child : children_) {
-        if (topology_->is_aggregator(child)) {
-          ctx.send(topology_->control_to(child),
-                   Message::control(message.payload));  // same envelope
-        } else {
-          ctx.send(topology_->control_to(child),
-                   Message::control(command.inner));
-        }
-      }
-      return;
-    case CommandKind::kTierUnicast: {
-      const ProcessId child = route_child(command.target);
-      if (child == command.target) {
-        ctx.send(topology_->control_to(child),
-                 Message::control(std::move(command.inner)));
-      } else {
-        ctx.send(topology_->control_to(child),
-                 Message::control(std::move(message.payload)));
-      }
-      return;
-    }
-    default:
-      DDBG_WARN() << "aggregator " << self_.value() << ": unexpected command "
-                  << to_string(command.kind);
-  }
 }
 
 }  // namespace ddbg

@@ -3,31 +3,25 @@
 // The paper's single debugger process `d` owns one control channel pair per
 // user process, so adopting a wave costs O(n) sends from one process and
 // collecting the halted state costs O(n) receives into one process.  The
-// tier splits both: halt/snapshot markers and control commands broadcast
-// down the spanning tree, completion reports convergecast back up with each
-// aggregator merging its subtree's ProcessSnapshots into one GlobalState
-// fragment before forwarding a single combined report.  Like `d`, an
-// aggregator "never really halts" (section 2.2.3) — it only propagates and
-// merges.
+// tier splits both: markers and downward commands travel down the spanning
+// tree, and reports convergecast back up.  An aggregator is a TierNode
+// that merges its subtree's snapshots into one fragment per wave and ships
+// it up once, under the same report kind a user sends, and relays the
+// other upward commands verbatim.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
-#include "common/ids.hpp"
-#include "core/commands.hpp"
-#include "core/global_state.hpp"
-#include "net/process.hpp"
+#include "debugger/tier_node.hpp"
 
 namespace ddbg {
 
-class AggregatorProcess final : public Process {
+class AggregatorProcess final : public TierNode {
  public:
   AggregatorProcess() = default;
 
   void on_start(ProcessContext& ctx) override;
-  void on_message(ProcessContext& ctx, ChannelId in, Message message) override;
   [[nodiscard]] std::string describe_state() const override {
     return "aggregator";
   }
@@ -40,29 +34,9 @@ class AggregatorProcess final : public Process {
     bool forwarded = false;
   };
 
-  void handle_halt_marker(ProcessContext& ctx, ChannelId in,
-                          const HaltMarkerData& data);
-  void handle_snapshot_marker(ProcessContext& ctx, ChannelId in,
-                              const SnapshotMarkerData& data);
-  void handle_command(ProcessContext& ctx, Message& message, Command command);
-  // Broadcast a wave marker to the parent and children, skipping the tier
-  // process the marker came from (it already knows this wave).
-  void forward_wave(ProcessContext& ctx, ProcessId origin,
-                    const Message& marker);
-  void merge_report(ProcessContext& ctx, std::map<std::uint64_t, Fragment>& frags,
-                    std::uint64_t wave, Command&& command, bool halt);
-  // The direct tier child whose subtree covers user process `target`.
-  [[nodiscard]] ProcessId route_child(ProcessId target) const;
+  void handle_command(ProcessContext& ctx, ChannelId in, Message& message,
+                      Command command) override;
 
-  const Topology* topology_ = nullptr;  // bound in on_start
-  ProcessId self_;
-  ProcessId parent_;
-  ChannelId up_channel_;  // control channel to the tier parent
-  std::vector<ProcessId> children_;
-  std::uint32_t subtree_users_ = 0;
-
-  std::uint64_t last_halt_id_ = 0;
-  std::uint64_t last_snapshot_id_ = 0;
   std::map<std::uint64_t, Fragment> halt_frags_;
   std::map<std::uint64_t, Fragment> snapshot_frags_;
 };

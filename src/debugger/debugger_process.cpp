@@ -1,5 +1,6 @@
 #include "debugger/debugger_process.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -19,80 +20,16 @@ std::uint64_t arm_span_key(BreakpointId bp, ProcessId target) {
 }  // namespace
 
 void DebuggerProcess::on_start(ProcessContext& ctx) {
-  topology_ = &ctx.topology();
-  self_ = ctx.self();
-  DDBG_ASSERT(topology_->has_debugger() && topology_->is_debugger(self_),
+  DDBG_ASSERT(ctx.topology().has_debugger() &&
+                  ctx.topology().is_debugger(ctx.self()),
               "DebuggerProcess must occupy the topology's debugger slot");
-  const auto children = topology_->tier_children(self_);
-  children_.assign(children.begin(), children.end());
-  if (auto* m = ctx.metrics()) m->observe_tree_fanout(children_.size());
-}
-
-void DebuggerProcess::on_message(ProcessContext& ctx, ChannelId in,
-                                 Message message) {
-  switch (message.kind) {
-    case MessageKind::kHaltMarker:
-      DDBG_ASSERT(message.halt.has_value(), "halt marker without data");
-      handle_halt_marker(ctx, in, *message.halt);
-      return;
-    case MessageKind::kSnapshotMarker:
-      DDBG_ASSERT(message.snapshot.has_value(), "snapshot marker w/o data");
-      handle_snapshot_marker(ctx, in, *message.snapshot);
-      return;
-    case MessageKind::kControl: {
-      auto command = Command::decode(message.payload);
-      if (!command.ok()) {
-        DDBG_ERROR() << "debugger: bad control message: "
-                     << command.error().to_string();
-        return;
-      }
-      handle_command(ctx, std::move(command).value());
-      return;
-    }
-    default:
-      DDBG_WARN() << "debugger: unexpected " << to_string(message.kind);
-  }
-}
-
-ProcessId DebuggerProcess::route_child(ProcessId target) const {
-  for (const ProcessId child : children_) {
-    const auto [lo, hi] = topology_->tier_user_range(child);
-    if (target.value() >= lo && target.value() < hi) return child;
-  }
-  DDBG_ASSERT(false, "control target outside every tier child's subtree");
-  return ProcessId();
+  bind(ctx);
 }
 
 void DebuggerProcess::send_control(ProcessContext& ctx, ProcessId target,
-                                   const Command& command) {
-  const ProcessId child = route_child(target);
-  if (child == target) {
-    // Flat mode, or a user directly under the root: one hop.
-    ctx.send(topology_->control_to(target),
-             Message::control(command.encode()));
-    return;
-  }
-  // Tree mode: wrap in a unicast envelope; the aggregators route it down to
-  // the leaf that owns `target`.
-  ctx.send(topology_->control_to(child),
-           Message::control(
-               Command::tier_unicast(target, command.encode()).encode()));
-}
-
-void DebuggerProcess::broadcast_control(ProcessContext& ctx,
-                                        const Command& command) {
-  const Bytes encoded = command.encode();
-  Bytes envelope;  // built lazily: flat topologies never need it
-  for (const ProcessId child : children_) {
-    if (topology_->is_aggregator(child)) {
-      if (envelope.empty()) {
-        envelope = Command::tier_broadcast(encoded).encode();
-      }
-      ctx.send(topology_->control_to(child), Message::control(envelope));
-    } else {
-      ctx.send(topology_->control_to(child), Message::control(encoded));
-    }
-  }
+                                   Command command) {
+  command.target = target;
+  send_down(ctx, target, command.encode());
 }
 
 DebuggerProcess::WaveInfo& DebuggerProcess::wave_entry(
@@ -112,76 +49,20 @@ DebuggerProcess::WaveInfo& DebuggerProcess::wave_entry(
   return it->second;
 }
 
-void DebuggerProcess::forward_wave(ProcessContext& ctx, ProcessId origin,
-                                   const Message& marker) {
-  std::size_t sent = 0;
-  for (const ProcessId child : children_) {
-    // An aggregator child that relayed this wave up already flooded its own
-    // subtree; echoing it back would only bounce.  A *user* child always
-    // gets the marker, even the originator — it needs one on its control
-    // in-channel to close that channel's recorded state (Lemma 2.2).
-    if (child == origin && topology_->is_aggregator(child)) {
-      if (auto* m = ctx.metrics()) m->on_marker_suppressed();
-      continue;
-    }
-    ctx.send(topology_->control_to(child), marker);
-    ++sent;
-  }
-  std::lock_guard<std::mutex> guard{mutex_};
-  markers_forwarded_ += sent;
-}
-
-void DebuggerProcess::handle_halt_marker(ProcessContext& ctx, ChannelId in,
-                                         const HaltMarkerData& data) {
+bool DebuggerProcess::adopt(ProcessContext& ctx, Wave wave, std::uint64_t id) {
   // All mutating entry points run on the debugger's own thread; mutex_ only
-  // shields the state observer threads read.  Never hold it across
-  // ctx.send — on the TCP runtime that is a potentially-blocking socket
-  // write, and an observer poll loop would stall behind it.
-  bool adopted = false;
-  {
-    std::lock_guard<std::mutex> guard{mutex_};
-    if (data.halt_id.value() > last_halt_id_) {
-      // New wave: adopt it and run the forwarding half of the Halt Routine
-      // — but never halt (section 2.2.3: "the debugger process d never
-      // really halts").  Forwarding down every tier edge is what reaches
-      // the processes the application topology cannot.
-      last_halt_id_ = data.halt_id.value();
-      wave_entry(halt_waves_, last_halt_id_, ctx);
-      adopted = true;
-    }
-  }
-  if (adopted) {
-    std::vector<ProcessId> path = data.halt_path;
-    path.push_back(self_);
-    forward_wave(ctx, topology_->channel(in).source,
-                 Message::halt_marker(data.halt_id, path));
-  }
-  // Markers of the current or older waves need no action here; the
-  // per-process halt paths are collected from the halt reports.
+  // shields the state observer threads read.  The tier node forwards after
+  // this returns: never hold mutex_ across ctx.send — on the TCP runtime
+  // that is a potentially-blocking socket write, and an observer poll loop
+  // would stall behind it.
+  std::lock_guard<std::mutex> guard{mutex_};
+  if (!TierNode::adopt(ctx, wave, id)) return false;
+  wave_entry(wave == Wave::kHalt ? halt_waves_ : snapshot_waves_, id, ctx);
+  return true;
 }
 
-void DebuggerProcess::handle_snapshot_marker(ProcessContext& ctx, ChannelId in,
-                                             const SnapshotMarkerData& data) {
-  bool adopted = false;
-  {
-    std::lock_guard<std::mutex> guard{mutex_};
-    if (data.snapshot_id > last_snapshot_id_) {
-      last_snapshot_id_ = data.snapshot_id;
-      wave_entry(snapshot_waves_, last_snapshot_id_, ctx);
-      adopted = true;
-    }
-  }
-  if (adopted) {
-    forward_wave(ctx, topology_->channel(in).source,
-                 Message::snapshot_marker(data.snapshot_id));
-  }
-}
-
-void DebuggerProcess::check_wave_complete(ProcessContext& ctx, WaveInfo& wave,
-                                          bool halt) {
-  if (wave.complete || wave.state.size() != topology_->num_user_processes()) {
-    return;
-  }
+void DebuggerProcess::complete_wave(ProcessContext& ctx, WaveInfo& wave,
+                                    bool halt) {
   wave.complete = true;
   wave.completed_at = ctx.now();
   if (auto* m = ctx.metrics()) {
@@ -199,45 +80,25 @@ void DebuggerProcess::check_wave_complete(ProcessContext& ctx, WaveInfo& wave,
   }
 }
 
-void DebuggerProcess::handle_command(ProcessContext& ctx, Command command) {
+void DebuggerProcess::handle_command(ProcessContext& ctx, ChannelId in,
+                                     Message& /*message*/, Command command) {
   switch (command.kind) {
-    case CommandKind::kHaltReport: {
-      std::lock_guard<std::mutex> guard{mutex_};
-      WaveInfo& wave = wave_entry(halt_waves_, command.wave_id, ctx);
-      DDBG_ASSERT(command.report.has_value(), "halt report without snapshot");
-      wave.halt_paths[command.reporter] = command.report->halt_path;
-      wave.state.add(std::move(*command.report));
-      check_wave_complete(ctx, wave, /*halt=*/true);
-      return;
-    }
-    case CommandKind::kAggregatedHaltReport: {
-      // Convergecast: a child aggregator's merged subtree arrives as one
-      // report; every snapshot moves straight into the assembling S_h.
-      std::lock_guard<std::mutex> guard{mutex_};
-      WaveInfo& wave = wave_entry(halt_waves_, command.wave_id, ctx);
-      for (ProcessSnapshot& snapshot : command.reports) {
-        wave.halt_paths[snapshot.process] = snapshot.halt_path;
-        wave.state.add(std::move(snapshot));
-      }
-      check_wave_complete(ctx, wave, /*halt=*/true);
-      return;
-    }
+    case CommandKind::kHaltReport:
     case CommandKind::kSnapshotReport: {
+      // A user's own snapshot, or a child aggregator's merged subtree:
+      // every snapshot moves straight into the assembling wave.
+      const bool halt = command.kind == CommandKind::kHaltReport;
       std::lock_guard<std::mutex> guard{mutex_};
-      WaveInfo& wave = wave_entry(snapshot_waves_, command.wave_id, ctx);
-      DDBG_ASSERT(command.report.has_value(),
-                  "snapshot report without snapshot");
-      wave.state.add(std::move(*command.report));
-      check_wave_complete(ctx, wave, /*halt=*/false);
-      return;
-    }
-    case CommandKind::kAggregatedSnapshotReport: {
-      std::lock_guard<std::mutex> guard{mutex_};
-      WaveInfo& wave = wave_entry(snapshot_waves_, command.wave_id, ctx);
-      for (ProcessSnapshot& snapshot : command.reports) {
-        wave.state.add(std::move(snapshot));
+      WaveInfo& wave = wave_entry(halt ? halt_waves_ : snapshot_waves_,
+                                  command.wave_id, ctx);
+      if (halt) {
+        for (const ProcessSnapshot& snapshot : command.reports) {
+          wave.halt_paths[snapshot.process] = snapshot.halt_path;
+        }
       }
-      check_wave_complete(ctx, wave, /*halt=*/false);
+      if (merge(wave.state, command.reports) && !wave.complete) {
+        complete_wave(ctx, wave, halt);
+      }
       return;
     }
     case CommandKind::kBreakpointHit: {
@@ -271,11 +132,19 @@ void DebuggerProcess::handle_command(ProcessContext& ctx, Command command) {
         std::lock_guard<std::mutex> guard{mutex_};
         auto spec = breakpoints_.find(command.breakpoint);
         if (spec == breakpoints_.end()) return;  // fired already or cleared
+        const auto& terms = spec->second.conjunctive.terms;
+        if (command.stage_index >= terms.size() ||
+            !covers(in, terms[command.stage_index].process)) {
+          DDBG_WARN() << "debugger: dropped notify for term "
+                      << command.stage_index << " of breakpoint "
+                      << command.breakpoint.value() << " from "
+                      << to_string(command.reporter);
+          return;
+        }
         monitor = spec->second.action == BreakpointAction::kMonitor;
         auto& satisfied = satisfied_terms_[command.breakpoint];
         satisfied.insert(command.stage_index);
-        all_satisfied =
-            satisfied.size() == spec->second.conjunctive.terms.size();
+        all_satisfied = satisfied.size() == terms.size();
         if (all_satisfied) {
           hits_.push_back(BreakpointHit{
               command.breakpoint, command.reporter,
@@ -295,7 +164,7 @@ void DebuggerProcess::handle_command(ProcessContext& ctx, Command command) {
       // satisfied, halt.  The gather is inherently late — experiment E8
       // measures by how much.
       if (all_satisfied && !monitor) {
-        broadcast_control(ctx, Command::disarm(command.breakpoint));
+        send_control(ctx, ProcessId(), Command::disarm(command.breakpoint));
         initiate_halt(ctx);
       }
       return;
@@ -316,11 +185,11 @@ void DebuggerProcess::handle_command(ProcessContext& ctx, Command command) {
     }
     case CommandKind::kStateReport: {
       std::lock_guard<std::mutex> guard{mutex_};
-      DDBG_ASSERT(command.report.has_value(), "state report without snapshot");
-      state_reports_[command.reporter] = *command.report;
+      ProcessSnapshot& snapshot = command.reports.front();
+      state_reports_[snapshot.process] = std::move(snapshot);
       return;
     }
-    default:
+    default:  // downward kinds: TierNode drops them before they get here
       DDBG_WARN() << "debugger: unexpected command "
                   << to_string(command.kind);
   }
@@ -428,7 +297,7 @@ void DebuggerProcess::clear_breakpoint(ProcessContext& ctx, BreakpointId bp) {
     breakpoints_.erase(bp);
     satisfied_terms_.erase(bp);
   }
-  broadcast_control(ctx, Command::disarm(bp));
+  send_control(ctx, ProcessId(), Command::disarm(bp));
 }
 
 std::uint64_t DebuggerProcess::initiate_halt(ProcessContext& ctx) {
@@ -437,8 +306,8 @@ std::uint64_t DebuggerProcess::initiate_halt(ProcessContext& ctx) {
     std::lock_guard<std::mutex> guard{mutex_};
     wave = ++last_halt_id_;
     wave_entry(halt_waves_, wave, ctx);
-    markers_forwarded_ += children_.size();
   }
+  markers_forwarded_ += children_.size();
   for (const ProcessId child : children_) {
     ctx.send(topology_->control_to(child),
              Message::halt_marker(HaltId(wave), {self_}));
@@ -452,8 +321,8 @@ std::uint64_t DebuggerProcess::initiate_snapshot(ProcessContext& ctx) {
     std::lock_guard<std::mutex> guard{mutex_};
     wave = ++last_snapshot_id_;
     wave_entry(snapshot_waves_, wave, ctx);
-    markers_forwarded_ += children_.size();
   }
+  markers_forwarded_ += children_.size();
   for (const ProcessId child : children_) {
     ctx.send(topology_->control_to(child), Message::snapshot_marker(wave));
   }
@@ -470,7 +339,7 @@ void DebuggerProcess::resume_all(ProcessContext& ctx) {
     resumed_through_ = wave;
   }
   if (wave == 0) return;
-  broadcast_control(ctx, Command::resume(wave));
+  send_control(ctx, ProcessId(), Command::resume(wave));
 }
 
 void DebuggerProcess::query_state(ProcessContext& ctx, ProcessId target) {
@@ -558,9 +427,31 @@ std::optional<ProcessSnapshot> DebuggerProcess::state_report(
   return it->second;
 }
 
-std::uint64_t DebuggerProcess::markers_forwarded() const {
+std::string DebuggerProcess::describe_pending(bool halt,
+                                              std::uint64_t wave) const {
+  constexpr std::size_t kMaxListed = 8;
   std::lock_guard<std::mutex> guard{mutex_};
-  return markers_forwarded_;
+  const auto& waves = halt ? halt_waves_ : snapshot_waves_;
+  const auto it = waves.find(wave);
+  std::size_t pending = 0;
+  std::string listed;
+  for (const ProcessId child : children_) {
+    const auto [lo, hi] = topology_->tier_user_range(child);
+    if (it != waves.end()) {
+      const auto& reported = it->second.state.snapshots();
+      const auto count = std::distance(reported.lower_bound(ProcessId(lo)),
+                                       reported.lower_bound(ProcessId(hi)));
+      if (static_cast<std::uint32_t>(count) == hi - lo) {
+        continue;
+      }
+    }
+    if (++pending <= kMaxListed) {
+      listed += (pending == 1 ? ": " : ", ") + to_string(child) + " [" +
+                std::to_string(lo) + "," + std::to_string(hi) + ")";
+    }
+  }
+  return "waiting on " + std::to_string(pending) + " of " +
+         std::to_string(children_.size()) + " children" + listed;
 }
 
 }  // namespace ddbg

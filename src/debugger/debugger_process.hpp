@@ -8,12 +8,13 @@
 // it "never really halts": it only propagates, collects reports and serves
 // the interactive session.
 //
-// Under Topology::with_debugger_tree() this process is the *root* of a
-// debugger tier: markers and control commands fan out over its direct tier
-// children (AggregatorProcess nodes) instead of n control channels, and
-// subtree reports arrive pre-merged as kAggregated*Report convergecast
-// messages.  With a flat with_debugger() topology the children are exactly
-// the user processes, so behaviour is unchanged.
+// d is the root TierNode: wave adoption, marker forwarding, routing by
+// target and report merging are the tier's, shared with the aggregators.
+// Under Topology::with_debugger_tree() its direct children are aggregators
+// and a report may carry a whole subtree's snapshots; with a flat
+// with_debugger() topology the children are exactly the user processes.
+// On top of the tier node, d keeps the session state: waves, breakpoints,
+// hits, state reports, spans and the replay sink.
 //
 // All mutable state is guarded by a mutex so an interactive session thread
 // (or a test) can read results while the debugger's own thread handles
@@ -32,12 +33,12 @@
 #include "core/commands.hpp"
 #include "core/global_state.hpp"
 #include "core/predicate.hpp"
-#include "net/process.hpp"
+#include "debugger/tier_node.hpp"
 #include "net/replay_hooks.hpp"
 
 namespace ddbg {
 
-class DebuggerProcess final : public Process {
+class DebuggerProcess final : public TierNode {
  public:
   struct BreakpointHit {
     BreakpointId breakpoint;
@@ -65,7 +66,6 @@ class DebuggerProcess final : public Process {
 
   // ---- Process ----
   void on_start(ProcessContext& ctx) override;
-  void on_message(ProcessContext& ctx, ChannelId in, Message message) override;
   [[nodiscard]] std::string describe_state() const override {
     return "debugger";
   }
@@ -105,45 +105,33 @@ class DebuggerProcess final : public Process {
   [[nodiscard]] std::optional<ProcessSnapshot> state_report(
       ProcessId process) const;
 
-  // Number of halt markers this debugger forwarded (experiment accounting).
-  [[nodiscard]] std::uint64_t markers_forwarded() const;
+  // The direct tier children (users in flat mode) whose subtrees have not
+  // all reported into a halt (or snapshot) wave, with their user ranges:
+  // "waiting on 1 of 2 children: p1 [1,2)".  Lists at most 8.
+  [[nodiscard]] std::string describe_pending(bool halt,
+                                             std::uint64_t wave) const;
 
  private:
-  void handle_halt_marker(ProcessContext& ctx, ChannelId in,
-                          const HaltMarkerData& data);
-  void handle_snapshot_marker(ProcessContext& ctx, ChannelId in,
-                              const SnapshotMarkerData& data);
-  void handle_command(ProcessContext& ctx, Command command);
-  // Mark the wave complete once every user process has reported.  Caller
-  // holds mutex_.
-  void check_wave_complete(ProcessContext& ctx, WaveInfo& wave, bool halt);
-  // Broadcast a wave marker over the tier children, skipping the aggregator
-  // child it arrived from (flat mode: all children are users, none skipped).
-  void forward_wave(ProcessContext& ctx, ProcessId origin,
-                    const Message& marker);
-  // The direct tier child whose subtree covers user process `target` (the
-  // target itself in flat mode).
-  [[nodiscard]] ProcessId route_child(ProcessId target) const;
+  // Adopting a wave also opens its WaveInfo, under mutex_.
+  bool adopt(ProcessContext& ctx, Wave wave, std::uint64_t id) override;
+  void handle_command(ProcessContext& ctx, ChannelId in, Message& message,
+                      Command command) override;
+  // Mark the wave complete (it covers every user process).  Caller holds
+  // mutex_.
+  void complete_wave(ProcessContext& ctx, WaveInfo& wave, bool halt);
   // Send the arm commands for a breakpoint (initial arming and monitor-mode
   // re-arming).
   void arm_spec(ProcessContext& ctx, BreakpointId bp,
                 const BreakpointSpec& spec);
-  void send_control(ProcessContext& ctx, ProcessId target,
-                    const Command& command);
-  void broadcast_control(ProcessContext& ctx, const Command& command);
+  // Send a command to user `target`, or to every user for an invalid one.
+  void send_control(ProcessContext& ctx, ProcessId target, Command command);
   WaveInfo& wave_entry(std::map<std::uint64_t, WaveInfo>& waves,
                        std::uint64_t id, ProcessContext& ctx);
 
-  const Topology* topology_ = nullptr;  // bound in on_start
-  ProcessId self_;
   ReplaySink* replay_sink_ = nullptr;
-  // Direct tier children (all user processes in flat mode, the top layer of
-  // aggregators in tree mode).  Immutable after on_start.
-  std::vector<ProcessId> children_;
 
+  // Guards the session state below and the tier node's wave ids.
   mutable std::mutex mutex_;
-  std::uint64_t last_halt_id_ = 0;
-  std::uint64_t last_snapshot_id_ = 0;
   // Highest wave id that has been resumed (see resume_all).
   std::uint64_t resumed_through_ = 0;
   std::map<std::uint64_t, WaveInfo> halt_waves_;
@@ -155,7 +143,6 @@ class DebuggerProcess final : public Process {
   std::map<BreakpointId, std::set<std::uint32_t>> satisfied_terms_;
   std::vector<BreakpointHit> hits_;
   std::map<ProcessId, ProcessSnapshot> state_reports_;
-  std::uint64_t markers_forwarded_ = 0;
 };
 
 }  // namespace ddbg

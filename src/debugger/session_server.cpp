@@ -279,14 +279,24 @@ SessionResponse SessionServer::handle(Client& client,
       // Hold the wave lock across initiate + wait so no other session can
       // resume (or start a competing wave) while the markers propagate.
       std::lock_guard<std::mutex> wave_guard{wave_mutex_};
+      // halt() only posts the initiate: until it has run, a wave another
+      // session halted and nobody resumed still reads as the latest
+      // complete one, so first wait for the new wave to exist.
+      const std::uint64_t before = debugger_.last_halt_id();
       session.halt();
-      auto wave = session.wait_for_halt(timeout);
+      std::optional<DebuggerProcess::WaveInfo> wave;
+      if (host_.wait([&] { return debugger_.last_halt_id() > before; },
+                     timeout)) {
+        wave = session.wait_for_halt(timeout);
+      }
       if (!wave.has_value()) {
         return SessionResponse::failure(
             request.req_id,
             Error(ErrorCode::kTimeout,
                   "halt wave did not complete within " +
-                      std::to_string(timeout.ns / 1'000'000) + "ms"));
+                      std::to_string(timeout.ns / 1'000'000) + "ms; " +
+                      session.debugger().describe_pending(
+                          /*halt=*/true, session.debugger().last_halt_id())));
       }
       client.halt_wave = wave->id;
       {
@@ -319,7 +329,10 @@ SessionResponse SessionServer::handle(Client& client,
             request.req_id,
             Error(ErrorCode::kTimeout,
                   "snapshot wave did not complete within " +
-                      std::to_string(timeout.ns / 1'000'000) + "ms"));
+                      std::to_string(timeout.ns / 1'000'000) + "ms; " +
+                      session.debugger().describe_pending(
+                          /*halt=*/false,
+                          session.debugger().last_snapshot_id())));
       }
       return SessionResponse::success(
           request.req_id,

@@ -1,0 +1,167 @@
+#include "debugger/tier_node.hpp"
+
+#include <tuple>
+#include <utility>
+
+#include "common/logging.hpp"
+#include "obs/metrics.hpp"
+
+namespace ddbg {
+
+void TierNode::bind(ProcessContext& ctx) {
+  topology_ = &ctx.topology();
+  self_ = ctx.self();
+  parent_ = topology_->tier_parent(self_);
+  if (parent_.valid()) up_channel_ = topology_->control_from(self_);
+  const auto children = topology_->tier_children(self_);
+  children_.assign(children.begin(), children.end());
+  std::tie(user_lo_, user_hi_) = topology_->tier_user_range(self_);
+  if (obs::MetricsRegistry* m = ctx.metrics()) {
+    m->observe_tree_fanout(children_.size());
+  }
+}
+
+void TierNode::on_message(ProcessContext& ctx, ChannelId in,
+                          Message message) {
+  switch (message.kind) {
+    case MessageKind::kHaltMarker: {
+      DDBG_ASSERT(message.halt.has_value(), "halt marker without data");
+      const HaltMarkerData& data = *message.halt;
+      if (!adopt(ctx, Wave::kHalt, data.halt_id.value())) return;
+      std::vector<ProcessId> path = data.halt_path;
+      path.push_back(self_);
+      forward_wave(ctx, topology_->channel(in).source,
+                   Message::halt_marker(data.halt_id, std::move(path)));
+      return;
+    }
+    case MessageKind::kSnapshotMarker: {
+      DDBG_ASSERT(message.snapshot.has_value(), "snapshot marker w/o data");
+      const std::uint64_t id = message.snapshot->snapshot_id;
+      if (!adopt(ctx, Wave::kSnapshot, id)) return;
+      forward_wave(ctx, topology_->channel(in).source,
+                   Message::snapshot_marker(id));
+      return;
+    }
+    case MessageKind::kControl: {
+      auto command = Command::decode(message.payload);
+      if (!command.ok()) {
+        DDBG_ERROR() << describe_state() << " " << to_string(self_)
+                     << ": bad control message: "
+                     << command.error().to_string();
+        return;
+      }
+      if (const char* why = fault(in, command.value())) {
+        DDBG_WARN() << describe_state() << " " << to_string(self_)
+                    << ": dropped " << to_string(command.value().kind)
+                    << " from " << to_string(topology_->channel(in).source)
+                    << ": " << why;
+        return;
+      }
+      handle_command(ctx, in, message, std::move(command).value());
+      return;
+    }
+    default:
+      DDBG_WARN() << describe_state() << " " << to_string(self_)
+                  << ": unexpected " << to_string(message.kind);
+  }
+}
+
+bool TierNode::adopt(ProcessContext& /*ctx*/, Wave wave, std::uint64_t id) {
+  std::uint64_t& last =
+      wave == Wave::kHalt ? last_halt_id_ : last_snapshot_id_;
+  if (id <= last) return false;
+  last = id;
+  return true;
+}
+
+void TierNode::forward_wave(ProcessContext& ctx, ProcessId origin,
+                            const Message& marker) {
+  obs::MetricsRegistry* m = ctx.metrics();
+  if (parent_.valid()) {
+    // Upward, unless the wave just came down from the parent: the parent
+    // demonstrably knows the wave already, so the echo is pure duplicate.
+    if (origin == parent_) {
+      if (m) m->on_marker_suppressed();
+    } else {
+      ctx.send(up_channel_, marker);
+    }
+  }
+  std::uint64_t sent = 0;
+  for (const ProcessId child : children_) {
+    // A child aggregator that sent us this wave already flooded its own
+    // subtree; re-sending would bounce the marker once per tier edge.  A
+    // *user* child always gets the marker even if it originated the wave —
+    // it needs one on its control in-channel to close that channel's
+    // recorded state (Lemma 2.2).
+    if (child == origin && topology_->is_aggregator(child)) {
+      if (m) m->on_marker_suppressed();
+      continue;
+    }
+    ctx.send(topology_->control_to(child), marker);
+    ++sent;
+  }
+  markers_forwarded_ += sent;
+}
+
+void TierNode::send_down(ProcessContext& ctx, ProcessId target,
+                         Bytes encoded) {
+  if (!target.valid()) {
+    for (const ProcessId child : children_) {
+      ctx.send(topology_->control_to(child), Message::control(encoded));
+    }
+    return;
+  }
+  for (const ProcessId child : children_) {
+    const auto [lo, hi] = topology_->tier_user_range(child);
+    if (target.value() >= lo && target.value() < hi) {
+      ctx.send(topology_->control_to(child),
+               Message::control(std::move(encoded)));
+      return;
+    }
+  }
+  DDBG_WARN() << describe_state() << " " << to_string(self_)
+              << ": no child covers " << to_string(target);
+}
+
+bool TierNode::merge(GlobalState& fragment,
+                     std::vector<ProcessSnapshot>& reports) const {
+  for (ProcessSnapshot& snapshot : reports) fragment.add(std::move(snapshot));
+  return fragment.size() == user_hi_ - user_lo_;
+}
+
+bool TierNode::covers(ChannelId in, ProcessId p) const {
+  const auto [lo, hi] =
+      topology_->tier_user_range(topology_->channel(in).source);
+  return p.value() >= lo && p.value() < hi;
+}
+
+const char* TierNode::fault(ChannelId in, const Command& command) const {
+  const bool from_parent =
+      parent_.valid() && topology_->channel(in).source == parent_;
+  if (is_downward(command.kind)) {
+    return from_parent ? nullptr : "downward command from a child";
+  }
+  if (from_parent) return "upward command from the parent";
+  switch (command.kind) {
+    case CommandKind::kHaltReport:
+    case CommandKind::kSnapshotReport:
+      // An aggregator reports under its own name; its snapshots are checked.
+      if (command.reports.empty()) return "report without a snapshot";
+      break;
+    case CommandKind::kStateReport:
+      if (command.reports.size() != 1) return "not exactly one snapshot";
+      [[fallthrough]];
+    default:
+      if (!covers(in, command.reporter)) return "reporter outside the subtree";
+  }
+  for (const ProcessSnapshot& snapshot : command.reports) {
+    if (!covers(in, snapshot.process)) return "snapshot outside the subtree";
+  }
+  if (command.kind == CommandKind::kRouteMarker &&
+      command.target.value() >= topology_->num_user_processes()) {
+    return "route to a nonexistent user";
+  }
+  return nullptr;
+}
+
+}  // namespace ddbg

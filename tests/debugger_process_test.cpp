@@ -1,6 +1,7 @@
 // Unit tests for the DebuggerProcess itself, driven with a fake context:
 // marker forwarding, wave bookkeeping, report collection, breakpoint
-// arming, route-marker forwarding and the resume watermark.
+// arming, route-marker forwarding, the resume watermark, the pending-child
+// description of a stuck wave and the dropping of hostile control input.
 #include <gtest/gtest.h>
 
 #include "debugger/debugger_process.hpp"
@@ -74,11 +75,11 @@ TEST(DebuggerProcess, CollectsHaltReportsIntoWave) {
 
   fx.deliver_command(ProcessId(0), Command::halt_report(
                                        ProcessId(0), 1,
-                                       fx.snapshot_for(ProcessId(0))));
+                                       {fx.snapshot_for(ProcessId(0))}));
   EXPECT_FALSE(fx.debugger.latest_halt_complete());
   fx.deliver_command(ProcessId(1), Command::halt_report(
                                        ProcessId(1), 1,
-                                       fx.snapshot_for(ProcessId(1))));
+                                       {fx.snapshot_for(ProcessId(1))}));
   EXPECT_TRUE(fx.debugger.latest_halt_complete());
   auto wave = fx.debugger.latest_halt_wave();
   ASSERT_TRUE(wave.has_value());
@@ -92,10 +93,10 @@ TEST(DebuggerProcess, ResumeWatermarkHidesOldWave) {
   fx.debugger.initiate_halt(fx.ctx);
   fx.deliver_command(ProcessId(0), Command::halt_report(
                                        ProcessId(0), 1,
-                                       fx.snapshot_for(ProcessId(0))));
+                                       {fx.snapshot_for(ProcessId(0))}));
   fx.deliver_command(ProcessId(1), Command::halt_report(
                                        ProcessId(1), 1,
-                                       fx.snapshot_for(ProcessId(1))));
+                                       {fx.snapshot_for(ProcessId(1))}));
   ASSERT_TRUE(fx.debugger.latest_halt_complete());
   fx.debugger.resume_all(fx.ctx);
   EXPECT_FALSE(fx.debugger.latest_halt_complete());
@@ -252,10 +253,10 @@ TEST(DebuggerProcess, SnapshotWaveCollection) {
   EXPECT_FALSE(fx.debugger.snapshot_complete(1));
   fx.deliver_command(ProcessId(0), Command::snapshot_report(
                                        ProcessId(0), 1,
-                                       fx.snapshot_for(ProcessId(0))));
+                                       {fx.snapshot_for(ProcessId(0))}));
   fx.deliver_command(ProcessId(1), Command::snapshot_report(
                                        ProcessId(1), 1,
-                                       fx.snapshot_for(ProcessId(1))));
+                                       {fx.snapshot_for(ProcessId(1))}));
   EXPECT_TRUE(fx.debugger.snapshot_complete(1));
 }
 
@@ -264,6 +265,148 @@ TEST(DebuggerProcess, MalformedControlMessageIgnored) {
   fx.debugger.on_message(fx.ctx, fx.from(ProcessId(0)),
                          Message::control(Bytes{0xff, 0x00}));
   EXPECT_EQ(fx.debugger.last_halt_id(), 0u);  // nothing changed, no crash
+}
+
+TEST(DebuggerProcess, PendingNamesTheChildrenNotYetReported) {
+  Fixture fx;
+  fx.debugger.initiate_halt(fx.ctx);
+  EXPECT_EQ(fx.debugger.describe_pending(true, 1),
+            "waiting on 2 of 2 children: p0 [0,1), p1 [1,2)");
+  fx.deliver_command(ProcessId(0), Command::halt_report(
+                                       ProcessId(0), 1,
+                                       {fx.snapshot_for(ProcessId(0))}));
+  EXPECT_EQ(fx.debugger.describe_pending(true, 1),
+            "waiting on 1 of 2 children: p1 [1,2)");
+  fx.deliver_command(ProcessId(1), Command::halt_report(
+                                       ProcessId(1), 1,
+                                       {fx.snapshot_for(ProcessId(1))}));
+  EXPECT_EQ(fx.debugger.describe_pending(true, 1),
+            "waiting on 0 of 2 children");
+  // A snapshot wave is tracked on its own.
+  fx.debugger.initiate_snapshot(fx.ctx);
+  fx.deliver_command(ProcessId(1), Command::snapshot_report(
+                                       ProcessId(1), 1,
+                                       {fx.snapshot_for(ProcessId(1))}));
+  EXPECT_EQ(fx.debugger.describe_pending(false, 1),
+            "waiting on 1 of 2 children: p0 [0,1)");
+}
+
+TEST(DebuggerProcess, PendingListsAtMostEightChildren) {
+  Topology topology = Topology::ring(10).with_debugger();
+  FakeContext ctx{topology.debugger_id(), &topology};
+  DebuggerProcess debugger;
+  debugger.on_start(ctx);
+  debugger.initiate_halt(ctx);
+  EXPECT_EQ(debugger.describe_pending(true, 1),
+            "waiting on 10 of 10 children: p0 [0,1), p1 [1,2), p2 [2,3), "
+            "p3 [3,4), p4 [4,5), p5 [5,6), p6 [6,7), p7 [7,8)");
+}
+
+// ---- hostile control input: logged and dropped, never trusted ----
+
+TEST(DebuggerProcess, RouteMarkerToNonexistentUserDropped) {
+  Fixture fx;
+  fx.deliver_command(ProcessId(0),
+                     Command::route_marker(ProcessId(0), ProcessId(99),
+                                           BreakpointId(9), Bytes{1}, 1));
+  EXPECT_TRUE(fx.ctx.sent.empty());
+}
+
+TEST(DebuggerProcess, HaltReportWithoutSnapshotDropped) {
+  Fixture fx;
+  fx.debugger.initiate_halt(fx.ctx);
+  fx.deliver_command(ProcessId(0), Command::halt_report(ProcessId(0), 1, {}));
+  auto wave = fx.debugger.halt_wave(1);
+  ASSERT_TRUE(wave.has_value());
+  EXPECT_EQ(wave->state.size(), 0u);
+  EXPECT_FALSE(wave->complete);
+}
+
+TEST(DebuggerProcess, StateReportWithoutSnapshotDropped) {
+  Fixture fx;
+  Command empty = Command::state_report(ProcessId(0), ProcessSnapshot{});
+  empty.reports.clear();
+  fx.deliver_command(ProcessId(0), empty);
+  EXPECT_FALSE(fx.debugger.state_report(ProcessId(0)).has_value());
+  // Two snapshots in one state report are as bad as none.
+  Command two =
+      Command::state_report(ProcessId(0), fx.snapshot_for(ProcessId(0)));
+  two.reports.push_back(fx.snapshot_for(ProcessId(0)));
+  fx.deliver_command(ProcessId(0), two);
+  EXPECT_FALSE(fx.debugger.state_report(ProcessId(0)).has_value());
+}
+
+TEST(DebuggerProcess, ReportForAUserOutsideTheSenderIsDropped) {
+  // p0's channel can only speak for p0: a snapshot of "p99" (or of p1) on
+  // it must not fill the wave, or S_h would complete without p1.
+  Fixture fx;
+  fx.debugger.initiate_halt(fx.ctx);
+  fx.deliver_command(ProcessId(0), Command::halt_report(
+                                       ProcessId(0), 1,
+                                       {fx.snapshot_for(ProcessId(0))}));
+  fx.deliver_command(ProcessId(0), Command::halt_report(
+                                       ProcessId(0), 1,
+                                       {fx.snapshot_for(ProcessId(99))}));
+  fx.deliver_command(ProcessId(0), Command::halt_report(
+                                       ProcessId(0), 1,
+                                       {fx.snapshot_for(ProcessId(1))}));
+  EXPECT_FALSE(fx.debugger.halt_complete(1));
+  fx.deliver_command(ProcessId(1), Command::halt_report(
+                                       ProcessId(1), 1,
+                                       {fx.snapshot_for(ProcessId(1))}));
+  auto wave = fx.debugger.halt_wave(1);
+  ASSERT_TRUE(wave.has_value());
+  EXPECT_TRUE(wave->complete);
+  EXPECT_EQ(wave->state.size(), 2u);
+  EXPECT_TRUE(wave->state.has(ProcessId(1)));
+  EXPECT_FALSE(wave->state.has(ProcessId(99)));
+}
+
+TEST(DebuggerProcess, HitOrStateFromAnotherUsersChannelDropped) {
+  Fixture fx;
+  fx.deliver_command(ProcessId(0), Command::breakpoint_hit(
+                                       ProcessId(1), BreakpointId(3), "a"));
+  fx.deliver_command(ProcessId(0), Command::state_report(
+                                       ProcessId(1),
+                                       fx.snapshot_for(ProcessId(1))));
+  EXPECT_TRUE(fx.debugger.hits().empty());
+  EXPECT_FALSE(fx.debugger.state_report(ProcessId(1)).has_value());
+}
+
+TEST(DebuggerProcess, DownwardCommandFromAChildDropped) {
+  Fixture fx;
+  fx.deliver_command(ProcessId(0), Command::resume(1));
+  fx.deliver_command(ProcessId(0), Command::query_state());
+  EXPECT_TRUE(fx.ctx.sent.empty());
+}
+
+TEST(DebuggerProcess, NotifyTermOutOfRangeDropped) {
+  Fixture fx;
+  BreakpointSpec spec;
+  spec.kind = BreakpointSpec::Kind::kConjunctive;
+  spec.mode = ConjunctionMode::kUnordered;
+  spec.conjunctive.terms.push_back(
+      SimplePredicate::user_event(ProcessId(0), "a"));
+  spec.conjunctive.terms.push_back(
+      SimplePredicate::user_event(ProcessId(1), "b"));
+  const BreakpointId bp = fx.debugger.set_breakpoint(fx.ctx, spec);
+  ASSERT_TRUE(bp.valid());
+  fx.deliver_command(ProcessId(0),
+                     Command::notify_satisfied(ProcessId(0), bp, 5));
+  fx.deliver_command(ProcessId(0),
+                     Command::notify_satisfied(ProcessId(0), bp, 7));
+  // Term 1 is p1's: p0's channel cannot satisfy it.
+  fx.deliver_command(ProcessId(0),
+                     Command::notify_satisfied(ProcessId(0), bp, 1));
+  EXPECT_TRUE(fx.debugger.hits().empty());
+  EXPECT_EQ(fx.debugger.last_halt_id(), 0u);
+  // The two real terms still gather into a hit and a halt wave.
+  fx.deliver_command(ProcessId(0),
+                     Command::notify_satisfied(ProcessId(0), bp, 0));
+  fx.deliver_command(ProcessId(1),
+                     Command::notify_satisfied(ProcessId(1), bp, 1));
+  EXPECT_EQ(fx.debugger.hits().size(), 1u);
+  EXPECT_EQ(fx.debugger.last_halt_id(), 1u);
 }
 
 }  // namespace

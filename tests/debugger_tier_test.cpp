@@ -1,7 +1,8 @@
 // The hierarchical debugger tier (AggregatorProcess + DebuggerProcess tree
-// mode + Topology::with_debugger_tree): shape invariants, flat-vs-tree
-// verdict equivalence, marker-suppression equivalence, convergecast move
-// semantics, and chaos on interior tier channels.
+// mode + Topology::with_debugger_tree): shape invariants, one command
+// protocol for flat and tree mode, hostile input at an aggregator, flat-vs-
+// tree verdict equivalence, marker-suppression equivalence, convergecast
+// move semantics, and chaos on interior tier channels.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,9 +12,11 @@
 
 #include "analysis/consistency.hpp"
 #include "core/debug_shim.hpp"
+#include "debugger/aggregator.hpp"
 #include "debugger/harness.hpp"
 #include "net/fault_plan.hpp"
 #include "obs/metrics.hpp"
+#include "tests/test_util.hpp"
 #include "workload/behaviors.hpp"
 
 // Allocations made so far by this binary (tests/alloc_counter.cpp): the
@@ -125,6 +128,244 @@ TEST(DebuggerTierTopology, FlatDebuggerChildrenAreAllUsers) {
     EXPECT_EQ(children[i], ProcessId(i));
     EXPECT_EQ(t.tier_parent(ProcessId(i)), t.debugger_id());
   }
+}
+
+// ---------------------------------------------------------------------------
+// One protocol at every tier node (fake contexts, hop by hop)
+// ---------------------------------------------------------------------------
+
+using testing::FakeContext;
+
+// The root and every aggregator of `topology`, each on a fake context.
+// pump() delivers tier traffic hop by hop and collects the control bytes
+// that reach each user process.
+class FakeTier {
+ public:
+  explicit FakeTier(Topology topology)
+      : topology_(std::move(topology)),
+        root_ctx_(topology_.debugger_id(), &topology_) {
+    root_.on_start(root_ctx_);
+    for (const ProcessId p : topology_.process_ids()) {
+      if (!topology_.is_aggregator(p)) continue;
+      Node& node = aggregators_[p];
+      node.ctx = std::make_unique<FakeContext>(p, &topology_);
+      node.process.on_start(*node.ctx);
+    }
+  }
+
+  DebuggerProcess& root() { return root_; }
+  FakeContext& root_ctx() { return root_ctx_; }
+
+  // Control payloads received by user `p`, in order.
+  const std::vector<Bytes>& received(ProcessId p) { return received_[p]; }
+
+  // Delivers everything the root sent, plus `inject`, hop by hop.
+  void pump(std::vector<std::pair<ChannelId, Message>> queue = {}) {
+    auto drain = [&queue](FakeContext& ctx) {
+      for (auto& sent : ctx.sent) queue.push_back(std::move(sent));
+      ctx.sent.clear();
+    };
+    drain(root_ctx_);
+    while (!queue.empty()) {
+      auto [channel, message] = std::move(queue.front());
+      queue.erase(queue.begin());
+      const ProcessId to = topology_.channel(channel).destination;
+      if (topology_.is_debugger(to)) {
+        root_.on_message(root_ctx_, channel, std::move(message));
+        drain(root_ctx_);
+      } else if (topology_.is_aggregator(to)) {
+        Node& node = aggregators_.at(to);
+        node.process.on_message(*node.ctx, channel, std::move(message));
+        drain(*node.ctx);
+      } else if (message.kind == MessageKind::kControl) {
+        received_[to].push_back(std::move(message.payload));
+      }
+    }
+  }
+
+  // User `p` reports its own halt snapshot for wave `wave`.
+  void report_halt(ProcessId p, std::uint64_t wave) {
+    ProcessSnapshot snapshot;
+    snapshot.process = p;
+    snapshot.halt_path = {topology_.tier_parent(p)};
+    std::vector<std::pair<ChannelId, Message>> queue;
+    queue.emplace_back(
+        topology_.control_from(p),
+        Message::control(Command::halt_report(p, wave, {snapshot}).encode()));
+    pump(std::move(queue));
+  }
+
+ private:
+  struct Node {
+    std::unique_ptr<FakeContext> ctx;
+    AggregatorProcess process;
+  };
+
+  Topology topology_;
+  FakeContext root_ctx_;
+  DebuggerProcess root_;
+  std::map<ProcessId, Node> aggregators_;
+  std::map<ProcessId, std::vector<Bytes>> received_;
+};
+
+// Arm (linked and unordered), query, resume and disarm, as one session
+// would issue them; returns what users p2 and p13 received.
+std::pair<std::vector<Bytes>, std::vector<Bytes>> drive_commands(
+    FakeTier& tier) {
+  DebuggerProcess& d = tier.root();
+  FakeContext& ctx = tier.root_ctx();
+  BreakpointSpec linked;
+  linked.kind = BreakpointSpec::Kind::kLinked;
+  DisjunctivePredicate dp;
+  dp.alternatives.push_back(SimplePredicate::user_event(ProcessId(13), "x"));
+  linked.linked = LinkedPredicate::single(dp);
+  const BreakpointId bp = d.set_breakpoint(ctx, linked);
+  BreakpointSpec unordered;
+  unordered.kind = BreakpointSpec::Kind::kConjunctive;
+  unordered.mode = ConjunctionMode::kUnordered;
+  unordered.conjunctive.terms.push_back(
+      SimplePredicate::user_event(ProcessId(2), "a"));
+  unordered.conjunctive.terms.push_back(
+      SimplePredicate::user_event(ProcessId(13), "b"));
+  d.set_breakpoint(ctx, unordered);
+  d.query_state(ctx, ProcessId(13));
+  d.initiate_halt(ctx);
+  d.resume_all(ctx);
+  d.clear_breakpoint(ctx, bp);
+  tier.pump();
+  return {tier.received(ProcessId(2)), tier.received(ProcessId(13))};
+}
+
+TEST(DebuggerTierProtocol, UsersReceiveIdenticalCommandBytesFlatAndTree) {
+  FakeTier flat(Topology::ring(16).with_debugger());
+  FakeTier tree(Topology::ring(16).with_debugger_tree(4));
+  const auto [flat_p2, flat_p13] = drive_commands(flat);
+  const auto [tree_p2, tree_p13] = drive_commands(tree);
+  // p13: arm, arm_notify, query, resume, disarm.  p2: arm_notify, resume,
+  // disarm.
+  ASSERT_EQ(flat_p13.size(), 5u);
+  ASSERT_EQ(flat_p2.size(), 3u);
+  EXPECT_EQ(tree_p13, flat_p13);
+  EXPECT_EQ(tree_p2, flat_p2);
+  const std::vector<CommandKind> kinds = {
+      CommandKind::kArmPredicate, CommandKind::kArmNotify,
+      CommandKind::kQueryState, CommandKind::kResume,
+      CommandKind::kDisarmBreakpoint};
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    auto command = Command::decode(tree_p13[i]);
+    ASSERT_TRUE(command.ok());
+    EXPECT_EQ(command.value().kind, kinds[i]);
+    // Targeted commands name p13; broadcasts name nobody.
+    EXPECT_EQ(command.value().target,
+              i < 3 ? ProcessId(13) : ProcessId());
+  }
+}
+
+TEST(DebuggerTierProtocol, ReportsMergeTheSameWayFlatAndTree) {
+  // Users report their own snapshots; aggregators ship merged fragments up
+  // under the same kind; the root keys halt paths by snapshot either way
+  // and names the children it is still waiting on.
+  FakeTier flat(Topology::ring(16).with_debugger());
+  FakeTier tree(Topology::ring(16).with_debugger_tree(4));
+  for (FakeTier* tier : {&flat, &tree}) {
+    tier->root().initiate_halt(tier->root_ctx());
+    tier->pump();
+    for (std::uint32_t p = 0; p < 13; ++p) tier->report_halt(ProcessId(p), 1);
+  }
+  EXPECT_EQ(flat.root().describe_pending(true, 1),
+            "waiting on 3 of 16 children: p13 [13,14), p14 [14,15), "
+            "p15 [15,16)");
+  EXPECT_EQ(tree.root().describe_pending(true, 1),
+            "waiting on 1 of 4 children: p19 [12,16)");
+  for (FakeTier* tier : {&flat, &tree}) {
+    for (std::uint32_t p = 13; p < 16; ++p) {
+      tier->report_halt(ProcessId(p), 1);
+    }
+    auto wave = tier->root().halt_wave(1);
+    ASSERT_TRUE(wave.has_value());
+    EXPECT_TRUE(wave->complete);
+    EXPECT_EQ(wave->state.size(), 16u);
+    ASSERT_EQ(wave->halt_paths.size(), 16u);
+    EXPECT_EQ(wave->halt_paths.at(ProcessId(15)).size(), 1u);
+  }
+}
+
+// Hostile input at an aggregator: the leaf covering users [0, 4) of a
+// fanout-4 tier over 16 users.
+struct LeafFixture {
+  Topology topology = Topology::ring(16).with_debugger_tree(4);
+  ProcessId leaf = topology.tier_parent(ProcessId(0));
+  FakeContext ctx{leaf, &topology};
+  AggregatorProcess aggregator;
+
+  LeafFixture() { aggregator.on_start(ctx); }
+
+  void from_parent(const Command& command) {
+    aggregator.on_message(ctx, topology.control_to(leaf),
+                          Message::control(command.encode()));
+  }
+  void from_user(ProcessId p, const Command& command) {
+    aggregator.on_message(ctx, topology.control_from(p),
+                          Message::control(command.encode()));
+  }
+};
+
+TEST(DebuggerTierProtocol, AggregatorDropsTargetOutsideItsSubtree) {
+  LeafFixture fx;
+  ASSERT_EQ(fx.topology.tier_user_range(fx.leaf),
+            (std::pair<std::uint32_t, std::uint32_t>{0, 4}));
+  Command query = Command::query_state();
+  query.target = ProcessId(13);
+  fx.from_parent(query);
+  EXPECT_TRUE(fx.ctx.sent.empty());
+  // The same command for a user below it goes to that user alone, as sent.
+  query.target = ProcessId(2);
+  fx.from_parent(query);
+  ASSERT_EQ(fx.ctx.sent.size(), 1u);
+  EXPECT_EQ(fx.ctx.sent[0].first, fx.topology.control_to(ProcessId(2)));
+  EXPECT_EQ(fx.ctx.sent[0].second.payload, query.encode());
+}
+
+TEST(DebuggerTierProtocol, AggregatorTakesDirectionFromTheChannel) {
+  LeafFixture fx;
+  fx.from_user(ProcessId(0), Command::resume(1));  // downward from a child
+  fx.from_parent(Command::breakpoint_hit(ProcessId(0), BreakpointId(1),
+                                         "x"));  // upward from the parent
+  EXPECT_TRUE(fx.ctx.sent.empty());
+  // The right directions pass: a relay up, a broadcast down.
+  fx.from_user(ProcessId(0),
+               Command::breakpoint_hit(ProcessId(0), BreakpointId(1), "x"));
+  fx.from_parent(Command::resume(1));
+  ASSERT_EQ(fx.ctx.sent.size(), 5u);
+  EXPECT_EQ(fx.ctx.sent[0].first, fx.topology.control_from(fx.leaf));
+}
+
+TEST(DebuggerTierProtocol, AggregatorMergesOnlyItsChildrensOwnSnapshots) {
+  LeafFixture fx;
+  auto snapshot = [](std::uint32_t p) {
+    ProcessSnapshot s;
+    s.process = ProcessId(p);
+    return s;
+  };
+  // p0's channel speaks only for p0: neither p1 nor a user of another
+  // subtree may fill the fragment in its name.
+  fx.from_user(ProcessId(0), Command::halt_report(ProcessId(0), 1,
+                                                  {snapshot(1)}));
+  fx.from_user(ProcessId(0), Command::halt_report(ProcessId(0), 1,
+                                                  {snapshot(0), snapshot(9)}));
+  fx.from_user(ProcessId(0), Command::halt_report(ProcessId(0), 1, {}));
+  EXPECT_TRUE(fx.ctx.sent.empty());
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    fx.from_user(ProcessId(p),
+                 Command::halt_report(ProcessId(p), 1, {snapshot(p)}));
+  }
+  ASSERT_EQ(fx.ctx.sent.size(), 1u);
+  auto up = Command::decode(fx.ctx.sent[0].second.payload);
+  ASSERT_TRUE(up.ok());
+  EXPECT_EQ(up.value().kind, CommandKind::kHaltReport);
+  EXPECT_EQ(up.value().reporter, fx.leaf);
+  ASSERT_EQ(up.value().reports.size(), 4u);
+  EXPECT_EQ(up.value().reports[3].process, ProcessId(3));
 }
 
 // ---------------------------------------------------------------------------

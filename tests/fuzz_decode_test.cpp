@@ -85,20 +85,62 @@ TEST_P(FuzzDecode, TruncationsOfValidMessagesFailCleanly) {
   }
 }
 
-TEST_P(FuzzDecode, BitFlipsOfValidCommandsFailCleanlyOrRoundTrip) {
-  Rng rng(GetParam() ^ 0x4444);
+// One valid command of every kind, including a multi-snapshot report and a
+// downward command that names its target.
+std::vector<Command> command_corpus() {
   ProcessSnapshot snapshot;
   snapshot.process = ProcessId(1);
   snapshot.state = Bytes{9, 9};
   snapshot.in_channels.push_back(ChannelState{ChannelId(0), {Bytes{1}}});
-  const Bytes encoded =
-      Command::halt_report(ProcessId(1), 3, snapshot).encode();
-  for (int i = 0; i < 500; ++i) {
-    Bytes mutated = encoded;
-    const std::size_t pos = rng.next_below(mutated.size());
-    mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
-    auto result = Command::decode(mutated);
-    if (result.ok()) (void)result.value().encode();
+  snapshot.halt_path = {ProcessId(4), ProcessId(0)};
+  ProcessSnapshot other;
+  other.process = ProcessId(2);
+  other.description = "idle";
+
+  Command targeted = Command::arm_predicate(BreakpointId(2), Bytes{1, 2}, 1);
+  targeted.target = ProcessId(3);
+  Command notify = Command::arm_notify(BreakpointId(3), Bytes{5}, 1);
+  notify.target = ProcessId(1);
+  Command query = Command::query_state();
+  query.target = ProcessId(2);
+  return {
+      targeted,
+      notify,
+      Command::disarm(BreakpointId(2)),
+      Command::resume(4),
+      query,
+      Command::halt_report(ProcessId(1), 3, {snapshot}),
+      Command::snapshot_report(ProcessId(5), 2, {snapshot, other}),
+      Command::breakpoint_hit(ProcessId(1), BreakpointId(2), "p1:sent>=2"),
+      Command::notify_satisfied(ProcessId(1), BreakpointId(3), 1),
+      Command::route_marker(ProcessId(1), ProcessId(3), BreakpointId(2),
+                            Bytes{7}, 1, true),
+      Command::state_report(ProcessId(2), other),
+  };
+}
+
+TEST_P(FuzzDecode, BitFlipsOfValidCommandsFailCleanlyOrRoundTrip) {
+  Rng rng(GetParam() ^ 0x4444);
+  const std::vector<Command> corpus = command_corpus();
+  ASSERT_EQ(corpus.size(),
+            static_cast<std::size_t>(CommandKind::kStateReport) + 1);
+  for (const Command& command : corpus) {
+    const Bytes encoded = command.encode();
+    auto clean = Command::decode(encoded);
+    ASSERT_TRUE(clean.ok()) << to_string(command.kind);
+    EXPECT_EQ(clean.value().encode(), encoded);
+    for (int i = 0; i < 500; ++i) {
+      Bytes mutated = encoded;
+      const std::size_t pos = rng.next_below(mutated.size());
+      mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+      auto result = Command::decode(mutated);
+      if (!result.ok()) continue;
+      // Whatever decoded re-encodes to bytes that decode to the same thing.
+      const Bytes reencoded = result.value().encode();
+      auto again = Command::decode(reencoded);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(again.value().encode(), reencoded);
+    }
   }
 }
 
@@ -451,6 +493,20 @@ TEST(DecodeBoundary, SessionResponseTrailingByteRejected) {
   auto decoded = SessionResponse::decode(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code(), ErrorCode::kParseError);
+}
+
+// kStateReport (10) is the last command kind.  11 was the first of the
+// tier's envelope and aggregated kinds, which no longer exist.
+TEST(DecodeBoundary, CommandKindPastLastRejected) {
+  Bytes encoded = Command::query_state().encode();
+  encoded[0] = static_cast<std::uint8_t>(CommandKind::kStateReport);
+  ASSERT_TRUE(Command::decode(encoded).ok());
+  for (const std::uint8_t kind : {std::uint8_t{11}, std::uint8_t{255}}) {
+    encoded[0] = kind;
+    auto decoded = Command::decode(encoded);
+    ASSERT_FALSE(decoded.ok()) << int{kind};
+    EXPECT_EQ(decoded.error().code(), ErrorCode::kParseError);
+  }
 }
 
 // -- FrameParser: stream reassembly and the frame-length sanity cap --------

@@ -188,6 +188,7 @@ TEST(Command, ResumeRoundTrip) {
 }
 
 TEST(Command, HaltReportRoundTrip) {
+  // A user's own snapshot.
   ProcessSnapshot snapshot;
   snapshot.process = ProcessId(2);
   snapshot.state = Bytes{9, 8, 7};
@@ -200,20 +201,82 @@ TEST(Command, HaltReportRoundTrip) {
   snapshot.captured_at = TimePoint{12345};
 
   const Command d =
-      command_round_trip(Command::halt_report(ProcessId(2), 6, snapshot));
+      command_round_trip(Command::halt_report(ProcessId(2), 6, {snapshot}));
   EXPECT_EQ(d.kind, CommandKind::kHaltReport);
   EXPECT_EQ(d.reporter, ProcessId(2));
   EXPECT_EQ(d.wave_id, 6u);
-  ASSERT_TRUE(d.report.has_value());
-  EXPECT_EQ(d.report->state, (Bytes{9, 8, 7}));
-  EXPECT_EQ(d.report->description, "bal=5");
-  ASSERT_EQ(d.report->halt_path.size(), 2u);
-  ASSERT_EQ(d.report->in_channels.size(), 1u);
-  EXPECT_EQ(d.report->in_channels[0].channel, ChannelId(4));
-  ASSERT_EQ(d.report->in_channels[0].messages.size(), 2u);
-  EXPECT_EQ(d.report->in_channels[0].messages[1], (Bytes{2, 2}));
-  EXPECT_EQ(d.report->vclock.at(ProcessId(2)), 1u);
-  EXPECT_EQ(d.report->captured_at.ns, 12345);
+  ASSERT_EQ(d.reports.size(), 1u);
+  const ProcessSnapshot& r = d.reports[0];
+  EXPECT_EQ(r.state, (Bytes{9, 8, 7}));
+  EXPECT_EQ(r.description, "bal=5");
+  ASSERT_EQ(r.halt_path.size(), 2u);
+  ASSERT_EQ(r.in_channels.size(), 1u);
+  EXPECT_EQ(r.in_channels[0].channel, ChannelId(4));
+  ASSERT_EQ(r.in_channels[0].messages.size(), 2u);
+  EXPECT_EQ(r.in_channels[0].messages[1], (Bytes{2, 2}));
+  EXPECT_EQ(r.vclock.at(ProcessId(2)), 1u);
+  EXPECT_EQ(r.captured_at.ns, 12345);
+}
+
+TEST(Command, AggregatedHaltReportRoundTrip) {
+  // An aggregator's merged subtree fragment, under the same kind as a
+  // user's own halt report.
+  std::vector<ProcessSnapshot> snapshots(2);
+  snapshots[0].process = ProcessId(3);
+  snapshots[0].state = Bytes{1, 2, 3};
+  snapshots[0].halt_path = {ProcessId(9), ProcessId(8)};
+  snapshots[0].in_channels.push_back(
+      ChannelState{ChannelId(5), {Bytes{4}, Bytes{5, 5}}});
+  snapshots[1].process = ProcessId(4);
+  snapshots[1].description = "idle";
+
+  const Command merged =
+      command_round_trip(Command::halt_report(ProcessId(10), 7, snapshots));
+  EXPECT_EQ(merged.kind, CommandKind::kHaltReport);
+  EXPECT_EQ(merged.reporter, ProcessId(10));
+  EXPECT_EQ(merged.wave_id, 7u);
+  ASSERT_EQ(merged.reports.size(), 2u);
+  EXPECT_EQ(merged.reports[0].process, ProcessId(3));
+  EXPECT_EQ(merged.reports[0].state, (Bytes{1, 2, 3}));
+  ASSERT_EQ(merged.reports[0].halt_path.size(), 2u);
+  EXPECT_EQ(merged.reports[0].halt_path[1], ProcessId(8));
+  ASSERT_EQ(merged.reports[0].in_channels.size(), 1u);
+  EXPECT_EQ(merged.reports[0].in_channels[0].messages[1], (Bytes{5, 5}));
+  EXPECT_EQ(merged.reports[1].process, ProcessId(4));
+  EXPECT_EQ(merged.reports[1].description, "idle");
+}
+
+TEST(Command, AggregatedReportEmptyRoundTrip) {
+  // An empty list still round-trips (a tier node drops it as a fault).
+  const Command empty =
+      command_round_trip(Command::halt_report(ProcessId(1), 1, {}));
+  EXPECT_EQ(empty.kind, CommandKind::kHaltReport);
+  EXPECT_TRUE(empty.reports.empty());
+}
+
+TEST(Command, SnapshotReportRoundTrip) {
+  std::vector<ProcessSnapshot> snapshots(1);
+  snapshots[0].process = ProcessId(0);
+  snapshots[0].state = Bytes{6};
+  const Command d = command_round_trip(
+      Command::snapshot_report(ProcessId(0), 2, snapshots));
+  EXPECT_EQ(d.kind, CommandKind::kSnapshotReport);
+  EXPECT_EQ(d.reporter, ProcessId(0));
+  EXPECT_EQ(d.wave_id, 2u);
+  ASSERT_EQ(d.reports.size(), 1u);
+  EXPECT_EQ(d.reports[0].state, (Bytes{6}));
+
+  // A merged fragment from aggregator p5.
+  snapshots.resize(3);
+  snapshots[1].process = ProcessId(1);
+  snapshots[2].process = ProcessId(2);
+  snapshots[2].state = Bytes{7, 7};
+  const Command merged = command_round_trip(
+      Command::snapshot_report(ProcessId(5), 2, snapshots));
+  EXPECT_EQ(merged.reporter, ProcessId(5));
+  ASSERT_EQ(merged.reports.size(), 3u);
+  EXPECT_EQ(merged.reports[2].process, ProcessId(2));
+  EXPECT_EQ(merged.reports[2].state, (Bytes{7, 7}));
 }
 
 TEST(Command, RouteMarkerRoundTrip) {
@@ -238,72 +301,15 @@ TEST(Command, NotifySatisfiedRoundTrip) {
   EXPECT_EQ(d.stage_index, 2u);
 }
 
-TEST(Command, AggregatedHaltReportRoundTrip) {
-  std::vector<ProcessSnapshot> snapshots(2);
-  snapshots[0].process = ProcessId(3);
-  snapshots[0].state = Bytes{1, 2, 3};
-  snapshots[0].halt_path = {ProcessId(9), ProcessId(8)};
-  snapshots[0].in_channels.push_back(
-      ChannelState{ChannelId(5), {Bytes{4}, Bytes{5, 5}}});
-  snapshots[1].process = ProcessId(4);
-  snapshots[1].description = "idle";
-
-  const Command d = command_round_trip(
-      Command::aggregated_halt_report(ProcessId(10), 7, snapshots));
-  EXPECT_EQ(d.kind, CommandKind::kAggregatedHaltReport);
-  EXPECT_EQ(d.reporter, ProcessId(10));
-  EXPECT_EQ(d.wave_id, 7u);
-  ASSERT_EQ(d.reports.size(), 2u);
-  EXPECT_EQ(d.reports[0].process, ProcessId(3));
-  EXPECT_EQ(d.reports[0].state, (Bytes{1, 2, 3}));
-  ASSERT_EQ(d.reports[0].halt_path.size(), 2u);
-  EXPECT_EQ(d.reports[0].halt_path[1], ProcessId(8));
-  ASSERT_EQ(d.reports[0].in_channels.size(), 1u);
-  EXPECT_EQ(d.reports[0].in_channels[0].messages[1], (Bytes{5, 5}));
-  EXPECT_EQ(d.reports[1].process, ProcessId(4));
-  EXPECT_EQ(d.reports[1].description, "idle");
-}
-
-TEST(Command, AggregatedSnapshotReportRoundTrip) {
-  std::vector<ProcessSnapshot> snapshots(1);
-  snapshots[0].process = ProcessId(0);
-  snapshots[0].state = Bytes{6};
-  const Command d = command_round_trip(
-      Command::aggregated_snapshot_report(ProcessId(5), 2, snapshots));
-  EXPECT_EQ(d.kind, CommandKind::kAggregatedSnapshotReport);
-  EXPECT_EQ(d.reporter, ProcessId(5));
-  EXPECT_EQ(d.wave_id, 2u);
-  ASSERT_EQ(d.reports.size(), 1u);
-  EXPECT_EQ(d.reports[0].state, (Bytes{6}));
-}
-
-TEST(Command, AggregatedReportEmptyRoundTrip) {
-  const Command d = command_round_trip(
-      Command::aggregated_halt_report(ProcessId(1), 1, {}));
-  EXPECT_EQ(d.kind, CommandKind::kAggregatedHaltReport);
-  EXPECT_TRUE(d.reports.empty());
-}
-
-TEST(Command, TierBroadcastRoundTrip) {
-  const Bytes inner = Command::resume(4).encode();
-  const Command d = command_round_trip(Command::tier_broadcast(inner));
-  EXPECT_EQ(d.kind, CommandKind::kTierBroadcast);
-  EXPECT_EQ(d.inner, inner);
-  // The envelope's payload decodes back to the carried command.
-  auto unwrapped = Command::decode(d.inner);
-  ASSERT_TRUE(unwrapped.ok());
-  EXPECT_EQ(unwrapped.value().kind, CommandKind::kResume);
-  EXPECT_EQ(unwrapped.value().wave_id, 4u);
-}
-
-TEST(Command, TierUnicastRoundTrip) {
-  const Bytes inner =
-      Command::arm_predicate(BreakpointId(2), Bytes{7, 7}, 0).encode();
-  const Command d =
-      command_round_trip(Command::tier_unicast(ProcessId(6), inner));
-  EXPECT_EQ(d.kind, CommandKind::kTierUnicast);
+TEST(Command, DownwardCommandCarriesItsTarget) {
+  Command arm = Command::arm_predicate(BreakpointId(2), Bytes{7, 7}, 0);
+  EXPECT_FALSE(arm.target.valid());  // every user until a target is named
+  arm.target = ProcessId(6);
+  const Command d = command_round_trip(arm);
+  EXPECT_EQ(d.kind, CommandKind::kArmPredicate);
   EXPECT_EQ(d.target, ProcessId(6));
-  EXPECT_EQ(d.inner, inner);
+  EXPECT_TRUE(is_downward(d.kind));
+  EXPECT_FALSE(is_downward(CommandKind::kHaltReport));
 }
 
 TEST(Command, DecodeRejectsTruncation) {

@@ -298,6 +298,18 @@ TEST(DebugShim, ArmNotifyForAnotherProcessIsDropped) {
   in.app_message();
 }
 
+TEST(DebugShim, CommandTargetedAtAnotherUserIsDropped) {
+  HostileInput in;
+  Command arm = Command::arm_predicate(
+      BreakpointId(1), lp_of("p0:recv").encode_to_bytes(), 0);
+  arm.target = ProcessId(1);
+  in.command(arm);
+  EXPECT_EQ(in.shim.armed_watches(), 0u);
+  arm.target = ProcessId(0);
+  in.command(arm);
+  EXPECT_EQ(in.shim.armed_watches(), 1u);
+}
+
 TEST(DebugShim, ArmedWatchCountTracksDisarm) {
   GossipConfig gossip;
   SimDebugHarness harness(Topology::ring(3), make_gossip(3, gossip));

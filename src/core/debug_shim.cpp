@@ -589,7 +589,7 @@ void DebugShim::maybe_flush_gate() {
   // Hand the backlog to the halting engine in arrival order — it becomes
   // the recorded channel state of the cut and is redelivered on resume,
   // exactly what Lemma 2.2 credits to the channels.
-  std::deque<std::pair<ChannelId, Message>> pending = std::move(gate_);
+  std::vector<std::pair<ChannelId, Message>> pending = std::move(gate_);
   gate_.clear();
   for (auto& [channel, message] : pending) {
     const bool buffered = halting_->intercept_message(channel, message);

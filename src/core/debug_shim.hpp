@@ -27,7 +27,6 @@
 // shim never holds a pointer into caller-owned temporaries.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -240,7 +239,7 @@ class DebugShim final : public Process, public DebugApi {
   std::vector<std::uint64_t> delivery_ordinals_;
   // Replay gate: arrived-but-unreleased application messages, in global
   // arrival order (per-channel FIFO is a consequence).
-  std::deque<std::pair<ChannelId, Message>> gate_;
+  std::vector<std::pair<ChannelId, Message>> gate_;
   bool gate_release_in_progress_ = false;
   std::uint64_t timers_created_ = 0;
   // Record mode: live substrate TimerId -> creation ordinal (erased on

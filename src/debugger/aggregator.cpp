@@ -28,13 +28,12 @@ void AggregatorProcess::handle_command(ProcessContext& ctx, ChannelId /*in*/,
   auto& frags = halt ? halt_frags_ : snapshot_frags_;
   const std::uint64_t wave = command.wave_id;
   auto [it, inserted] = frags.try_emplace(wave);
-  Fragment& frag = it->second;
-  if (inserted) frag.state = GlobalState(HaltId(wave));
-  if (!merge(frag.state, command.reports) || frag.forwarded) return;
-  frag.forwarded = true;
+  if (inserted) it->second = GlobalState(HaltId(wave));
+  if (!merge(it->second, command.reports)) return;
   const Command up =
-      halt ? Command::halt_report(self_, wave, frag.state.take_all())
-           : Command::snapshot_report(self_, wave, frag.state.take_all());
+      halt ? Command::halt_report(self_, wave, it->second.take_all())
+           : Command::snapshot_report(self_, wave, it->second.take_all());
+  frags.erase(it);  // shipped: only in-progress waves keep a fragment
   ctx.send(up_channel_, Message::control(up.encode()));
   if (obs::MetricsRegistry* m = ctx.metrics()) m->on_ack_aggregated();
 }

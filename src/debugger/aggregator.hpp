@@ -25,20 +25,22 @@ class AggregatorProcess final : public TierNode {
   [[nodiscard]] std::string describe_state() const override {
     return "aggregator";
   }
+  // Waves whose fragment is still assembling (halt and snapshot).  Not
+  // synchronized: read it from the aggregator's own context or a
+  // simulation.
+  [[nodiscard]] std::size_t fragments_in_progress() const {
+    return halt_frags_.size() + snapshot_frags_.size();
+  }
 
  private:
-  // One in-flight convergecast per wave: snapshots accumulate until every
-  // user in this subtree has reported, then ship upward exactly once.
-  struct Fragment {
-    GlobalState state;
-    bool forwarded = false;
-  };
-
   void handle_command(ProcessContext& ctx, ChannelId in, Message& message,
                       Command command) override;
 
-  std::map<std::uint64_t, Fragment> halt_frags_;
-  std::map<std::uint64_t, Fragment> snapshot_frags_;
+  // One in-flight convergecast per wave: snapshots accumulate until every
+  // user in this subtree has reported, then ship upward once and the
+  // fragment is dropped.
+  std::map<std::uint64_t, GlobalState> halt_frags_;
+  std::map<std::uint64_t, GlobalState> snapshot_frags_;
 };
 
 }  // namespace ddbg

@@ -32,21 +32,18 @@ void DebuggerProcess::send_control(ProcessContext& ctx, ProcessId target,
   send_down(ctx, target, command.encode());
 }
 
-DebuggerProcess::WaveInfo& DebuggerProcess::wave_entry(
-    std::map<std::uint64_t, WaveInfo>& waves, std::uint64_t id,
-    ProcessContext& ctx) {
+void DebuggerProcess::open_wave(std::map<std::uint64_t, WaveInfo>& waves,
+                                std::uint64_t id, ProcessContext& ctx) {
   auto [it, inserted] = waves.try_emplace(id);
-  if (inserted) {
-    it->second.id = id;
-    it->second.started_at = ctx.now();
-    it->second.state = GlobalState(HaltId(id));
-    if (auto* m = ctx.metrics()) {
-      m->span_begin(&waves == &halt_waves_ ? obs::Span::kHaltWave
-                                           : obs::Span::kSnapshotWave,
-                    id, ctx.now());
-    }
+  DDBG_ASSERT(inserted, "a wave id is started or adopted once");
+  it->second.id = id;
+  it->second.started_at = ctx.now();
+  it->second.state = GlobalState(HaltId(id));
+  if (auto* m = ctx.metrics()) {
+    m->span_begin(&waves == &halt_waves_ ? obs::Span::kHaltWave
+                                         : obs::Span::kSnapshotWave,
+                  id, ctx.now());
   }
-  return it->second;
 }
 
 bool DebuggerProcess::adopt(ProcessContext& ctx, Wave wave, std::uint64_t id) {
@@ -57,7 +54,7 @@ bool DebuggerProcess::adopt(ProcessContext& ctx, Wave wave, std::uint64_t id) {
   // would stall behind it.
   std::lock_guard<std::mutex> guard{mutex_};
   if (!TierNode::adopt(ctx, wave, id)) return false;
-  wave_entry(wave == Wave::kHalt ? halt_waves_ : snapshot_waves_, id, ctx);
+  open_wave(wave == Wave::kHalt ? halt_waves_ : snapshot_waves_, id, ctx);
   return true;
 }
 
@@ -65,6 +62,9 @@ void DebuggerProcess::complete_wave(ProcessContext& ctx, WaveInfo& wave,
                                     bool halt) {
   wave.complete = true;
   wave.completed_at = ctx.now();
+  if (halt && wave.id > last_complete_halt_.load()) {
+    last_complete_halt_.store(wave.id, std::memory_order_release);
+  }
   if (auto* m = ctx.metrics()) {
     m->span_end(halt ? obs::Span::kHaltWave : obs::Span::kSnapshotWave,
                 wave.id, ctx.now());
@@ -89,8 +89,17 @@ void DebuggerProcess::handle_command(ProcessContext& ctx, ChannelId in,
       // every snapshot moves straight into the assembling wave.
       const bool halt = command.kind == CommandKind::kHaltReport;
       std::lock_guard<std::mutex> guard{mutex_};
-      WaveInfo& wave = wave_entry(halt ? halt_waves_ : snapshot_waves_,
-                                  command.wave_id, ctx);
+      auto& waves = halt ? halt_waves_ : snapshot_waves_;
+      const auto it = waves.find(command.wave_id);
+      if (it == waves.end()) {
+        // Every wave's marker reaches d before any report of it, so a
+        // report for a wave d never started or adopted is stale or hostile.
+        DDBG_WARN() << "debugger: dropped " << to_string(command.kind)
+                    << " for unknown wave " << command.wave_id << " from "
+                    << to_string(command.reporter);
+        return;
+      }
+      WaveInfo& wave = it->second;
       if (halt) {
         for (const ProcessSnapshot& snapshot : command.reports) {
           wave.halt_paths[snapshot.process] = snapshot.halt_path;
@@ -305,12 +314,12 @@ std::uint64_t DebuggerProcess::initiate_halt(ProcessContext& ctx) {
   {
     std::lock_guard<std::mutex> guard{mutex_};
     wave = ++last_halt_id_;
-    wave_entry(halt_waves_, wave, ctx);
+    open_wave(halt_waves_, wave, ctx);
   }
   markers_forwarded_ += children_.size();
+  const Message marker = Message::halt_marker(HaltId(wave), {self_});
   for (const ProcessId child : children_) {
-    ctx.send(topology_->control_to(child),
-             Message::halt_marker(HaltId(wave), {self_}));
+    ctx.send(topology_->control_to(child), marker);
   }
   return wave;
 }
@@ -320,7 +329,7 @@ std::uint64_t DebuggerProcess::initiate_snapshot(ProcessContext& ctx) {
   {
     std::lock_guard<std::mutex> guard{mutex_};
     wave = ++last_snapshot_id_;
-    wave_entry(snapshot_waves_, wave, ctx);
+    open_wave(snapshot_waves_, wave, ctx);
   }
   markers_forwarded_ += children_.size();
   for (const ProcessId child : children_) {
@@ -334,8 +343,8 @@ void DebuggerProcess::resume_all(ProcessContext& ctx) {
   {
     std::lock_guard<std::mutex> guard{mutex_};
     wave = last_halt_id_;
-    // Waves up to here are over: latest_halt_complete() now refers to the
-    // *next* wave, so a session can wait for a fresh halt after resuming.
+    // Waves up to here are over: a session's wait_for_halt() now waits for
+    // the *next* wave, so it can wait for a fresh halt after resuming.
     resumed_through_ = wave;
   }
   if (wave == 0) return;
@@ -362,13 +371,6 @@ bool DebuggerProcess::halt_complete(std::uint64_t wave) const {
   return it != halt_waves_.end() && it->second.complete;
 }
 
-bool DebuggerProcess::latest_halt_complete() const {
-  std::lock_guard<std::mutex> guard{mutex_};
-  if (last_halt_id_ == 0 || last_halt_id_ <= resumed_through_) return false;
-  auto it = halt_waves_.find(last_halt_id_);
-  return it != halt_waves_.end() && it->second.complete;
-}
-
 std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::halt_wave(
     std::uint64_t wave) const {
   std::lock_guard<std::mutex> guard{mutex_};
@@ -384,6 +386,19 @@ std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::latest_halt_wave()
   auto it = halt_waves_.find(last_halt_id_);
   if (it == halt_waves_.end()) return std::nullopt;
   return it->second;
+}
+
+std::optional<DebuggerProcess::WaveInfo>
+DebuggerProcess::last_complete_halt_wave() const {
+  std::lock_guard<std::mutex> guard{mutex_};
+  auto it = halt_waves_.find(last_complete_halt_.load());
+  if (it == halt_waves_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::uint64_t DebuggerProcess::resumed_through() const {
+  std::lock_guard<std::mutex> guard{mutex_};
+  return resumed_through_;
 }
 
 std::uint64_t DebuggerProcess::last_snapshot_id() const {

@@ -22,6 +22,7 @@
 // context (posted closures or message handlers).
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -90,9 +91,17 @@ class DebuggerProcess final : public TierNode {
   // ---- thread-safe observers ----
   [[nodiscard]] std::uint64_t last_halt_id() const;
   [[nodiscard]] bool halt_complete(std::uint64_t wave) const;
-  [[nodiscard]] bool latest_halt_complete() const;
   [[nodiscard]] std::optional<WaveInfo> halt_wave(std::uint64_t wave) const;
   [[nodiscard]] std::optional<WaveInfo> latest_halt_wave() const;
+  // The highest halt wave whose S_h is complete (0 before the first): one
+  // atomic load, cheap enough to poll after every simulated event.
+  [[nodiscard]] std::uint64_t last_complete_halt_id() const {
+    return last_complete_halt_.load(std::memory_order_acquire);
+  }
+  // That wave, read under one lock with its completion.
+  [[nodiscard]] std::optional<WaveInfo> last_complete_halt_wave() const;
+  // Highest wave id that has been resumed (see resume_all).
+  [[nodiscard]] std::uint64_t resumed_through() const;
 
   [[nodiscard]] std::uint64_t last_snapshot_id() const;
   [[nodiscard]] bool snapshot_complete(std::uint64_t wave) const;
@@ -125,8 +134,10 @@ class DebuggerProcess final : public TierNode {
                 const BreakpointSpec& spec);
   // Send a command to user `target`, or to every user for an invalid one.
   void send_control(ProcessContext& ctx, ProcessId target, Command command);
-  WaveInfo& wave_entry(std::map<std::uint64_t, WaveInfo>& waves,
-                       std::uint64_t id, ProcessContext& ctx);
+  // Open the WaveInfo (and wave span) of a wave just started or adopted.
+  // Caller holds mutex_.
+  void open_wave(std::map<std::uint64_t, WaveInfo>& waves, std::uint64_t id,
+                 ProcessContext& ctx);
 
   ReplaySink* replay_sink_ = nullptr;
 
@@ -134,6 +145,10 @@ class DebuggerProcess final : public TierNode {
   mutable std::mutex mutex_;
   // Highest wave id that has been resumed (see resume_all).
   std::uint64_t resumed_through_ = 0;
+  // Written under mutex_, read without it.
+  std::atomic<std::uint64_t> last_complete_halt_{0};
+  // Waves this node started or adopted; a report names one of them or is
+  // dropped.
   std::map<std::uint64_t, WaveInfo> halt_waves_;
   std::map<std::uint64_t, WaveInfo> snapshot_waves_;
 

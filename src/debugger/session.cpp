@@ -1,5 +1,6 @@
 #include "debugger/session.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -65,6 +66,10 @@ void DebuggerSession::clear_breakpoint(BreakpointId bp) {
 }
 
 void DebuggerSession::halt() {
+  // Read before posting: the wave the initiate starts is numbered above
+  // every wave that exists now, so none of those (say, one another session
+  // halted and nobody resumed) can answer the next wait_for_halt().
+  halt_floor_ = std::max(halt_floor_, debugger_.last_halt_id());
   host_.post(debugger_id_, [this](ProcessContext& ctx, Process&) {
     debugger_.initiate_halt(ctx);
   });
@@ -72,10 +77,13 @@ void DebuggerSession::halt() {
 
 std::optional<DebuggerProcess::WaveInfo> DebuggerSession::wait_for_halt(
     Duration timeout) {
+  const std::uint64_t floor =
+      std::max(halt_floor_, debugger_.resumed_through());
   const bool complete = host_.wait(
-      [this] { return debugger_.latest_halt_complete(); }, timeout);
+      [this, floor] { return debugger_.last_complete_halt_id() > floor; },
+      timeout);
   if (!complete) return std::nullopt;
-  return debugger_.latest_halt_wave();
+  return debugger_.last_complete_halt_wave();
 }
 
 void DebuggerSession::resume(Duration timeout) {

@@ -64,9 +64,12 @@ class DebuggerSession {
   void clear_breakpoint(BreakpointId bp);
 
   // ---- halting ----
-  // Ask the debugger to halt the whole computation now.
+  // Ask the debugger to halt the whole computation now.  Does not wait.
   void halt();
-  // Wait until the current halting wave has assembled a complete S_h.
+  // Wait for a complete S_h of a wave newer than both the last resumed
+  // wave and every wave that existed when this session last called halt()
+  // (a breakpoint's wave, or the one halt() started), and return the
+  // newest complete wave.
   std::optional<DebuggerProcess::WaveInfo> wait_for_halt(Duration timeout);
   // Resume the halted computation.  Returns once the debugger has issued
   // the resume commands, so a following wait_for_halt() refers to the next
@@ -90,6 +93,8 @@ class DebuggerSession {
   SessionHost& host_;
   DebuggerProcess& debugger_;
   ProcessId debugger_id_;
+  // Waves up to here predate this session's last halt().
+  std::uint64_t halt_floor_ = 0;
 };
 
 }  // namespace ddbg

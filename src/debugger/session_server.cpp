@@ -279,16 +279,8 @@ SessionResponse SessionServer::handle(Client& client,
       // Hold the wave lock across initiate + wait so no other session can
       // resume (or start a competing wave) while the markers propagate.
       std::lock_guard<std::mutex> wave_guard{wave_mutex_};
-      // halt() only posts the initiate: until it has run, a wave another
-      // session halted and nobody resumed still reads as the latest
-      // complete one, so first wait for the new wave to exist.
-      const std::uint64_t before = debugger_.last_halt_id();
       session.halt();
-      std::optional<DebuggerProcess::WaveInfo> wave;
-      if (host_.wait([&] { return debugger_.last_halt_id() > before; },
-                     timeout)) {
-        wave = session.wait_for_halt(timeout);
-      }
+      const auto wave = session.wait_for_halt(timeout);
       if (!wave.has_value()) {
         return SessionResponse::failure(
             request.req_id,

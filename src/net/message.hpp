@@ -12,8 +12,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clock/vector_clock.hpp"
@@ -49,6 +51,25 @@ struct HaltMarkerData {
   std::vector<ProcessId> halt_path;
 };
 
+// A halt marker's payload, immutable and shared.  A process sends the same
+// marker on each of its out-channels; every copy points at one body, so
+// copying a marker allocates nothing.  Reads like an optional.
+class SharedHaltMarker {
+ public:
+  SharedHaltMarker() = default;
+  // Implicit, so `message.halt = data` reads like an optional's assignment.
+  SharedHaltMarker(HaltMarkerData data)  // NOLINT
+      : body_(std::make_shared<const HaltMarkerData>(std::move(data))) {}
+
+  [[nodiscard]] bool has_value() const { return body_ != nullptr; }
+  explicit operator bool() const { return has_value(); }
+  const HaltMarkerData& operator*() const { return *body_; }
+  const HaltMarkerData* operator->() const { return body_.get(); }
+
+ private:
+  std::shared_ptr<const HaltMarkerData> body_;
+};
+
 // Payload of a C&L snapshot marker (monitor-only recording).
 struct SnapshotMarkerData {
   std::uint64_t snapshot_id = 0;
@@ -80,7 +101,7 @@ struct Message {
   VectorClock vclock;
   std::uint64_t lamport = 0;
 
-  std::optional<HaltMarkerData> halt;
+  SharedHaltMarker halt;
   std::optional<SnapshotMarkerData> snapshot;
   std::optional<PredicateMarkerData> predicate;
 

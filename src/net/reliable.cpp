@@ -4,14 +4,13 @@
 
 namespace ddbg {
 
-std::uint64_t ReliableSender::stage(Message message, std::uint64_t meta,
+std::uint64_t ReliableSender::stage(Message&& message, std::uint64_t meta,
                                     TimePoint now) {
-  Entry& entry = window_.emplace_back();
-  entry.seq = next_seq_++;
-  entry.staged = Staged{std::move(message), meta};
-  entry.rto = config_.rto_initial;
-  entry.next_retry = now + entry.rto;
-  return entry.seq;
+  const Duration rto = config_.rto_initial;
+  return window_
+      .emplace_back(next_seq_++, Staged{std::move(message), meta}, now + rto,
+                    rto)
+      .seq;
 }
 
 std::size_t ReliableSender::ack(std::uint64_t cum_ack) {
@@ -68,9 +67,7 @@ const ReliableSender::Staged* ReliableSender::peek(std::uint64_t seq) const {
 ReliableReceiver::Accept ReliableReceiver::on_frame(
     std::uint64_t seq, Message message, std::uint64_t meta,
     std::vector<Delivery>& out) {
-  if (seq < expected_ || held_.count(seq) != 0) {
-    return Accept::kDuplicate;
-  }
+  if (!wants(seq)) return Accept::kDuplicate;
   if (seq > expected_) {
     held_.emplace(seq, Delivery{seq, std::move(message), meta});
     return Accept::kBuffered;

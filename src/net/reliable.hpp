@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/serialization.hpp"
@@ -54,7 +55,7 @@ class ReliableSender {
 
   // Track `message` until cumulatively acked.  Returns its sequence number
   // (data sequences start at 1; 0 never names a message).
-  std::uint64_t stage(Message message, std::uint64_t meta, TimePoint now);
+  std::uint64_t stage(Message&& message, std::uint64_t meta, TimePoint now);
 
   // Cumulative ack: retires every entry with seq <= cum_ack.  Returns how
   // many entries were retired.
@@ -78,6 +79,11 @@ class ReliableSender {
   // The staged message for `seq`, or nullptr if already acked or never
   // staged.  The pointer is valid until the next stage() or ack().
   [[nodiscard]] const Staged* peek(std::uint64_t seq) const;
+  // Same, writable: a receiver in the same address space moves the message
+  // out on its first wanted arrival (ReliableLink::receive_in_place).
+  [[nodiscard]] Staged* peek(std::uint64_t seq) {
+    return const_cast<Staged*>(std::as_const(*this).peek(seq));
+  }
 
   [[nodiscard]] std::size_t unacked() const { return window_.size() - head_; }
   [[nodiscard]] std::uint64_t last_staged() const { return next_seq_ - 1; }
@@ -115,6 +121,12 @@ class ReliableReceiver {
     Message message;
     std::uint64_t meta = 0;
   };
+
+  // Whether frame `seq` would be delivered or held rather than suppressed
+  // as a duplicate: not yet delivered and not already held.
+  [[nodiscard]] bool wants(std::uint64_t seq) const {
+    return seq >= expected_ && held_.count(seq) == 0;
+  }
 
   // Feed one arriving data frame.  Messages that become deliverable (the
   // frame itself and any buffered run it unblocks) are appended to `out`

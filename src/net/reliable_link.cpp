@@ -1,5 +1,6 @@
 #include "net/reliable_link.hpp"
 
+#include "common/logging.hpp"
 #include "net/replay_hooks.hpp"
 #include "obs/metrics.hpp"
 
@@ -133,6 +134,17 @@ void ReliableLink::receive(Port& port, std::size_t slot, std::uint64_t seq,
     port.deliver(slot, in.channel, std::move(delivery.message),
                  delivery.meta);
   }
+}
+
+void ReliableLink::receive_in_place(Port& port, std::size_t slot,
+                                    std::uint64_t seq) {
+  if (!in_[slot].receiver.wants(seq)) {
+    metrics_->on_dup_suppressed();
+    return;
+  }
+  ReliableSender::Staged* staged = out_[slot].sender.peek(seq);
+  DDBG_ASSERT(staged != nullptr, "a wanted frame left its sender's window");
+  receive(port, slot, seq, std::move(staged->message), staged->meta);
 }
 
 void ReliableLink::acknowledge(Port& port, std::size_t slot) {

@@ -50,7 +50,9 @@ class ReliableLink {
     // One physical attempt at carrying data frame `seq` on out-slot
     // `slot`.  `attempt` is the channel's fault-stream index, `extra` the
     // fault plan's added in-flight time, and `copy` marks the second frame
-    // of a duplicate fault (sent just before the original).
+    // of a duplicate fault (sent just before the original).  The threaded
+    // runtimes copy or encode `staged`; the simulator carries only `seq`
+    // and reads the message in place on arrival (receive_in_place).
     virtual void transmit_data(std::size_t slot, ChannelId channel,
                                std::uint64_t seq,
                                const ReliableSender::Staged& staged,
@@ -105,6 +107,13 @@ class ReliableLink {
   // deliver it and every held successor it unblocks.
   void receive(Port& port, std::size_t slot, std::uint64_t seq,
                Message&& message, std::uint64_t meta);
+  // The same for a frame that carries no copy of its message, on a link
+  // whose out slot and in slot `slot` are one channel (the simulator's).
+  // A wanted frame moves the staged message out of the sender's window; an
+  // unwanted one is a duplicate and needs no content.  The window cannot
+  // have dropped a wanted frame's entry: only an ack retires it, and no ack
+  // covers a seq before its first wanted arrival.
+  void receive_in_place(Port& port, std::size_t slot, std::uint64_t seq);
   // Send the cumulative ack for in-slot `slot`.  Every arrival is acked,
   // duplicates included — a re-ack is what stops the sender retransmitting
   // a frame whose ack was lost — but a substrate may coalesce the acks of

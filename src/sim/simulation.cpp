@@ -65,18 +65,21 @@ class SimProcessContext final : public ProcessContext {
   bool stopped_ = false;
 };
 
-// The simulator's side of the reliability driver: frames, acks, retry
-// checks and resyncs become events timed from the dispatching event's
-// virtual time, for process `self` (the channel source on the sender side,
-// the destination on the receiver side).  Built on the stack per driver
-// call; slots are channel ids.
+// The simulator's side of the reliability driver: frames, retry checks and
+// resyncs become events and acks become pending acks, all timed from the
+// dispatching event's virtual time, for process `self` (the channel source
+// on the sender side, the destination on the receiver side).  Built on the
+// stack per driver call; slots are channel ids.
 class SimLinkPort final : public ReliableLink::Port {
  public:
   SimLinkPort(Simulation& sim, ProcessId self, TimePoint at)
       : sim_(sim), self_(self), at_(at) {}
 
+  // The frame carries only its seq: the message stays staged in the
+  // sender's window until a wanted arrival moves it out.
   void transmit_data(std::size_t /*slot*/, ChannelId channel,
-                     std::uint64_t seq, const ReliableSender::Staged& staged,
+                     std::uint64_t seq,
+                     const ReliableSender::Staged& /*staged*/,
                      std::uint64_t attempt, Duration extra,
                      bool copy) override {
     // A duplicate's copy rides a delay drawn from the ack stream's key
@@ -88,8 +91,7 @@ class SimLinkPort final : public ReliableLink::Port {
                                    at_ + delay, channel,
                                    sim_.topology_.channel(channel).destination);
     event.rel_seq = seq;
-    event.wire_bytes = static_cast<std::uint32_t>(staged.meta);
-    sim_.push_parcel(event, staged.message);
+    sim_.push_event(event);
   }
 
   void transmit_ack(std::size_t /*slot*/, ChannelId channel,
@@ -97,11 +99,7 @@ class SimLinkPort final : public ReliableLink::Port {
                     Duration extra) override {
     const Duration delay =
         sim_.sample_latency(channel, attempt ^ 0x4000000000000000ULL) + extra;
-    Simulation::Event event =
-        make(Simulation::Event::Kind::kRelAck, at_ + delay, channel,
-             sim_.topology_.channel(channel).source);
-    event.rel_seq = cum_ack;
-    sim_.push_event(event);
+    sim_.record_ack(channel, at_ + delay, cum_ack);
   }
 
   // Reconnection is a delayed resync: sender-side work, so it rides a
@@ -160,8 +158,8 @@ Simulation::Simulation(Topology topology, std::vector<ProcessPtr> processes,
   }
   contexts_.reserve(processes_.size());
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    contexts_.push_back(std::make_unique<SimProcessContext>(
-        *this, ProcessId(static_cast<std::uint32_t>(i)), process_rngs_[i]));
+    contexts_.emplace_back(*this, ProcessId(static_cast<std::uint32_t>(i)),
+                           process_rngs_[i]);
   }
   channel_msg_seq_.assign(topology_.num_channels(), 0);
   process_timer_seq_.assign(processes_.size(), 0);
@@ -222,17 +220,19 @@ bool Simulation::step() {
   const Event event = queue_.pop();
   DDBG_ASSERT(event.when >= now_, "simulation time went backwards");
   now_ = event.when;
+  dispatch_seq_ = event.seq;
   dispatch(event);
   ++events_processed_;
   return true;
 }
 
 bool Simulation::run_until_quiescent() {
-  while (!queue_.empty()) {
-    if (queue_.top_when() > config_.max_time) return false;
-    step();
-  }
-  return true;
+  const TimePoint limit = config_.max_time;
+  while (!queue_.empty() && queue_.top_when() <= limit) step();
+  settle_acks(limit);
+  // An ack past the limit that the clock has not reached would have been a
+  // queued event still to run.
+  return queue_.empty() && !(ack_horizon_ > limit && ack_horizon_ > now_);
 }
 
 void Simulation::run_until(TimePoint until) {
@@ -247,7 +247,49 @@ bool Simulation::run_until_condition(const std::function<bool()>& condition,
     step();
     if (condition()) return true;
   }
+  settle_acks(deadline);
   return false;
+}
+
+void Simulation::record_ack(ChannelId channel, TimePoint when,
+                            std::uint64_t cum_ack) {
+  if (acks_.empty()) acks_.resize(topology_.num_channels());
+  acks_[channel.value()].push_back(PendingAck{when, next_seq_++, cum_ack});
+  if (when > ack_horizon_) ack_horizon_ = when;
+}
+
+void Simulation::apply_acks(ChannelId channel) {
+  if (acks_.empty()) return;  // no ack recorded yet
+  std::vector<PendingAck>& acks = acks_[channel.value()];
+  // Acks are cumulative, so the pending ones that precede the dispatching
+  // event together retire what their largest does.
+  std::uint64_t cum_ack = 0;
+  bool any = false;
+  std::size_t kept = 0;
+  for (const PendingAck& ack : acks) {
+    if (ack.when < now_ || (ack.when == now_ && ack.seq < dispatch_seq_)) {
+      any = true;
+      if (ack.cum_ack > cum_ack) cum_ack = ack.cum_ack;
+    } else {
+      acks[kept++] = ack;
+    }
+  }
+  acks.resize(kept);
+  if (any) link_->on_ack(channel.value(), cum_ack);
+}
+
+void Simulation::settle_acks(TimePoint bound) {
+  if (ack_horizon_ <= bound) {
+    if (ack_horizon_ > now_) now_ = ack_horizon_;
+    return;
+  }
+  // Some ack lies past the bound: find the latest one at or before it.
+  // Applied acks all precede the clock, so only pending ones can move it.
+  for (const std::vector<PendingAck>& acks : acks_) {
+    for (const PendingAck& ack : acks) {
+      if (ack.when <= bound && ack.when > now_) now_ = ack.when;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -297,7 +339,7 @@ void Simulation::post(ProcessId target,
 void Simulation::dispatch(const Event& event) {
   const TimePoint at = event.when;
   const auto context_for = [&](ProcessId p) -> SimProcessContext& {
-    auto& ctx = static_cast<SimProcessContext&>(*contexts_[p.value()]);
+    SimProcessContext& ctx = contexts_[p.value()];
     ctx.bind_dispatch(at);
     return ctx;
   };
@@ -348,21 +390,19 @@ void Simulation::dispatch(const Event& event) {
     }
     case Event::Kind::kRelFrame: {
       SimLinkPort port(*this, event.target, at);
-      link_->receive(port, event.channel.value(), event.rel_seq,
-                     parcels_.take(event.slot), event.wire_bytes);
+      link_->receive_in_place(port, event.channel.value(), event.rel_seq);
       link_->acknowledge(port, event.channel.value());
       break;
     }
-    case Event::Kind::kRelAck:
-      link_->on_ack(event.channel.value(), event.rel_seq);
-      break;
     case Event::Kind::kRelRetry: {
       SimLinkPort port(*this, event.target, at);
+      apply_acks(event.channel);
       link_->on_retry(port, event.channel.value(), at);
       break;
     }
     case Event::Kind::kRelRestore: {
       SimLinkPort port(*this, event.target, at);
+      apply_acks(event.channel);
       link_->resync(port, event.channel.value(), at);
       break;
     }
@@ -394,6 +434,7 @@ void Simulation::do_send(ProcessId sender, TimePoint at, ChannelId channel,
     // transmission attempt to the fault plan.  In-order release is the
     // receiver's job, so no FIFO floor here.
     SimLinkPort port(*this, sender, at);
+    apply_acks(channel);
     link_->send(port, channel.value(), std::move(message), wire_bytes, at);
     return;
   }
@@ -440,7 +481,7 @@ void Simulation::release_delivery(TimePoint at, ChannelId channel,
   DDBG_ASSERT(channel_in_flight_[c] > 0, "release without a send");
   --channel_in_flight_[c];
   if (observer_ != nullptr) observer_->on_deliver(at, channel, message);
-  auto& ctx = static_cast<SimProcessContext&>(*contexts_[target.value()]);
+  SimProcessContext& ctx = contexts_[target.value()];
   ctx.bind_dispatch(at);
   processes_[target.value()]->on_message(ctx, channel, std::move(message));
 }

@@ -30,6 +30,8 @@
 
 namespace ddbg {
 
+class SimProcessContext;
+
 struct SimulationConfig {
   std::uint64_t seed = 1;
   // Applied to every channel; defaults to uniform 1..5ms.
@@ -106,16 +108,17 @@ class Simulation {
 
   // A queued event: a small, trivially copyable key, so the heap holds it
   // by value.  What an event carries beyond its key is parked in a slab
-  // under `slot` and moved out at dispatch: the Message of a
-  // kDeliver/kRelFrame (a parcel), the function of a kCall/kClosure.
+  // under `slot` and moved out at dispatch: the Message of a kDeliver (a
+  // parcel), the function of a kCall/kClosure.
   struct Event {
     TimePoint when;
     std::uint64_t seq = 0;      // tie-breaker: FIFO among same-time events
-    std::uint64_t rel_seq = 0;  // kRelFrame: data seq; kRelAck: cum ack
-    // kRelFrame/kRelAck/kRelRetry/kRelRestore exist only under a
-    // FaultPlan: a data frame arriving at the destination's ReliableLink, a
-    // cumulative ack arriving back at the source's, an armed retransmit
-    // check, and a post-reset reconnect resync.
+    std::uint64_t rel_seq = 0;  // kRelFrame: data seq
+    // kRelFrame/kRelRetry/kRelRestore exist only under a FaultPlan: a data
+    // frame arriving at the destination's ReliableLink, an armed retransmit
+    // check, and a post-reset reconnect resync.  A frame carries no copy of
+    // its message: a wanted arrival moves the staged message out of the
+    // sender's window.  Acks are not events (see PendingAck).
     enum class Kind : std::uint8_t {
       kStart,
       kDeliver,
@@ -123,21 +126,33 @@ class Simulation {
       kCall,
       kClosure,
       kRelFrame,
-      kRelAck,
       kRelRetry,
       kRelRestore,
     } kind = Kind::kStart;
     // The process whose state the event touches; set for every kind except
-    // kCall.  Rel-sender events (kRelAck/kRelRetry/kRelRestore) target the
-    // channel source, frames target the destination.
+    // kCall.  Rel-sender events (kRelRetry/kRelRestore) target the channel
+    // source, frames target the destination.
     ProcessId target;
     ChannelId channel;
-    // Wire-encoded size, computed once at send time so delivery accounting
-    // does not re-encode the message.
+    // kDeliver: wire-encoded size, computed once at send time so delivery
+    // accounting does not re-encode the message.
     std::uint32_t wire_bytes = 0;
-    // Slab slot: parcels_ for kDeliver/kRelFrame, calls_ for kCall/kClosure.
+    // Slab slot: parcels_ for kDeliver, calls_ for kCall/kClosure.
     std::uint32_t slot = 0;
     TimerId timer;
+  };
+
+  // A cumulative ack on its way back to a channel's source.  It takes a
+  // sequence number from the event counter, as the event it replaces did,
+  // so every event keeps its (when, seq); but it is never queued.  Right
+  // before each sender-side link call on its channel, every recorded ack
+  // that precedes the dispatching event in (when, seq) order is applied.
+  // Only the sender's window reads acks, so the sender sees exactly the
+  // acks it would have seen as events.
+  struct PendingAck {
+    TimePoint when;
+    std::uint64_t seq = 0;
+    std::uint64_t cum_ack = 0;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
 
@@ -176,9 +191,18 @@ class Simulation {
   };
 
   void push_event(Event event);
-  // push_event for a kDeliver/kRelFrame event carrying `message`.
+  // push_event for a kDeliver event carrying `message`.
   void push_parcel(Event event, Message message);
   void dispatch(const Event& event);
+  // Record an ack arriving back at `channel`'s source at `when`.
+  void record_ack(ChannelId channel, TimePoint when, std::uint64_t cum_ack);
+  // Apply to `channel`'s sender every recorded ack that precedes the
+  // dispatching event.
+  void apply_acks(ChannelId channel);
+  // A run stopping at `bound` has passed every ack at or before it: move
+  // the clock to the latest such ack, where the ack's event would have
+  // left it.
+  void settle_acks(TimePoint bound);
   void do_send(ProcessId sender, TimePoint at, ChannelId channel,
                Message message);
   TimerId do_set_timer(ProcessId owner, TimePoint at, Duration delay);
@@ -189,7 +213,7 @@ class Simulation {
 
   Topology topology_;
   std::vector<ProcessPtr> processes_;
-  std::vector<std::unique_ptr<ProcessContext>> contexts_;
+  std::vector<SimProcessContext> contexts_;  // by process id, one block
   SimulationConfig config_;
   Rng rng_;
   std::vector<Rng> process_rngs_;
@@ -200,6 +224,7 @@ class Simulation {
   Slab<Call> calls_;
   TimePoint now_{0};
   std::uint64_t next_seq_ = 0;
+  std::uint64_t dispatch_seq_ = 0;  // seq of the event being dispatched
   // Transport message ids are per-channel streams (bit 63 tags them apart
   // from the debug shims' per-process ids).  They size the wire encoding,
   // so they show in metrics JSON and replay logs.
@@ -220,6 +245,11 @@ class Simulation {
   // per-channel state stays in flat arrays (per-process links measured
   // ~8% slower on the chaos tier benchmark).
   std::optional<ReliableLink> link_;
+  // Acks not yet applied, by channel, in recording order; sized on the
+  // first ack, so set-up allocates nothing for them.  ack_horizon_ is the
+  // latest `when` ever recorded.
+  std::vector<std::vector<PendingAck>> acks_;
+  TimePoint ack_horizon_{0};
 
   obs::MetricsRegistry metrics_;
   TransportObserver* observer_ = nullptr;

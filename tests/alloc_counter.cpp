@@ -1,5 +1,6 @@
 // Binary-wide allocation counter for the allocation-budget tests in
-// clock_test.cpp and debugger_tier_test.cpp.  Replacing operator new
+// clock_test.cpp, debugger_tier_test.cpp and move_once_test.cpp.
+// Replacing operator new
 // affects the whole binary, so the hooks stay trivial.  Kept in its own
 // translation unit so the replaced operators are never inlined into the
 // code under test (g++ 12 then misreports mismatched new/delete).

@@ -833,6 +833,121 @@ TEST(ChaosReliableLink, AckDelayAddsItsExtraTime) {
             (std::vector<Note>{{note_kind(FaultKind::kDelay), 1, 0}}));
 }
 
+// In-place receive: a link whose out slot and in slot are one channel (the
+// simulator's arrangement), where frames carry only their seq.
+
+// Records what a loopback link asks of its port; deliveries keep the
+// payload's buffer address.
+class LoopbackPort final : public ReliableLink::Port {
+ public:
+  void transmit_data(std::size_t, ChannelId, std::uint64_t seq,
+                     const ReliableSender::Staged&, std::uint64_t, Duration,
+                     bool) override {
+    frames.push_back(seq);
+  }
+  void transmit_ack(std::size_t, ChannelId, std::uint64_t cum_ack,
+                    std::uint64_t, Duration) override {
+    acks.push_back(cum_ack);
+  }
+  void lose_connection(std::size_t, ChannelId, TimePoint) override {}
+  void arm_retry(std::size_t, ChannelId, TimePoint) override {}
+  void deliver(std::size_t, ChannelId channel, Message&& message,
+               std::uint64_t meta) override {
+    EXPECT_EQ(channel, ChannelId(0));
+    ByteReader reader(message.payload);
+    delivered.push_back(reader.u32().value());
+    metas.push_back(meta);
+    buffers.push_back(message.payload.data());
+  }
+
+  std::vector<std::uint64_t> frames;
+  std::vector<std::uint64_t> acks;
+  std::vector<std::uint32_t> delivered;
+  std::vector<std::uint64_t> metas;
+  std::vector<const std::uint8_t*> buffers;
+};
+
+// One link over c0 alone, as both its out slot 0 and its in slot 0.
+struct LoopbackRig {
+  LoopbackRig()
+      : topology(two_way_pair()),
+        metrics("sim", 2, channel_meta(topology)),
+        link(channels, channels, plan, link_config(), metrics, nullptr) {}
+
+  // Stages message `number`; returns its payload buffer.
+  const std::uint8_t* send(std::uint32_t number, TimePoint now) {
+    Message message = numbered(number);
+    const std::uint8_t* buffer = message.payload.data();
+    link.send(port, 0, std::move(message), number, now);
+    return buffer;
+  }
+
+  [[nodiscard]] std::uint64_t dup_suppressed() const {
+    return metrics.snapshot(TimePoint{0}).transport.dup_suppressed;
+  }
+
+  FaultPlan plan;
+  Topology topology;
+  obs::MetricsRegistry metrics;
+  std::array<ChannelId, 1> channels{ChannelId(0)};
+  ReliableLink link;
+  LoopbackPort port;
+};
+
+TEST(ChaosReliableLink, InPlaceReceiveDeliversTheStagedBuffer) {
+  LoopbackRig rig;
+  const std::uint8_t* buffer = rig.send(7, at_ms(0));
+  rig.link.receive_in_place(rig.port, 0, 1);
+  EXPECT_EQ(rig.port.delivered, (std::vector<std::uint32_t>{7}));
+  EXPECT_EQ(rig.port.metas, (std::vector<std::uint64_t>{7}));
+  EXPECT_EQ(rig.port.buffers, (std::vector<const std::uint8_t*>{buffer}));
+  // Released, but still staged until acked.
+  EXPECT_NE(rig.link.peek(0, 1), nullptr);
+  rig.link.on_ack(0, 1);
+  EXPECT_EQ(rig.link.peek(0, 1), nullptr);
+}
+
+TEST(ChaosReliableLink, InPlaceDuplicateAfterReleaseIsSuppressed) {
+  LoopbackRig rig;
+  rig.send(1, at_ms(0));
+  rig.link.receive_in_place(rig.port, 0, 1);
+  rig.link.receive_in_place(rig.port, 0, 1);  // the duplicate's other copy
+  EXPECT_EQ(rig.port.delivered, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(rig.dup_suppressed(), 1u);
+}
+
+TEST(ChaosReliableLink, InPlaceReorderedFramesAreHeldThenReleasedInOrder) {
+  LoopbackRig rig;
+  std::vector<const std::uint8_t*> buffers;
+  for (std::uint32_t n = 1; n <= 3; ++n) {
+    buffers.push_back(rig.send(n * 10, at_ms(0)));
+  }
+  rig.link.receive_in_place(rig.port, 0, 3);  // early: held
+  rig.link.receive_in_place(rig.port, 0, 2);  // early: held
+  rig.link.receive_in_place(rig.port, 0, 3);  // held already: a duplicate
+  EXPECT_TRUE(rig.port.delivered.empty());
+  EXPECT_EQ(rig.dup_suppressed(), 1u);
+  rig.link.receive_in_place(rig.port, 0, 1);  // fills the gap
+  EXPECT_EQ(rig.port.delivered, (std::vector<std::uint32_t>{10, 20, 30}));
+  EXPECT_EQ(rig.port.buffers, buffers);
+}
+
+TEST(ChaosReliableLink, InPlaceRetransmissionAfterReleaseIsSuppressed) {
+  LoopbackRig rig;
+  rig.send(1, at_ms(0));
+  rig.link.receive_in_place(rig.port, 0, 1);
+  rig.link.acknowledge(rig.port, 0);
+  // The ack is still on its way back when the retry fires: the frame goes
+  // out again, with nothing left to carry.
+  rig.link.on_retry(rig.port, 0, at_ms(10));
+  EXPECT_EQ(rig.port.frames, (std::vector<std::uint64_t>{1, 1}));
+  rig.link.receive_in_place(rig.port, 0, 1);
+  EXPECT_EQ(rig.port.delivered, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(rig.dup_suppressed(), 1u);
+  rig.link.on_ack(0, rig.port.acks.back());
+  EXPECT_EQ(rig.link.peek(0, 1), nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Simulator chaos matrix
 // ---------------------------------------------------------------------------

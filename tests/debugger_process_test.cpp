@@ -71,17 +71,17 @@ TEST(DebuggerProcess, IncomingMarkerAdoptedAndForwarded) {
 TEST(DebuggerProcess, CollectsHaltReportsIntoWave) {
   Fixture fx;
   fx.debugger.initiate_halt(fx.ctx);
-  EXPECT_FALSE(fx.debugger.latest_halt_complete());
+  EXPECT_EQ(fx.debugger.last_complete_halt_id(), 0u);
 
   fx.deliver_command(ProcessId(0), Command::halt_report(
                                        ProcessId(0), 1,
                                        {fx.snapshot_for(ProcessId(0))}));
-  EXPECT_FALSE(fx.debugger.latest_halt_complete());
+  EXPECT_EQ(fx.debugger.last_complete_halt_id(), 0u);
   fx.deliver_command(ProcessId(1), Command::halt_report(
                                        ProcessId(1), 1,
                                        {fx.snapshot_for(ProcessId(1))}));
-  EXPECT_TRUE(fx.debugger.latest_halt_complete());
-  auto wave = fx.debugger.latest_halt_wave();
+  EXPECT_EQ(fx.debugger.last_complete_halt_id(), 1u);
+  auto wave = fx.debugger.last_complete_halt_wave();
   ASSERT_TRUE(wave.has_value());
   EXPECT_EQ(wave->state.size(), 2u);
   EXPECT_TRUE(wave->state.has(ProcessId(0)));
@@ -97,11 +97,40 @@ TEST(DebuggerProcess, ResumeWatermarkHidesOldWave) {
   fx.deliver_command(ProcessId(1), Command::halt_report(
                                        ProcessId(1), 1,
                                        {fx.snapshot_for(ProcessId(1))}));
-  ASSERT_TRUE(fx.debugger.latest_halt_complete());
+  ASSERT_EQ(fx.debugger.last_complete_halt_id(), 1u);
+  EXPECT_EQ(fx.debugger.resumed_through(), 0u);
   fx.debugger.resume_all(fx.ctx);
-  EXPECT_FALSE(fx.debugger.latest_halt_complete());
+  // A session's next wait_for_halt() now waits for a wave above 1.
+  EXPECT_EQ(fx.debugger.resumed_through(), 1u);
   // The historical wave stays queryable.
   EXPECT_TRUE(fx.debugger.halt_complete(1));
+}
+
+// A report names a wave the debugger started or adopted, or it is stale
+// or hostile: it must not open a wave.
+TEST(DebuggerProcess, ReportsForUnknownWavesOpenNoWave) {
+  Fixture fx;
+  for (std::uint64_t wave = 1000; wave < 1100; ++wave) {
+    fx.deliver_command(ProcessId(0),
+                       Command::halt_report(ProcessId(0), wave,
+                                            {fx.snapshot_for(ProcessId(0))}));
+    fx.deliver_command(
+        ProcessId(0), Command::snapshot_report(
+                          ProcessId(0), wave, {fx.snapshot_for(ProcessId(0))}));
+  }
+  EXPECT_EQ(fx.debugger.last_halt_id(), 0u);
+  EXPECT_EQ(fx.debugger.last_snapshot_id(), 0u);
+  for (std::uint64_t wave = 1000; wave < 1100; ++wave) {
+    EXPECT_FALSE(fx.debugger.halt_wave(wave).has_value());
+    EXPECT_FALSE(fx.debugger.snapshot_wave(wave).has_value());
+  }
+  // The debugger's own next wave still assembles normally.
+  EXPECT_EQ(fx.debugger.initiate_halt(fx.ctx), 1u);
+  for (const ProcessId p : {ProcessId(0), ProcessId(1)}) {
+    fx.deliver_command(p, Command::halt_report(p, 1, {fx.snapshot_for(p)}));
+  }
+  EXPECT_TRUE(fx.debugger.halt_complete(1));
+  EXPECT_EQ(fx.debugger.last_complete_halt_id(), 1u);
 }
 
 TEST(DebuggerProcess, ResumeBroadcastsResumeCommands) {

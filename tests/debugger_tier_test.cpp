@@ -310,6 +310,29 @@ struct LeafFixture {
   }
 };
 
+// A fragment lives only while its wave assembles: after 50 waves the
+// aggregator holds just the one still in progress.
+TEST(DebuggerTierProtocol, AggregatorKeepsOnlyInProgressFragments) {
+  LeafFixture fx;
+  const auto report = [&](std::uint32_t p, std::uint64_t wave) {
+    ProcessSnapshot snapshot;
+    snapshot.process = ProcessId(p);
+    fx.from_user(ProcessId(p),
+                 Command::halt_report(ProcessId(p), wave, {snapshot}));
+  };
+  for (std::uint64_t wave = 1; wave <= 50; ++wave) {
+    report(0, wave);
+    report(1, wave);
+    EXPECT_EQ(fx.aggregator.fragments_in_progress(), 1u);
+    report(2, wave);
+    report(3, wave);
+    EXPECT_EQ(fx.aggregator.fragments_in_progress(), 0u);
+  }
+  EXPECT_EQ(fx.ctx.sent.size(), 50u);  // one report up per wave
+  report(0, 51);
+  EXPECT_EQ(fx.aggregator.fragments_in_progress(), 1u);
+}
+
 TEST(DebuggerTierProtocol, AggregatorDropsTargetOutsideItsSubtree) {
   LeafFixture fx;
   ASSERT_EQ(fx.topology.tier_user_range(fx.leaf),

@@ -1,0 +1,165 @@
+// Move-once pins: a simulated message travels from sender to receiver by
+// moves only, and a halt wave's markers share one body.
+//
+// - A lossy hop that is dropped, retransmitted and duplicated hands the
+//   receiver the sender's own payload buffer, and costs no allocation per
+//   transmission attempt: frames carry only their seq, and a wanted
+//   arrival moves the message out of the sender's window.
+// - Sending a halt marker on n-1 out-channels allocates the same as on a
+//   handful: every copy shares one immutable HaltMarkerData.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "core/halting.hpp"
+#include "core/marker_wave.hpp"
+#include "net/fault_plan.hpp"
+#include "sim/simulation.hpp"
+#include "tests/test_util.hpp"
+
+std::size_t allocation_count();  // tests/alloc_counter.cpp
+
+namespace ddbg {
+namespace {
+
+constexpr std::size_t kHops = 2;
+constexpr Duration kHopInterval = Duration::seconds(1);
+
+// Sends its outbox on c0, one message per second, and remembers each
+// payload's buffer address.
+class Sender final : public Process {
+ public:
+  Sender() {
+    for (std::uint32_t i = 0; i < kHops; ++i) {
+      outbox_.push_back(
+          Message::application(Bytes(64, static_cast<std::uint8_t>(i))));
+      buffers.push_back(outbox_.back().payload.data());
+    }
+  }
+  void on_start(ProcessContext& ctx) override {
+    ctx.set_timer(Duration::millis(1));
+  }
+  void on_message(ProcessContext&, ChannelId, Message) override {}
+  void on_timer(ProcessContext& ctx, TimerId) override {
+    ctx.send(ChannelId(0), std::move(outbox_[next_++]));
+    if (next_ < outbox_.size()) ctx.set_timer(kHopInterval);
+  }
+
+  std::vector<const std::uint8_t*> buffers;
+
+ private:
+  std::vector<Message> outbox_;
+  std::size_t next_ = 0;
+};
+
+class Receiver final : public Process {
+ public:
+  Receiver() { buffers.reserve(kHops); }
+  void on_message(ProcessContext&, ChannelId, Message message) override {
+    buffers.push_back(message.payload.data());
+  }
+
+  std::vector<const std::uint8_t*> buffers;
+};
+
+// Every attempt on c0 is duplicated, except those in [from, from + 1),
+// which a partition drops.
+FaultSpec drop_then_duplicate(std::uint64_t from) {
+  FaultSpec spec;
+  spec.duplicate = 1.0;
+  spec.partition_from = from;
+  spec.partition_until = from + 1;
+  return spec;
+}
+
+TEST(MoveOnce, LossyHopDeliversTheSendersBufferWithoutAllocating) {
+  auto plan = std::make_shared<FaultPlan>(FaultSpec{}, 1);
+  plan->set_channel(ChannelId(0), drop_then_duplicate(0));
+  std::vector<ProcessPtr> processes;
+  processes.push_back(std::make_unique<Sender>());
+  processes.push_back(std::make_unique<Receiver>());
+  const Sender& sender = static_cast<const Sender&>(*processes[0]);
+  const Receiver& receiver = static_cast<const Receiver&>(*processes[1]);
+  SimulationConfig config;
+  config.latency = constant_latency(Duration::millis(1));
+  config.faults = plan;
+  Simulation sim(Topology::ring(2), std::move(processes), std::move(config));
+
+  // The first hop warms every buffer the path reuses.
+  sim.run_until(TimePoint{Duration::millis(500).ns});
+  ASSERT_EQ(receiver.buffers.size(), 1u);
+  // The second hop meets the same faults: attempt 2 is dropped, its
+  // retransmission is duplicated.
+  plan->set_channel(ChannelId(0), drop_then_duplicate(2));
+  const std::size_t before = allocation_count();
+  sim.run_until(TimePoint{Duration::millis(1500).ns});
+  const std::size_t allocations = allocation_count() - before;
+
+  ASSERT_EQ(receiver.buffers.size(), kHops);
+  EXPECT_EQ(receiver.buffers, sender.buffers);
+  EXPECT_EQ(allocations, 0u);
+  const obs::TransportSnapshot t = sim.metrics().snapshot(sim.now()).transport;
+  EXPECT_EQ(t.faults_injected[fault_index(FaultKind::kPartition)], 2u);
+  EXPECT_EQ(t.faults_injected[fault_index(FaultKind::kDuplicate)], 2u);
+  EXPECT_EQ(t.retransmits, 2u);
+  EXPECT_EQ(t.dup_suppressed, 2u);
+}
+
+// Allocations made by sending one halt marker on every out-channel of p0 in
+// complete(n), and whether every copy shares the first one's body.
+struct FanOut {
+  std::size_t allocations = 0;
+  bool shared = true;
+};
+
+FanOut marker_fan_out(std::uint32_t n) {
+  const Topology topology = Topology::complete(n);
+  testing::FakeContext ctx(ProcessId(0), &topology);
+  ctx.sent.reserve(n);
+  MarkerWave wave(ProcessId(0), &topology, /*suppress_control_echo=*/true);
+  wave.begin(ctx, 1, /*from_control=*/false);
+  const std::size_t before = allocation_count();
+  wave.send_markers(ctx, Message::halt_marker(HaltId(1), {ProcessId(0)}));
+  FanOut out;
+  out.allocations = allocation_count() - before;
+  EXPECT_EQ(ctx.sent.size(), n - 1);
+  for (const auto& [channel, marker] : ctx.sent) {
+    out.shared = out.shared && &*marker.halt == &*ctx.sent.front().second.halt;
+  }
+  return out;
+}
+
+TEST(MoveOnce, HaltMarkerFanOutSharesOneBody) {
+  const FanOut small = marker_fan_out(4);
+  const FanOut large = marker_fan_out(64);
+  EXPECT_TRUE(small.shared);
+  EXPECT_TRUE(large.shared);
+  // The marker's body and path, built once; not one per out-channel.
+  EXPECT_LE(large.allocations, 2u);
+  EXPECT_EQ(large.allocations, small.allocations);
+}
+
+// The same through the Halting Algorithm: a process's halt sends n-1
+// markers for the cost of one.
+TEST(MoveOnce, HaltRoutineAllocatesTheSameForAnyOutDegree) {
+  const auto halt_allocations = [](std::uint32_t n) {
+    const Topology topology = Topology::complete(n);
+    testing::FakeContext ctx(ProcessId(0), &topology);
+    ctx.sent.reserve(n);
+    HaltingEngine::Callbacks callbacks;
+    callbacks.capture_state = [] { return ProcessSnapshot{}; };
+    HaltingEngine engine(ProcessId(0), &topology, std::move(callbacks));
+    const std::size_t before = allocation_count();
+    engine.initiate(ctx);
+    const std::size_t allocations = allocation_count() - before;
+    EXPECT_TRUE(engine.halted());
+    EXPECT_EQ(ctx.sent.size(), n - 1);
+    return allocations;
+  };
+  EXPECT_EQ(halt_allocations(64), halt_allocations(4));
+}
+
+}  // namespace
+}  // namespace ddbg

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -445,6 +446,74 @@ TEST(SessionServerTcp, ConcurrentHaltResumeStormSerializes) {
     });
   }
   for (auto& thread : threads) thread.join();
+  for (const std::string& failure : failures) ADD_FAILURE() << failure;
+}
+
+// Two DebuggerSessions on one debugger.  A halt() issued while the other
+// session's wave is complete and not yet resumed must return a new wave:
+// halt() only posts the initiate, so the older wave is still the latest
+// complete one when the wait begins.
+TEST(SessionRace, HaltWhileAnotherWaveIsUnresumedReturnsANewWave) {
+  SimDebugHarness harness(Topology::ring(4), make_gossip(4, GossipConfig{}));
+  SimHost host(harness.sim());
+  DebuggerSession first(host, harness.debugger(), harness.debugger_id());
+  DebuggerSession second(host, harness.debugger(), harness.debugger_id());
+  harness.sim().run_for(Duration::millis(20));
+
+  first.halt();
+  const auto held = first.wait_for_halt(Duration::seconds(5));
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(held->id, 1u);
+  second.halt();
+  const auto fresh = second.wait_for_halt(Duration::seconds(5));
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->id, 2u);
+  EXPECT_TRUE(fresh->complete);
+  // A breakpoint-free wait after a resume waits for the next wave.
+  second.resume();
+  EXPECT_FALSE(first.wait_for_halt(Duration::millis(50)).has_value());
+}
+
+// The same race on real threads: two sessions storm halt/resume cycles.
+// Like the session server, each holds a lock across halt + wait and across
+// resume, so one session halts while the other's wave is complete and
+// unresumed; every wait must still return a complete wave newer than every
+// wave that existed at its halt().
+TEST(SessionRace, TwoSessionsHaltResumeStorm) {
+  RuntimeDebugHarness harness(Topology::ring(4),
+                              make_gossip(4, GossipConfig{}));
+  harness.start();
+  RuntimeHost host(harness.runtime());
+  std::mutex wave_mutex;
+  std::mutex failures_mutex;
+  std::vector<std::string> failures;
+  const auto storm = [&] {
+    DebuggerSession session(host, harness.debugger(), harness.debugger_id());
+    for (int cycle = 0; cycle < 20; ++cycle) {
+      {
+        std::lock_guard<std::mutex> guard{wave_mutex};
+        const std::uint64_t before = harness.debugger().last_halt_id();
+        session.halt();
+        const auto wave = session.wait_for_halt(Duration::seconds(10));
+        if (!wave.has_value() || !wave->complete || wave->id <= before) {
+          std::lock_guard<std::mutex> failed{failures_mutex};
+          failures.push_back(
+              "cycle " + std::to_string(cycle) + ": halted after wave " +
+              std::to_string(before) + " but got " +
+              (wave.has_value() ? "wave " + std::to_string(wave->id)
+                                : std::string("nothing")));
+          return;
+        }
+      }
+      std::lock_guard<std::mutex> guard{wave_mutex};
+      session.resume();
+    }
+  };
+  std::thread a(storm);
+  std::thread b(storm);
+  a.join();
+  b.join();
+  harness.shutdown();
   for (const std::string& failure : failures) ADD_FAILURE() << failure;
 }
 

@@ -275,7 +275,8 @@ void DebugShim::fire_user_timer(TimerId timer) {
   user_->on_timer(*shim_ctx_, timer);
 }
 
-void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
+void DebugShim::dispatch(ProcessContext& ctx, ChannelId in,
+                         Message&& message) {
   // Control traffic bypasses everything: a halted process still listens to
   // its debugger (section 2.2.3).
   if (message.kind == MessageKind::kControl) {
@@ -304,7 +305,8 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in, Message message) {
 
   // Everything else is application-era traffic: while halted it stays in
   // the channel (the halting engine buffers it and records channel state).
-  if (halting_->intercept_message(in, message)) return;
+  // The engine moves from `message` only when it buffers it.
+  if (halting_->intercept_message(in, std::move(message))) return;
 
   // Replay gate: hold application deliveries until the driver releases
   // them in the logged order.  Markers pass through — their interleaving
@@ -592,7 +594,8 @@ void DebugShim::maybe_flush_gate() {
   std::vector<std::pair<ChannelId, Message>> pending = std::move(gate_);
   gate_.clear();
   for (auto& [channel, message] : pending) {
-    const bool buffered = halting_->intercept_message(channel, message);
+    const bool buffered =
+        halting_->intercept_message(channel, std::move(message));
     DDBG_ASSERT(buffered, "gate flushed while not halted");
   }
 }

@@ -178,7 +178,7 @@ class DebugShim final : public Process, public DebugApi {
     bool monitor;
   };
 
-  void dispatch(ProcessContext& ctx, ChannelId in, Message message);
+  void dispatch(ProcessContext& ctx, ChannelId in, Message&& message);
   void handle_control(ProcessContext& ctx, const Command& command);
   // Decode, validate and arm an LP that arrived off the wire (`what`: an
   // arm command or a predicate marker).  Malformed input is logged and

@@ -65,18 +65,18 @@ void HaltingEngine::report_complete() {
   if (callbacks_.on_complete) callbacks_.on_complete(wave_.snapshot());
 }
 
-bool HaltingEngine::intercept_message(ChannelId in, const Message& message) {
+bool HaltingEngine::intercept_message(ChannelId in, Message&& message) {
   if (!halted()) return false;
   DDBG_ASSERT(message.kind != MessageKind::kControl,
               "control messages must bypass the halting engine");
-  // Everything that arrives while halted stays logically in the channel and
-  // is replayed on resume.
-  buffered_.emplace_back(in, message);
   // Application messages arriving before this channel's marker are part of
   // the channel's recorded state (Lemma 2.2).
   if (message.kind == MessageKind::kApplication) {
     wave_.record(in, message.payload);
   }
+  // Everything that arrives while halted stays logically in the channel and
+  // is replayed on resume.
+  buffered_.emplace_back(in, std::move(message));
   return true;
 }
 

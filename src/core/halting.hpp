@@ -70,10 +70,10 @@ class HaltingEngine {
                       const HaltMarkerData& data);
 
   // Offer a non-control, non-halt-marker message that arrived while this
-  // process may be halted.  Returns true if the engine consumed (buffered)
-  // it; false if the process is running and the message should be handled
-  // normally.
-  [[nodiscard]] bool intercept_message(ChannelId in, const Message& message);
+  // process may be halted.  Returns true if the engine consumed (moved and
+  // buffered) it; false, leaving `message` untouched, if the process is
+  // running and the message should be handled normally.
+  [[nodiscard]] bool intercept_message(ChannelId in, Message&& message);
 
   // Same for timer firings: buffered while halted, replayed on resume.
   [[nodiscard]] bool intercept_timer(TimerId timer);

@@ -106,8 +106,11 @@ void TierNode::forward_wave(ProcessContext& ctx, ProcessId origin,
 void TierNode::send_down(ProcessContext& ctx, ProcessId target,
                          Bytes encoded) {
   if (!target.valid()) {
-    for (const ProcessId child : children_) {
-      ctx.send(topology_->control_to(child), Message::control(encoded));
+    // Every child but the last gets a copy; the last gets the original.
+    for (std::size_t i = 0; i < children_.size(); ++i) {
+      const bool last = i + 1 == children_.size();
+      ctx.send(topology_->control_to(children_[i]),
+               Message::control(last ? std::move(encoded) : encoded));
     }
     return;
   }

@@ -112,24 +112,33 @@ Result<Message> Message::decode(ByteReader& reader) {
   return m;
 }
 
+std::size_t wire_size(const HaltMarkerData& data) {
+  std::size_t size =
+      varint_size(data.halt_id.value()) + varint_size(data.halt_path.size());
+  for (const ProcessId p : data.halt_path) size += varint_size(p.value());
+  return size;
+}
+
+std::size_t wire_size(const SnapshotMarkerData& data) {
+  return varint_size(data.snapshot_id);
+}
+
+std::size_t wire_size(const PredicateMarkerData& data) {
+  return varint_size(data.breakpoint.value()) +
+         varint_size(data.stage_index) + 1 +
+         varint_size(data.encoded_predicate.size()) +
+         data.encoded_predicate.size();
+}
+
 std::size_t Message::encoded_size() const {
   // Field by field, in encode()'s order.  Fixed part: kind, message_id,
-  // flags.
+  // flags.  Marker bodies carry their size.
   std::size_t size = 1 + 8 + varint_size(lamport) + 1;
   size += varint_size(payload.size()) + payload.size();
   if (!vclock.empty()) size += vclock.encoded_size();
-  if (halt) {
-    size += varint_size(halt->halt_id.value()) +
-            varint_size(halt->halt_path.size());
-    for (const ProcessId p : halt->halt_path) size += varint_size(p.value());
-  }
-  if (snapshot) size += varint_size(snapshot->snapshot_id);
-  if (predicate) {
-    size += varint_size(predicate->breakpoint.value()) +
-            varint_size(predicate->stage_index) + 1 +
-            varint_size(predicate->encoded_predicate.size()) +
-            predicate->encoded_predicate.size();
-  }
+  if (halt) size += halt.wire_size();
+  if (snapshot) size += snapshot.wire_size();
+  if (predicate) size += predicate.wire_size();
   return size;
 }
 

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,25 +50,6 @@ struct HaltMarkerData {
   std::vector<ProcessId> halt_path;
 };
 
-// A halt marker's payload, immutable and shared.  A process sends the same
-// marker on each of its out-channels; every copy points at one body, so
-// copying a marker allocates nothing.  Reads like an optional.
-class SharedHaltMarker {
- public:
-  SharedHaltMarker() = default;
-  // Implicit, so `message.halt = data` reads like an optional's assignment.
-  SharedHaltMarker(HaltMarkerData data)  // NOLINT
-      : body_(std::make_shared<const HaltMarkerData>(std::move(data))) {}
-
-  [[nodiscard]] bool has_value() const { return body_ != nullptr; }
-  explicit operator bool() const { return has_value(); }
-  const HaltMarkerData& operator*() const { return *body_; }
-  const HaltMarkerData* operator->() const { return body_.get(); }
-
- private:
-  std::shared_ptr<const HaltMarkerData> body_;
-};
-
 // Payload of a C&L snapshot marker (monitor-only recording).
 struct SnapshotMarkerData {
   std::uint64_t snapshot_id = 0;
@@ -87,6 +67,40 @@ struct PredicateMarkerData {
   bool monitor = false;
 };
 
+// The bytes each payload adds to a message's wire encoding.
+[[nodiscard]] std::size_t wire_size(const HaltMarkerData& data);
+[[nodiscard]] std::size_t wire_size(const SnapshotMarkerData& data);
+[[nodiscard]] std::size_t wire_size(const PredicateMarkerData& data);
+
+// A marker's payload, immutable and shared.  A process sends the same
+// marker on each of its out-channels; every copy points at one body, so
+// copying a marker allocates nothing and costs one pointer copy.  The body
+// knows its wire size, computed once when it is built.  Reads like an
+// optional.
+template <typename T>
+class MarkerBody {
+ public:
+  MarkerBody() = default;
+  // Implicit, so `message.halt = data` reads like an optional's assignment.
+  MarkerBody(T data)  // NOLINT
+      : body_(std::make_shared<const Body>(std::move(data))) {}
+
+  [[nodiscard]] bool has_value() const { return body_ != nullptr; }
+  explicit operator bool() const { return has_value(); }
+  const T& operator*() const { return body_->data; }
+  const T* operator->() const { return &body_->data; }
+  [[nodiscard]] std::size_t wire_size() const { return body_->wire_size; }
+
+ private:
+  struct Body {
+    explicit Body(T value)
+        : data(std::move(value)), wire_size(ddbg::wire_size(data)) {}
+    T data;
+    std::size_t wire_size;
+  };
+  std::shared_ptr<const Body> body_;
+};
+
 struct Message {
   MessageKind kind = MessageKind::kApplication;
 
@@ -101,9 +115,9 @@ struct Message {
   VectorClock vclock;
   std::uint64_t lamport = 0;
 
-  SharedHaltMarker halt;
-  std::optional<SnapshotMarkerData> snapshot;
-  std::optional<PredicateMarkerData> predicate;
+  MarkerBody<HaltMarkerData> halt;
+  MarkerBody<SnapshotMarkerData> snapshot;
+  MarkerBody<PredicateMarkerData> predicate;
 
   [[nodiscard]] static Message application(Bytes payload) {
     Message m;

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -431,16 +432,31 @@ class MetricsRegistry {
   }
 
  private:
-  // One cache line per channel so the source's and destination's relaxed
-  // increments never contend with other channels' traffic.
+  // Two cache lines per channel, one per writer, so neither the source's
+  // nor the destination's relaxed increments contend with the other end or
+  // with other channels' traffic.  Who writes each slot, per substrate:
+  //   * sent[], bytes_sent: the source process's thread (threads, TCP) or
+  //     the single simulator thread, at send time;
+  //   * send_blocked_ns: the TCP source's writer, inside the socket write;
+  //   * delivered[], bytes_delivered: the destination process's thread, or
+  //     the simulator thread, at delivery;
+  //   * max_backlog: the TCP destination's frame parser (bytes buffered
+  //     awaiting parse), or the simulator thread at send time (in-flight
+  //     messages; one thread, so its line never bounces).
   struct alignas(64) ChannelCells {
+    // Source-written line.
     Counter sent[kNumTrafficClasses];
-    Counter delivered[kNumTrafficClasses];
     Counter bytes_sent;
-    Counter bytes_delivered;
     Counter send_blocked_ns;
+    // Destination-written line.
+    alignas(64) Counter delivered[kNumTrafficClasses];
+    Counter bytes_delivered;
     MaxGauge max_backlog;
   };
+  static_assert(offsetof(ChannelCells, send_blocked_ns) + sizeof(Counter) <=
+                64);
+  static_assert(offsetof(ChannelCells, delivered) == 64);
+  static_assert(sizeof(ChannelCells) == 128);
 
   struct TierCells {
     MaxGauge tree_fanout;

@@ -210,7 +210,7 @@ void Simulation::push_event(Event event) {
   queue_.push(event);
 }
 
-void Simulation::push_parcel(Event event, Message message) {
+void Simulation::push_parcel(Event event, Message&& message) {
   event.slot = parcels_.put(std::move(message));
   push_event(event);
 }
@@ -228,7 +228,7 @@ bool Simulation::step() {
 
 bool Simulation::run_until_quiescent() {
   const TimePoint limit = config_.max_time;
-  while (!queue_.empty() && queue_.top_when() <= limit) step();
+  while (!queue_.empty() && queue_.top().when <= limit) step();
   settle_acks(limit);
   // An ack past the limit that the clock has not reached would have been a
   // queued event still to run.
@@ -236,14 +236,14 @@ bool Simulation::run_until_quiescent() {
 }
 
 void Simulation::run_until(TimePoint until) {
-  while (!queue_.empty() && queue_.top_when() <= until) step();
+  while (!queue_.empty() && queue_.top().when <= until) step();
   if (now_ < until) now_ = until;
 }
 
 bool Simulation::run_until_condition(const std::function<bool()>& condition,
                                      TimePoint deadline) {
   if (condition()) return true;
-  while (!queue_.empty() && queue_.top_when() <= deadline) {
+  while (!queue_.empty() && queue_.top().when <= deadline) {
     step();
     if (condition()) return true;
   }
@@ -410,7 +410,7 @@ void Simulation::dispatch(const Event& event) {
 }
 
 void Simulation::do_send(ProcessId sender, TimePoint at, ChannelId channel,
-                         Message message) {
+                         Message&& message) {
   const ChannelSpec& spec = topology_.channel(channel);
   DDBG_ASSERT(spec.source == sender,
               "process may only send on its own outgoing channels");
@@ -473,7 +473,7 @@ Duration Simulation::sample_latency(ChannelId channel, std::uint64_t key) {
 }
 
 void Simulation::release_delivery(TimePoint at, ChannelId channel,
-                                  ProcessId target, Message message,
+                                  ProcessId target, Message&& message,
                                   std::uint32_t wire_bytes) {
   const std::size_t c = channel.value();
   metrics_.on_deliver(c, traffic_class(message.kind), wire_bytes);

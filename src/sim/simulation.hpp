@@ -9,7 +9,6 @@
 // C&L recorder and once under the Halting Algorithm and compare states.
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -25,6 +24,7 @@
 #include "net/reliable_link.hpp"
 #include "net/topology.hpp"
 #include "net/transport_hooks.hpp"
+#include "sim/event_heap.hpp"
 #include "sim/latency_model.hpp"
 #include "sim/slab.hpp"
 
@@ -162,37 +162,9 @@ class Simulation {
     std::function<void(ProcessContext&, Process&)> closure;
   };
 
-  // (when, seq) min-heap of events; an event's when/seq must not change
-  // while it is queued.
-  class EventHeap {
-   public:
-    [[nodiscard]] bool empty() const { return events_.empty(); }
-    [[nodiscard]] const Event& top() const { return events_.front(); }
-    [[nodiscard]] TimePoint top_when() const { return events_.front().when; }
-    void push(const Event& event) {
-      events_.push_back(event);
-      std::push_heap(events_.begin(), events_.end(), Later{});
-    }
-    Event pop() {
-      std::pop_heap(events_.begin(), events_.end(), Later{});
-      const Event event = events_.back();
-      events_.pop_back();
-      return event;
-    }
-
-   private:
-    struct Later {
-      bool operator()(const Event& a, const Event& b) const {
-        if (a.when != b.when) return a.when > b.when;
-        return a.seq > b.seq;
-      }
-    };
-    std::vector<Event> events_;
-  };
-
   void push_event(Event event);
   // push_event for a kDeliver event carrying `message`.
-  void push_parcel(Event event, Message message);
+  void push_parcel(Event event, Message&& message);
   void dispatch(const Event& event);
   // Record an ack arriving back at `channel`'s source at `when`.
   void record_ack(ChannelId channel, TimePoint when, std::uint64_t cum_ack);
@@ -204,12 +176,12 @@ class Simulation {
   // left it.
   void settle_acks(TimePoint bound);
   void do_send(ProcessId sender, TimePoint at, ChannelId channel,
-               Message message);
+               Message&& message);
   TimerId do_set_timer(ProcessId owner, TimePoint at, Duration delay);
 
   [[nodiscard]] Duration sample_latency(ChannelId channel, std::uint64_t key);
   void release_delivery(TimePoint at, ChannelId channel, ProcessId target,
-                        Message message, std::uint32_t wire_bytes);
+                        Message&& message, std::uint32_t wire_bytes);
 
   Topology topology_;
   std::vector<ProcessPtr> processes_;
@@ -218,7 +190,7 @@ class Simulation {
   Rng rng_;
   std::vector<Rng> process_rngs_;
 
-  EventHeap queue_;
+  EventHeap<Event> queue_;
   // Bodies of queued events.
   Slab<Message> parcels_;
   Slab<Call> calls_;

@@ -64,23 +64,81 @@ TEST_P(FuzzDecode, RandomBytesNeverCrashPredicateDecode) {
   }
 }
 
+// One valid message of every kind, each with the optional parts its kind
+// can carry: the wire format these pin is what every substrate's byte
+// accounting and the TCP frames rely on.
+std::vector<Message> message_corpus() {
+  Message app = Message::application(Bytes{1, 2, 3, 4, 5});
+  app.message_id = 0x0000020000000011ULL;
+  app.lamport = 300;
+  app.vclock = VectorClock(4);
+  app.vclock.tick(ProcessId(3));
+  app.vclock.tick(ProcessId(1));
+  Message halt = Message::halt_marker(
+      HaltId(7), {ProcessId(1), ProcessId(2), ProcessId(200)});
+  halt.message_id = (1ULL << 63) | 5;
+  Message snapshot = Message::snapshot_marker(1000);
+  snapshot.message_id = 9;
+  Message predicate =
+      Message::predicate_marker(BreakpointId(3), Bytes{0xaa, 0xbb, 0xcc}, 2,
+                                /*monitor=*/true);
+  predicate.message_id = 12;
+  Message control = Message::control(Command::resume(4).encode());
+  control.message_id = (1ULL << 63) | (3ULL << 32) | 1;
+  return {app, halt, snapshot, predicate, control};
+}
+
+// Every field of a message is required, so no proper prefix decodes.
 TEST_P(FuzzDecode, TruncationsOfValidMessagesFailCleanly) {
+  const std::vector<Message> corpus = message_corpus();
+  ASSERT_EQ(corpus.size(),
+            static_cast<std::size_t>(MessageKind::kControl) + 1);
+  for (std::size_t k = 0; k < corpus.size(); ++k) {
+    const Message& valid = corpus[k];
+    ASSERT_EQ(valid.kind, static_cast<MessageKind>(k));
+    ByteWriter writer;
+    valid.encode(writer);
+    const Bytes& encoded = writer.buffer();
+    ASSERT_EQ(valid.encoded_size(), encoded.size()) << to_string(valid.kind);
+    ByteReader whole(encoded);
+    auto clean = Message::decode(whole);
+    ASSERT_TRUE(clean.ok()) << to_string(valid.kind);
+    EXPECT_TRUE(whole.exhausted());
+    ByteWriter again;
+    clean.value().encode(again);
+    EXPECT_EQ(again.buffer(), encoded) << to_string(valid.kind);
+    for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
+      const Bytes truncated(
+          encoded.begin(), encoded.begin() + static_cast<std::ptrdiff_t>(cut));
+      ByteReader reader(truncated);
+      auto result = Message::decode(reader);
+      ASSERT_FALSE(result.ok()) << to_string(valid.kind) << " cut=" << cut;
+      EXPECT_EQ(result.error().code(), ErrorCode::kParseError);
+    }
+  }
+}
+
+TEST_P(FuzzDecode, BitFlipsOfValidMessagesFailCleanlyOrReencode) {
   Rng rng(GetParam() ^ 0x3333);
-  Message valid = Message::halt_marker(HaltId(7), {ProcessId(1), ProcessId(2)});
-  valid.vclock = VectorClock(4);
-  valid.vclock.tick(ProcessId(3));
-  valid.payload = Bytes{1, 2, 3, 4, 5};
-  ByteWriter writer;
-  valid.encode(writer);
-  const Bytes& encoded = writer.buffer();
-  for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
-    Bytes truncated(encoded.begin(),
-                    encoded.begin() + static_cast<std::ptrdiff_t>(cut));
-    ByteReader reader(truncated);
-    auto result = Message::decode(reader);
-    // Truncations must never "succeed" into garbage beyond the buffer.
-    if (result.ok()) {
-      EXPECT_TRUE(reader.exhausted() || cut < encoded.size());
+  for (const Message& valid : message_corpus()) {
+    ByteWriter writer;
+    valid.encode(writer);
+    const Bytes& encoded = writer.buffer();
+    for (int i = 0; i < 500; ++i) {
+      Bytes mutated = encoded;
+      const std::size_t pos = rng.next_below(mutated.size());
+      mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+      ByteReader reader(mutated);
+      auto result = Message::decode(reader);
+      if (!result.ok()) {
+        EXPECT_EQ(result.error().code(), ErrorCode::kParseError);
+        continue;
+      }
+      // Whatever decoded re-encodes to exactly its computed wire size.
+      ByteWriter reencoded;
+      result.value().encode(reencoded);
+      EXPECT_EQ(result.value().encoded_size(), reencoded.size())
+          << to_string(valid.kind) << " flip at " << pos;
     }
   }
 }

@@ -214,7 +214,7 @@ TEST(HaltingEngine, LaterWaveMarkerBufferedWhileHalted) {
   // whatever the message kind.  (The shim itself routes later-wave markers
   // to on_halt_marker, which adopts the wave; see the tests below.)
   Message marker = Message::halt_marker(HaltId(2), {ProcessId(0)});
-  EXPECT_TRUE(engine.intercept_message(fx.in_channel(), marker));
+  EXPECT_TRUE(engine.intercept_message(fx.in_channel(), std::move(marker)));
   const auto resume = engine.resume();
   ASSERT_EQ(resume.messages.size(), 1u);
   EXPECT_EQ(resume.messages[0].second.kind, MessageKind::kHaltMarker);
@@ -264,7 +264,7 @@ TEST(HaltingEngine, AdoptedWaveReseedsChannelStateFromBufferedMessages) {
   engine.initiate(fx.ctx);  // wave 1
   // An application message arrives while halted: logically in the channel.
   Message app = Message::application(Bytes{0x42});
-  EXPECT_TRUE(engine.intercept_message(fx.in_channel(), app));
+  EXPECT_TRUE(engine.intercept_message(fx.in_channel(), std::move(app)));
 
   engine.on_halt_marker(fx.ctx, fx.in_channel(),
                         HaltMarkerData{HaltId(2), {ProcessId(0)}});
@@ -381,7 +381,7 @@ struct WaveFixture {
   void app(ChannelId in, Bytes payload) {
     Message message = Message::application(std::move(payload));
     if (halting) {
-      (void)halting->intercept_message(in, message);
+      (void)halting->intercept_message(in, std::move(message));
     } else {
       shim->on_message(ctx, in, std::move(message));
     }

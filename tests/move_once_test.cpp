@@ -7,15 +7,26 @@
 //   arrival moves the message out of the sender's window.
 // - Sending a halt marker on n-1 out-channels allocates the same as on a
 //   handful: every copy shares one immutable HaltMarkerData.
+// - A message that arrives while its receiver is halted is buffered by
+//   move, so resume hands the user handler the sender's own buffer.
+// - A Message fits in 120 bytes, and the simulator's event heap pops in
+//   exact (when, seq) order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "core/debug_shim.hpp"
 #include "core/halting.hpp"
 #include "core/marker_wave.hpp"
+#include "debugger/harness.hpp"
 #include "net/fault_plan.hpp"
+#include "sim/event_heap.hpp"
 #include "sim/simulation.hpp"
 #include "tests/test_util.hpp"
 
@@ -23,6 +34,10 @@ std::size_t allocation_count();  // tests/alloc_counter.cpp
 
 namespace ddbg {
 namespace {
+
+// Every simulated hop moves a Message several times; marker payloads live
+// behind shared bodies so the struct stays small.
+static_assert(sizeof(Message) <= 120);
 
 constexpr std::size_t kHops = 2;
 constexpr Duration kHopInterval = Duration::seconds(1);
@@ -159,6 +174,90 @@ TEST(MoveOnce, HaltRoutineAllocatesTheSameForAnyOutDegree) {
     return allocations;
   };
   EXPECT_EQ(halt_allocations(64), halt_allocations(4));
+}
+
+// Channel 0 (p0 -> p1 in ring(2)) is slow and every other channel fast,
+// so a message sent on it is still in flight when a halt command reaches
+// its receiver.
+class SlowFirstChannel final : public LatencyModel {
+ public:
+  Duration sample(ChannelId channel, Rng&) override {
+    return channel == ChannelId(0) ? Duration::millis(20)
+                                   : Duration::millis(1);
+  }
+};
+
+TEST(MoveOnce, MessageBufferedWhileHaltedKeepsTheSendersBuffer) {
+  std::vector<ProcessPtr> users;
+  users.push_back(std::make_unique<Sender>());
+  users.push_back(std::make_unique<Receiver>());
+  HarnessConfig config;
+  config.latency = std::make_unique<SlowFirstChannel>();
+  SimDebugHarness harness(Topology::ring(2), std::move(users),
+                          std::move(config));
+  const ChannelSpec& slow = harness.topology().channel(ChannelId(0));
+  ASSERT_EQ(slow.source, ProcessId(0));
+  ASSERT_EQ(slow.destination, ProcessId(1));
+  const auto& sender =
+      static_cast<const Sender&>(harness.shim(ProcessId(0)).user());
+  const auto& receiver =
+      static_cast<const Receiver&>(harness.shim(ProcessId(1)).user());
+
+  // p0 sends at 1 ms; the message lands at 21 ms, after p1 has halted.
+  harness.sim().run_until(TimePoint{Duration::millis(2).ns});
+  harness.session().halt();
+  const auto wave = harness.session().wait_for_halt(Duration::seconds(5));
+  ASSERT_TRUE(wave.has_value());
+  EXPECT_EQ(wave->state.total_channel_messages(), 1u);
+  EXPECT_TRUE(receiver.buffers.empty());
+
+  harness.session().resume();
+  harness.sim().run_for(Duration::millis(100));
+  ASSERT_EQ(receiver.buffers.size(), 1u);
+  EXPECT_EQ(receiver.buffers.front(), sender.buffers.front());
+}
+
+struct HeapKey {
+  TimePoint when;
+  std::uint64_t seq = 0;
+};
+
+// Interleaved pushes and pops with only eight distinct times, so most
+// comparisons are ties broken by seq; seqs are pushed in random order.
+// Every pop must return the (when, seq) minimum of what is queued.
+TEST(MoveOnce, EventHeapPopsInWhenSeqOrder) {
+  Rng rng(23);
+  constexpr std::size_t kEvents = 20000;
+  std::vector<std::uint64_t> seqs(kEvents);
+  std::iota(seqs.begin(), seqs.end(), 0);
+  for (std::size_t i = kEvents - 1; i > 0; --i) {
+    std::swap(seqs[i], seqs[rng.next_below(i + 1)]);
+  }
+  EventHeap<HeapKey> heap;
+  std::set<std::pair<std::int64_t, std::uint64_t>> reference;
+  std::size_t pushed = 0;
+  std::size_t popped = 0;
+  const auto pop_and_check = [&] {
+    const HeapKey key = heap.pop();
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(std::make_pair(key.when.ns, key.seq), *reference.begin());
+    reference.erase(reference.begin());
+    ++popped;
+  };
+  while (pushed < kEvents) {
+    if (!heap.empty() && rng.next_below(3) == 0) {
+      pop_and_check();
+      continue;
+    }
+    const HeapKey key{
+        TimePoint{static_cast<std::int64_t>(rng.next_below(8))},
+        seqs[pushed++]};
+    heap.push(key);
+    reference.emplace(key.when.ns, key.seq);
+  }
+  while (!heap.empty()) pop_and_check();
+  EXPECT_EQ(popped, kEvents);
+  EXPECT_TRUE(reference.empty());
 }
 
 }  // namespace

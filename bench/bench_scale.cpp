@@ -296,10 +296,10 @@ struct Conservation {
   }
 };
 
-Conservation count_conservation(GlobalState& state,
+Conservation count_conservation(const GlobalState& state,
                                 const Topology& topology) {
   Conservation out;
-  for (const ProcessSnapshot& snapshot : state.take_all()) {
+  for (const auto& [p, snapshot] : state.snapshots()) {
     ByteReader reader(snapshot.state);
     const auto s = reader.u64();
     const auto r = reader.u64();

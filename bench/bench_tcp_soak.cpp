@@ -296,7 +296,7 @@ std::pair<double, double> run_tier_config(std::uint32_t n) {
   std::uint64_t sent = 0;
   std::uint64_t received = 0;
   std::uint64_t recorded = 0;
-  for (const ProcessSnapshot& snapshot : wave->state.take_all()) {
+  for (const auto& [p, snapshot] : wave->state.snapshots()) {
     ByteReader reader(snapshot.state);
     const auto s = reader.u64();
     const auto r = reader.u64();

@@ -68,6 +68,11 @@ class ByteWriter {
 
   void bytes(std::span<const std::uint8_t> data) {
     varint(data.size());
+    raw(data);
+  }
+
+  // Already-encoded bytes, appended as they are (no length prefix).
+  void raw(std::span<const std::uint8_t> data) {
     buf().insert(buf().end(), data.begin(), data.end());
   }
 
@@ -154,17 +159,25 @@ class ByteReader {
   }
 
   [[nodiscard]] Result<Bytes> bytes() {
+    auto data = view();
+    if (!data.ok()) return data.error();
+    return Bytes(data.value().begin(), data.value().end());
+  }
+
+  // What bytes() reads, as a view into the input: no allocation.
+  [[nodiscard]] Result<std::span<const std::uint8_t>> view() {
     auto len = varint();
     if (!len.ok()) return len.error();
     if (len.value() > remaining()) return underflow("bytes");
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len.value()));
+    const auto out = data_.subspan(pos_, len.value());
     pos_ += len.value();
     return out;
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+  // Bytes read so far.
+  [[nodiscard]] std::size_t position() const { return pos_; }
 
   // Read an element count and validate it against the remaining buffer
   // (every element occupies at least one byte), so malicious counts cannot

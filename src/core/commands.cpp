@@ -1,6 +1,9 @@
 #include "core/commands.hpp"
 
 #include <algorithm>
+#include <cstdint>
+
+#include "common/result.hpp"
 
 namespace ddbg {
 
@@ -16,7 +19,7 @@ Bytes Command::encode() const {
   writer.u32(reporter.valid() ? reporter.value() : ProcessId::kInvalid);
   writer.str(text);
   writer.varint(reports.size());
-  for (const ProcessSnapshot& snapshot : reports) snapshot.encode(writer);
+  writer.raw(records);
   return std::move(writer).take();
 }
 
@@ -66,20 +69,53 @@ Result<Command> Command::decode(std::span<const std::uint8_t> data) {
   auto num_reports = reader.varint();
   if (!num_reports.ok()) return num_reports.error();
   // Clamp the reserve so a corrupt count cannot trigger a huge allocation;
-  // decode of the missing snapshots fails on its own below.
+  // the scan of the missing records fails on its own below.
   cmd.reports.reserve(
       static_cast<std::size_t>(std::min<std::uint64_t>(
           num_reports.value(), 1024)));
-  for (std::uint64_t i = 0; i < num_reports.value(); ++i) {
-    auto snapshot = ProcessSnapshot::decode(reader);
-    if (!snapshot.ok()) return snapshot.error();
-    cmd.reports.push_back(std::move(snapshot).value());
+  const std::size_t start = reader.position();
+  if (data.size() - start > UINT32_MAX) {
+    return Error(ErrorCode::kParseError, "report records exceed 4 GiB");
   }
-
+  for (std::uint64_t i = 0; i < num_reports.value(); ++i) {
+    const std::size_t begin = reader.position();
+    auto process = ProcessSnapshot::scan(reader);
+    if (!process.ok()) return process.error();
+    cmd.reports.push_back(
+        SnapshotRecord{process.value(),
+                       static_cast<std::uint32_t>(begin - start),
+                       static_cast<std::uint32_t>(reader.position() - begin)});
+  }
   if (!reader.exhausted()) {
     return Error(ErrorCode::kParseError, "trailing bytes after command");
   }
+  cmd.records.assign(data.begin() + static_cast<std::ptrdiff_t>(start),
+                     data.end());
   return cmd;
+}
+
+void Command::add_report(const ProcessSnapshot& snapshot) {
+  const std::size_t begin = records.size();
+  ByteWriter writer(records);
+  snapshot.encode(writer);
+  reports.push_back(
+      SnapshotRecord{snapshot.process, static_cast<std::uint32_t>(begin),
+                     static_cast<std::uint32_t>(records.size() - begin)});
+}
+
+void Command::add_report(ProcessId process,
+                         std::span<const std::uint8_t> record) {
+  reports.push_back(SnapshotRecord{process,
+                                   static_cast<std::uint32_t>(records.size()),
+                                   static_cast<std::uint32_t>(record.size())});
+  records.insert(records.end(), record.begin(), record.end());
+}
+
+ProcessSnapshot Command::snapshot(std::size_t i) const {
+  ByteReader reader(record(i));
+  auto snapshot = ProcessSnapshot::decode(reader);
+  DDBG_ASSERT(snapshot.ok(), "a scanned record decodes");
+  return std::move(snapshot).value();
 }
 
 Command Command::arm_predicate(BreakpointId bp, Bytes lp,
@@ -124,23 +160,23 @@ Command Command::query_state() {
 }
 
 Command Command::halt_report(ProcessId reporter, std::uint64_t halt_id,
-                             std::vector<ProcessSnapshot> snapshots) {
+                             const ProcessSnapshot& snapshot) {
   Command cmd;
   cmd.kind = CommandKind::kHaltReport;
   cmd.reporter = reporter;
   cmd.wave_id = halt_id;
-  cmd.reports = std::move(snapshots);
+  cmd.add_report(snapshot);
   return cmd;
 }
 
 Command Command::snapshot_report(ProcessId reporter,
                                  std::uint64_t snapshot_id,
-                                 std::vector<ProcessSnapshot> snapshots) {
+                                 const ProcessSnapshot& snapshot) {
   Command cmd;
   cmd.kind = CommandKind::kSnapshotReport;
   cmd.reporter = reporter;
   cmd.wave_id = snapshot_id;
-  cmd.reports = std::move(snapshots);
+  cmd.add_report(snapshot);
   return cmd;
 }
 
@@ -178,11 +214,12 @@ Command Command::route_marker(ProcessId reporter, ProcessId target,
   return cmd;
 }
 
-Command Command::state_report(ProcessId reporter, ProcessSnapshot snapshot) {
+Command Command::state_report(ProcessId reporter,
+                              const ProcessSnapshot& snapshot) {
   Command cmd;
   cmd.kind = CommandKind::kStateReport;
   cmd.reporter = reporter;
-  cmd.reports.push_back(std::move(snapshot));
+  cmd.add_report(snapshot);
   return cmd;
 }
 

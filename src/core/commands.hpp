@@ -8,8 +8,13 @@
 //
 // Under a debugger tier (Topology::with_debugger_tree) the same commands
 // cross the aggregators unchanged: a downward command is routed by its
-// `target` (invalid = every user), and an aggregator's merged subtree
-// fragment travels up under the same report kind a user sends.
+// `target` (invalid = every user), and an aggregator's subtree fragment
+// travels up under the same report kind a user sends.
+//
+// A report carries snapshots as encoded ProcessSnapshot records, and they
+// stay encoded all the way to d: decode() validates each record with
+// ProcessSnapshot::scan and keeps its bytes, and an aggregator splices the
+// records of its subtree into one report without decoding any of them.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +67,13 @@ enum class CommandKind : std::uint8_t {
   return "?";
 }
 
+// Where one snapshot record lies in Command::records.
+struct SnapshotRecord {
+  ProcessId process;
+  std::uint32_t offset = 0;
+  std::uint32_t size = 0;
+};
+
 struct Command {
   CommandKind kind = CommandKind::kQueryState;
 
@@ -78,14 +90,25 @@ struct Command {
   std::uint64_t wave_id = 0;      // halt or snapshot wave
   ProcessId reporter;             // process -> debugger commands
   std::string text;               // freeform description
-  // kHaltReport / kSnapshotReport / kStateReport: a user's own snapshot, or
-  // every snapshot an aggregator merged from its subtree, moved (never
-  // copied) up the convergecast path.
-  std::vector<ProcessSnapshot> reports;
+  // kHaltReport / kSnapshotReport / kStateReport: a user's own snapshot,
+  // or every snapshot an aggregator collected from its subtree, as records
+  // back to back in `records`, and where each one lies.
+  Bytes records;
+  std::vector<SnapshotRecord> reports;
 
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static Result<Command> decode(
       std::span<const std::uint8_t> data);
+
+  // Encodes `snapshot` as one more record.
+  void add_report(const ProcessSnapshot& snapshot);
+  // Appends one record that is already encoded (and scanned).
+  void add_report(ProcessId process, std::span<const std::uint8_t> record);
+  [[nodiscard]] std::span<const std::uint8_t> record(std::size_t i) const {
+    return std::span(records).subspan(reports[i].offset, reports[i].size);
+  }
+  // Decodes record `i`.
+  [[nodiscard]] ProcessSnapshot snapshot(std::size_t i) const;
 
   // ---- constructors ----
   [[nodiscard]] static Command arm_predicate(BreakpointId bp, Bytes lp,
@@ -96,12 +119,13 @@ struct Command {
   [[nodiscard]] static Command disarm(BreakpointId bp);
   [[nodiscard]] static Command resume(std::uint64_t halt_id);
   [[nodiscard]] static Command query_state();
-  [[nodiscard]] static Command halt_report(
-      ProcessId reporter, std::uint64_t halt_id,
-      std::vector<ProcessSnapshot> snapshots);
+  // A user's own report: `snapshot` encoded once, straight into it.
+  [[nodiscard]] static Command halt_report(ProcessId reporter,
+                                           std::uint64_t halt_id,
+                                           const ProcessSnapshot& snapshot);
   [[nodiscard]] static Command snapshot_report(
       ProcessId reporter, std::uint64_t snapshot_id,
-      std::vector<ProcessSnapshot> snapshots);
+      const ProcessSnapshot& snapshot);
   [[nodiscard]] static Command breakpoint_hit(ProcessId reporter,
                                               BreakpointId bp,
                                               std::string description);
@@ -114,7 +138,7 @@ struct Command {
                                             std::uint32_t stage_index,
                                             bool monitor = false);
   [[nodiscard]] static Command state_report(ProcessId reporter,
-                                            ProcessSnapshot snapshot);
+                                            const ProcessSnapshot& snapshot);
 };
 
 }  // namespace ddbg

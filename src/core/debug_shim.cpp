@@ -173,7 +173,7 @@ void DebugShim::on_start(ProcessContext& ctx) {
               send_to_debugger(
                   *current_ctx_,
                   Command::halt_report(self_, halting_->last_halt_id(),
-                                       std::vector(1, snapshot)));
+                                       snapshot));
             }
             if (options_.local_halt_report) {
               options_.local_halt_report(self_, halting_->last_halt_id(),
@@ -676,8 +676,7 @@ void DebugShim::finish_recording(ProcessContext& ctx) {
   const std::uint64_t wave = recording_->id();
   const ProcessSnapshot& snapshot = recording_->snapshot();
   if (topology_->has_debugger()) {
-    send_to_debugger(ctx, Command::snapshot_report(self_, wave,
-                                                   std::vector(1, snapshot)));
+    send_to_debugger(ctx, Command::snapshot_report(self_, wave, snapshot));
   }
   if (options_.local_snapshot_report) {
     options_.local_snapshot_report(self_, wave, snapshot);

@@ -75,17 +75,43 @@ Result<ProcessSnapshot> ProcessSnapshot::decode(ByteReader& reader) {
   return snap;
 }
 
+Result<ProcessId> ProcessSnapshot::scan(ByteReader& reader) {
+  // Field for field what decode() reads, with the same checks.
+  auto process = reader.varint();
+  if (!process.ok()) return process.error();
+  for (int field = 0; field < 2; ++field) {  // state, description
+    auto data = reader.view();
+    if (!data.ok()) return data.error();
+  }
+  auto num_channels = reader.count();
+  if (!num_channels.ok()) return num_channels.error();
+  for (std::uint64_t i = 0; i < num_channels.value(); ++i) {
+    auto channel = reader.varint();
+    if (!channel.ok()) return channel.error();
+    auto num_messages = reader.count();
+    if (!num_messages.ok()) return num_messages.error();
+    for (std::uint64_t j = 0; j < num_messages.value(); ++j) {
+      auto payload = reader.view();
+      if (!payload.ok()) return payload.error();
+    }
+  }
+  // The halt path and the vector clock are both a count of varints.
+  for (int field = 0; field < 2; ++field) {
+    auto n = reader.count();
+    if (!n.ok()) return n.error();
+    for (std::uint64_t i = 0; i < n.value(); ++i) {
+      auto v = reader.varint();
+      if (!v.ok()) return v.error();
+    }
+  }
+  auto captured = reader.i64();
+  if (!captured.ok()) return captured.error();
+  return ProcessId(static_cast<std::uint32_t>(process.value()));
+}
+
 void GlobalState::add(ProcessSnapshot&& snapshot) {
   const ProcessId p = snapshot.process;
   snapshots_[p] = std::move(snapshot);
-}
-
-std::vector<ProcessSnapshot> GlobalState::take_all() {
-  std::vector<ProcessSnapshot> all;
-  all.reserve(snapshots_.size());
-  for (auto& [p, snapshot] : snapshots_) all.push_back(std::move(snapshot));
-  snapshots_.clear();
-  return all;
 }
 
 const ProcessSnapshot& GlobalState::at(ProcessId p) const {

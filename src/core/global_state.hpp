@@ -51,6 +51,10 @@ struct ProcessSnapshot {
 
   void encode(ByteWriter& writer) const;
   [[nodiscard]] static Result<ProcessSnapshot> decode(ByteReader& reader);
+  // Steps `reader` over one encoded record without allocating and returns
+  // its process id.  It accepts exactly the records decode() accepts, so
+  // the convergecast can validate records once and then only copy them.
+  [[nodiscard]] static Result<ProcessId> scan(ByteReader& reader);
 };
 
 // A (possibly still-assembling) global state keyed by halt/snapshot wave.
@@ -74,10 +78,6 @@ class GlobalState {
   [[nodiscard]] const std::map<ProcessId, ProcessSnapshot>& snapshots() const {
     return snapshots_;
   }
-  // Moves every snapshot out (ascending process id) and empties the state;
-  // the convergecast uses this to re-ship merged fragments without copying.
-  [[nodiscard]] std::vector<ProcessSnapshot> take_all();
-
   // Theorem-2 equivalence: same processes, same state bytes, same channel
   // contents.  halt_path, clocks and capture times are *not* compared (they
   // are metadata about how the cut was taken, not part of the cut).
@@ -91,10 +91,10 @@ class GlobalState {
 
   [[nodiscard]] std::string describe() const;
 
-  // Wire form: varint count + ProcessSnapshot encodings, the same
-  // per-snapshot format the aggregation convergecast ships.  Used by the
-  // session protocol (state/snapshot payloads) and the replay log's
-  // HaltCut records.
+  // Wire form: varint count + ProcessSnapshot records in process-id order,
+  // the records the convergecast ships.  It is the form d keeps every
+  // completed wave in, and the session protocol (state/snapshot payloads)
+  // and the replay log's HaltCut records carry it.
   [[nodiscard]] Bytes encode_snapshots() const;
   [[nodiscard]] static Result<GlobalState> decode_snapshots(
       HaltId id, std::span<const std::uint8_t> data);

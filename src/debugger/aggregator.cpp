@@ -26,13 +26,13 @@ void AggregatorProcess::handle_command(ProcessContext& ctx, ChannelId /*in*/,
     return;
   }
   auto& frags = halt ? halt_frags_ : snapshot_frags_;
-  const std::uint64_t wave = command.wave_id;
-  auto [it, inserted] = frags.try_emplace(wave);
-  if (inserted) it->second = GlobalState(HaltId(wave));
-  if (!merge(it->second, command.reports)) return;
-  const Command up =
-      halt ? Command::halt_report(self_, wave, it->second.take_all())
-           : Command::snapshot_report(self_, wave, it->second.take_all());
+  const auto it = frags.try_emplace(command.wave_id).first;
+  if (!collect(it->second, command)) return;
+  Command up;
+  up.kind = command.kind;
+  up.reporter = self_;
+  up.wave_id = command.wave_id;
+  it->second.splice_into(up, user_lo_);
   frags.erase(it);  // shipped: only in-progress waves keep a fragment
   ctx.send(up_channel_, Message::control(up.encode()));
   if (obs::MetricsRegistry* m = ctx.metrics()) m->on_ack_aggregated();

@@ -5,9 +5,10 @@
 // collecting the halted state costs O(n) receives into one process.  The
 // tier splits both: markers and downward commands travel down the spanning
 // tree, and reports convergecast back up.  An aggregator is a TierNode
-// that merges its subtree's snapshots into one fragment per wave and ships
-// it up once, under the same report kind a user sends, and relays the
-// other upward commands verbatim.
+// that collects its subtree's snapshot records into one fragment per wave
+// and, once every user below it has reported, splices them into one report
+// under the same kind a user sends.  It relays the other upward commands
+// verbatim.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +37,11 @@ class AggregatorProcess final : public TierNode {
   void handle_command(ProcessContext& ctx, ChannelId in, Message& message,
                       Command command) override;
 
-  // One in-flight convergecast per wave: snapshots accumulate until every
+  // One in-flight convergecast per wave: records accumulate until every
   // user in this subtree has reported, then ship upward once and the
   // fragment is dropped.
-  std::map<std::uint64_t, GlobalState> halt_frags_;
-  std::map<std::uint64_t, GlobalState> snapshot_frags_;
+  std::map<std::uint64_t, Fragment> halt_frags_;
+  std::map<std::uint64_t, Fragment> snapshot_frags_;
 };
 
 }  // namespace ddbg

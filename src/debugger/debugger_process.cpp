@@ -1,6 +1,5 @@
 #include "debugger/debugger_process.hpp"
 
-#include <iterator>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -32,13 +31,11 @@ void DebuggerProcess::send_control(ProcessContext& ctx, ProcessId target,
   send_down(ctx, target, command.encode());
 }
 
-void DebuggerProcess::open_wave(std::map<std::uint64_t, WaveInfo>& waves,
+void DebuggerProcess::open_wave(std::map<std::uint64_t, WaveRecord>& waves,
                                 std::uint64_t id, ProcessContext& ctx) {
   auto [it, inserted] = waves.try_emplace(id);
   DDBG_ASSERT(inserted, "a wave id is started or adopted once");
-  it->second.id = id;
   it->second.started_at = ctx.now();
-  it->second.state = GlobalState(HaltId(id));
   if (auto* m = ctx.metrics()) {
     m->span_begin(&waves == &halt_waves_ ? obs::Span::kHaltWave
                                          : obs::Span::kSnapshotWave,
@@ -58,24 +55,26 @@ bool DebuggerProcess::adopt(ProcessContext& ctx, Wave wave, std::uint64_t id) {
   return true;
 }
 
-void DebuggerProcess::complete_wave(ProcessContext& ctx, WaveInfo& wave,
-                                    bool halt) {
-  wave.complete = true;
+void DebuggerProcess::complete_wave(ProcessContext& ctx, std::uint64_t id,
+                                    WaveRecord& wave, bool halt) {
+  wave.encoded =
+      std::make_shared<const Bytes>(wave.fragment.encode_snapshots());
+  wave.fragment = Fragment();
   wave.completed_at = ctx.now();
-  if (halt && wave.id > last_complete_halt_.load()) {
-    last_complete_halt_.store(wave.id, std::memory_order_release);
+  if (halt && id > last_complete_halt_.load()) {
+    last_complete_halt_.store(id, std::memory_order_release);
   }
   if (auto* m = ctx.metrics()) {
-    m->span_end(halt ? obs::Span::kHaltWave : obs::Span::kSnapshotWave,
-                wave.id, ctx.now());
+    m->span_end(halt ? obs::Span::kHaltWave : obs::Span::kSnapshotWave, id,
+                ctx.now());
   }
   if (halt) {
-    DDBG_INFO() << "debugger: halt wave " << wave.id << " complete at "
+    DDBG_INFO() << "debugger: halt wave " << id << " complete at "
                 << to_string(wave.completed_at);
     // Record the assembled S_h: the replay log's ground truth for "the
     // consistent cut this run actually took" (Theorem-2 comparison target).
     if (replay_sink_ != nullptr) {
-      replay_sink_->record_halt_cut(wave.id, wave.state.encode_snapshots());
+      replay_sink_->record_halt_cut(id, *wave.encoded);
     }
   }
 }
@@ -85,28 +84,24 @@ void DebuggerProcess::handle_command(ProcessContext& ctx, ChannelId in,
   switch (command.kind) {
     case CommandKind::kHaltReport:
     case CommandKind::kSnapshotReport: {
-      // A user's own snapshot, or a child aggregator's merged subtree:
-      // every snapshot moves straight into the assembling wave.
+      // A user's own snapshot, or a child aggregator's subtree: every
+      // record is copied, still encoded, into the assembling wave.
       const bool halt = command.kind == CommandKind::kHaltReport;
       std::lock_guard<std::mutex> guard{mutex_};
       auto& waves = halt ? halt_waves_ : snapshot_waves_;
       const auto it = waves.find(command.wave_id);
-      if (it == waves.end()) {
+      if (it == waves.end() || it->second.encoded != nullptr) {
         // Every wave's marker reaches d before any report of it, so a
         // report for a wave d never started or adopted is stale or hostile.
+        // A completed wave is final: a session may hold its S_h already.
         DDBG_WARN() << "debugger: dropped " << to_string(command.kind)
-                    << " for unknown wave " << command.wave_id << " from "
+                    << " for " << (it == waves.end() ? "unknown" : "complete")
+                    << " wave " << command.wave_id << " from "
                     << to_string(command.reporter);
         return;
       }
-      WaveInfo& wave = it->second;
-      if (halt) {
-        for (const ProcessSnapshot& snapshot : command.reports) {
-          wave.halt_paths[snapshot.process] = snapshot.halt_path;
-        }
-      }
-      if (merge(wave.state, command.reports) && !wave.complete) {
-        complete_wave(ctx, wave, halt);
+      if (collect(it->second.fragment, command)) {
+        complete_wave(ctx, it->first, it->second, halt);
       }
       return;
     }
@@ -193,8 +188,8 @@ void DebuggerProcess::handle_command(ProcessContext& ctx, ChannelId in,
       return;
     }
     case CommandKind::kStateReport: {
+      ProcessSnapshot snapshot = command.snapshot(0);
       std::lock_guard<std::mutex> guard{mutex_};
-      ProcessSnapshot& snapshot = command.reports.front();
       state_reports_[snapshot.process] = std::move(snapshot);
       return;
     }
@@ -368,32 +363,61 @@ std::uint64_t DebuggerProcess::last_halt_id() const {
 bool DebuggerProcess::halt_complete(std::uint64_t wave) const {
   std::lock_guard<std::mutex> guard{mutex_};
   auto it = halt_waves_.find(wave);
-  return it != halt_waves_.end() && it->second.complete;
+  return it != halt_waves_.end() && it->second.encoded != nullptr;
+}
+
+std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::view(
+    bool halt, std::uint64_t id) const {
+  WaveInfo info;
+  {
+    std::lock_guard<std::mutex> guard{mutex_};
+    const auto& waves = halt ? halt_waves_ : snapshot_waves_;
+    auto it = waves.find(id);
+    if (it == waves.end()) return std::nullopt;
+    const WaveRecord& wave = it->second;
+    info.id = id;
+    info.complete = wave.encoded != nullptr;
+    info.started_at = wave.started_at;
+    info.completed_at = wave.completed_at;
+    // An assembling wave is copied out as its records so far.
+    info.encoded = info.complete ? wave.encoded
+                                 : std::make_shared<const Bytes>(
+                                       wave.fragment.encode_snapshots());
+  }
+  auto state = GlobalState::decode_snapshots(HaltId(id), *info.encoded);
+  DDBG_ASSERT(state.ok(), "stored records were scanned on arrival");
+  info.state = std::move(state).value();
+  if (halt) {
+    for (const auto& [p, snapshot] : info.state.snapshots()) {
+      info.halt_paths.emplace_hint(info.halt_paths.end(), p,
+                                   snapshot.halt_path);
+    }
+  }
+  return info;
 }
 
 std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::halt_wave(
     std::uint64_t wave) const {
-  std::lock_guard<std::mutex> guard{mutex_};
-  auto it = halt_waves_.find(wave);
-  if (it == halt_waves_.end()) return std::nullopt;
-  return it->second;
+  return view(true, wave);
 }
 
 std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::latest_halt_wave()
     const {
-  std::lock_guard<std::mutex> guard{mutex_};
-  if (last_halt_id_ == 0) return std::nullopt;
-  auto it = halt_waves_.find(last_halt_id_);
-  if (it == halt_waves_.end()) return std::nullopt;
-  return it->second;
+  const std::uint64_t wave = last_halt_id();
+  if (wave == 0) return std::nullopt;
+  return view(true, wave);
 }
 
 std::optional<DebuggerProcess::WaveInfo>
 DebuggerProcess::last_complete_halt_wave() const {
+  return view(true, last_complete_halt_.load(std::memory_order_acquire));
+}
+
+std::size_t DebuggerProcess::stored_halt_bytes(std::uint64_t wave) const {
   std::lock_guard<std::mutex> guard{mutex_};
-  auto it = halt_waves_.find(last_complete_halt_.load());
-  if (it == halt_waves_.end()) return std::nullopt;
-  return it->second;
+  auto it = halt_waves_.find(wave);
+  if (it == halt_waves_.end() || it->second.encoded == nullptr) return 0;
+  return it->second.encoded->capacity();
 }
 
 std::uint64_t DebuggerProcess::resumed_through() const {
@@ -409,15 +433,12 @@ std::uint64_t DebuggerProcess::last_snapshot_id() const {
 bool DebuggerProcess::snapshot_complete(std::uint64_t wave) const {
   std::lock_guard<std::mutex> guard{mutex_};
   auto it = snapshot_waves_.find(wave);
-  return it != snapshot_waves_.end() && it->second.complete;
+  return it != snapshot_waves_.end() && it->second.encoded != nullptr;
 }
 
 std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::snapshot_wave(
     std::uint64_t wave) const {
-  std::lock_guard<std::mutex> guard{mutex_};
-  auto it = snapshot_waves_.find(wave);
-  if (it == snapshot_waves_.end()) return std::nullopt;
-  return it->second;
+  return view(false, wave);
 }
 
 std::vector<DebuggerProcess::BreakpointHit> DebuggerProcess::hits() const {
@@ -448,21 +469,33 @@ std::string DebuggerProcess::describe_pending(bool halt,
   std::lock_guard<std::mutex> guard{mutex_};
   const auto& waves = halt ? halt_waves_ : snapshot_waves_;
   const auto it = waves.find(wave);
+  const WaveRecord* record = it == waves.end() ? nullptr : &it->second;
+  auto reported = [&](std::uint32_t user) {
+    return record != nullptr && (record->encoded != nullptr ||
+                                 record->fragment.has(user - user_lo_));
+  };
   std::size_t pending = 0;
   std::string listed;
   for (const ProcessId child : children_) {
     const auto [lo, hi] = topology_->tier_user_range(child);
-    if (it != waves.end()) {
-      const auto& reported = it->second.state.snapshots();
-      const auto count = std::distance(reported.lower_bound(ProcessId(lo)),
-                                       reported.lower_bound(ProcessId(hi)));
-      if (static_cast<std::uint32_t>(count) == hi - lo) {
-        continue;
+    std::size_t missing = 0;
+    std::string users;
+    for (std::uint32_t user = lo; user < hi; ++user) {
+      if (reported(user)) continue;
+      if (++missing <= kMaxListed) {
+        users += (missing == 1 ? " (missing " : ", ") +
+                 to_string(ProcessId(user));
       }
     }
-    if (++pending <= kMaxListed) {
-      listed += (pending == 1 ? ": " : ", ") + to_string(child) + " [" +
-                std::to_string(lo) + "," + std::to_string(hi) + ")";
+    if (missing == 0 || ++pending > kMaxListed) continue;
+    listed += (pending == 1 ? ": " : ", ") + to_string(child) + " [" +
+              std::to_string(lo) + "," + std::to_string(hi) + ")";
+    // A user child is its own missing user.
+    if (topology_->is_aggregator(child)) {
+      if (missing > kMaxListed) {
+        users += ", +" + std::to_string(missing - kMaxListed) + " more";
+      }
+      listed += users + ")";
     }
   }
   return "waiting on " + std::to_string(pending) + " of " +

@@ -16,6 +16,13 @@
 // On top of the tier node, d keeps the session state: waves, breakpoints,
 // hits, state reports, spans and the replay sink.
 //
+// In the extended model d only collects the halted processes' states and
+// hands them to the session (section 2.2.3), so it keeps S_h the way it
+// arrives: encoded.  A wave assembles as a Fragment of snapshot records and
+// is stored, once complete, as one exact-size encode_snapshots() buffer
+// that never changes again.  A WaveInfo is a view decoded from that buffer
+// on demand.
+//
 // All mutable state is guarded by a mutex so an interactive session thread
 // (or a test) can read results while the debugger's own thread handles
 // messages.  Mutating entry points that send messages must run in process
@@ -24,6 +31,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -48,6 +56,9 @@ class DebuggerProcess final : public TierNode {
     TimePoint when{};
   };
 
+  // One wave as the session sees it, built on demand from d's stored
+  // bytes: the observers copy a pointer under the lock and decode outside
+  // it.
   struct WaveInfo {
     std::uint64_t id = 0;
     bool complete = false;
@@ -57,6 +68,9 @@ class DebuggerProcess final : public TierNode {
     // Section 2.2.4 halt-order information: for every process, the marker
     // path it halted on (empty for spontaneous initiators).
     std::map<ProcessId, std::vector<ProcessId>> halt_paths;
+    // `state` in encode_snapshots() form; for a complete wave, the buffer
+    // d stores.
+    std::shared_ptr<const Bytes> encoded;
   };
 
   DebuggerProcess() = default;
@@ -107,6 +121,9 @@ class DebuggerProcess final : public TierNode {
   [[nodiscard]] bool snapshot_complete(std::uint64_t wave) const;
   [[nodiscard]] std::optional<WaveInfo> snapshot_wave(
       std::uint64_t wave) const;
+  // Bytes d keeps for a completed halt wave (0 for any other): the
+  // capacity of its stored S_h buffer.
+  [[nodiscard]] std::size_t stored_halt_bytes(std::uint64_t wave) const;
 
   [[nodiscard]] std::vector<BreakpointHit> hits() const;
   // Occurrences of one breakpoint (monitor-mode chains accumulate these).
@@ -115,29 +132,46 @@ class DebuggerProcess final : public TierNode {
       ProcessId process) const;
 
   // The direct tier children (users in flat mode) whose subtrees have not
-  // all reported into a halt (or snapshot) wave, with their user ranges:
-  // "waiting on 1 of 2 children: p1 [1,2)".  Lists at most 8.
+  // all reported into a halt (or snapshot) wave, with their user ranges,
+  // and for an aggregator child the users the root's slot index lacks:
+  // "waiting on 1 of 4 children: p19 [12,16) (missing p12, p13, p14,
+  // p15)".  An aggregator reports only a full fragment, so that is its
+  // whole range until it does.  Lists at most 8 children, and at most 8
+  // users of each.
   [[nodiscard]] std::string describe_pending(bool halt,
                                              std::uint64_t wave) const;
 
  private:
-  // Adopting a wave also opens its WaveInfo, under mutex_.
+  // One wave as d keeps it: its fragment while it assembles, then its
+  // encode_snapshots() bytes.
+  struct WaveRecord {
+    TimePoint started_at{};
+    TimePoint completed_at{};
+    Fragment fragment;                     // emptied on completion
+    std::shared_ptr<const Bytes> encoded;  // null until complete
+  };
+
+  // Adopting a wave also opens its WaveRecord, under mutex_.
   bool adopt(ProcessContext& ctx, Wave wave, std::uint64_t id) override;
   void handle_command(ProcessContext& ctx, ChannelId in, Message& message,
                       Command command) override;
-  // Mark the wave complete (it covers every user process).  Caller holds
-  // mutex_.
-  void complete_wave(ProcessContext& ctx, WaveInfo& wave, bool halt);
+  // Mark the wave complete (it covers every user process) and store its
+  // bytes.  Caller holds mutex_.
+  void complete_wave(ProcessContext& ctx, std::uint64_t id, WaveRecord& wave,
+                     bool halt);
+  // The WaveInfo view of a wave; takes mutex_.
+  [[nodiscard]] std::optional<WaveInfo> view(bool halt,
+                                             std::uint64_t id) const;
   // Send the arm commands for a breakpoint (initial arming and monitor-mode
   // re-arming).
   void arm_spec(ProcessContext& ctx, BreakpointId bp,
                 const BreakpointSpec& spec);
   // Send a command to user `target`, or to every user for an invalid one.
   void send_control(ProcessContext& ctx, ProcessId target, Command command);
-  // Open the WaveInfo (and wave span) of a wave just started or adopted.
+  // Open the WaveRecord (and wave span) of a wave just started or adopted.
   // Caller holds mutex_.
-  void open_wave(std::map<std::uint64_t, WaveInfo>& waves, std::uint64_t id,
-                 ProcessContext& ctx);
+  void open_wave(std::map<std::uint64_t, WaveRecord>& waves,
+                 std::uint64_t id, ProcessContext& ctx);
 
   ReplaySink* replay_sink_ = nullptr;
 
@@ -149,8 +183,8 @@ class DebuggerProcess final : public TierNode {
   std::atomic<std::uint64_t> last_complete_halt_{0};
   // Waves this node started or adopted; a report names one of them or is
   // dropped.
-  std::map<std::uint64_t, WaveInfo> halt_waves_;
-  std::map<std::uint64_t, WaveInfo> snapshot_waves_;
+  std::map<std::uint64_t, WaveRecord> halt_waves_;
+  std::map<std::uint64_t, WaveRecord> snapshot_waves_;
 
   BreakpointId::rep_type next_breakpoint_ = 1;
   std::map<BreakpointId, BreakpointSpec> breakpoints_;

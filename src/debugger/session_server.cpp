@@ -311,7 +311,7 @@ SessionResponse SessionServer::handle(Client& client,
           request.req_id,
           describe_wave(*wave, "S_h of") + "\n" + wave->state.describe(),
           static_cast<std::int64_t>(wave->id),
-          wave->state.encode_snapshots());
+          *wave->encoded);
     }
     case SessionOp::kSnapshot: {
       std::lock_guard<std::mutex> wave_guard{wave_mutex_};
@@ -330,7 +330,7 @@ SessionResponse SessionServer::handle(Client& client,
           request.req_id,
           describe_wave(*wave, "S_r of") + "\n" + wave->state.describe(),
           static_cast<std::int64_t>(wave->id),
-          wave->state.encode_snapshots());
+          *wave->encoded);
     }
     case SessionOp::kInspect: {
       if (request.number < 0 ||

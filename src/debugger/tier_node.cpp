@@ -126,10 +126,55 @@ void TierNode::send_down(ProcessContext& ctx, ProcessId target,
               << ": no child covers " << to_string(target);
 }
 
-bool TierNode::merge(GlobalState& fragment,
-                     std::vector<ProcessSnapshot>& reports) const {
-  for (ProcessSnapshot& snapshot : reports) fragment.add(std::move(snapshot));
-  return fragment.size() == user_hi_ - user_lo_;
+void TierNode::Fragment::put(std::size_t users, std::size_t slot,
+                             std::span<const std::uint8_t> record) {
+  DDBG_ASSERT(!record.empty() && fits(record.size()),
+              "a record is non-empty and the arena keeps 32-bit offsets");
+  if (slots_.empty()) slots_.resize(users);
+  Slot& s = slots_[slot];
+  if (s.size == 0) ++filled_;
+  s = Slot{static_cast<std::uint32_t>(arena_.size()),
+           static_cast<std::uint32_t>(record.size())};
+  arena_.insert(arena_.end(), record.begin(), record.end());
+}
+
+void TierNode::Fragment::splice_into(Command& report,
+                                     std::uint32_t user_lo) const {
+  report.records.reserve(report.records.size() + arena_.size());
+  report.reports.reserve(report.reports.size() + filled_);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot s = slots_[i];
+    if (s.size == 0) continue;
+    report.add_report(ProcessId(user_lo + static_cast<std::uint32_t>(i)),
+                      std::span(arena_).subspan(s.offset, s.size));
+  }
+}
+
+Bytes TierNode::Fragment::encode_snapshots() const {
+  std::size_t size = varint_size(filled_);
+  for (const Slot s : slots_) size += s.size;
+  Bytes out;
+  out.reserve(size);
+  ByteWriter writer(out);
+  writer.varint(filled_);
+  for (const Slot s : slots_) {
+    writer.raw(std::span(arena_).subspan(s.offset, s.size));
+  }
+  return out;
+}
+
+bool TierNode::collect(Fragment& fragment, const Command& report) const {
+  if (!fragment.fits(report.records.size())) {
+    DDBG_WARN() << describe_state() << " " << to_string(self_)
+                << ": dropped a report past 4 GiB of wave " << report.wave_id;
+    return false;
+  }
+  const std::size_t users = user_hi_ - user_lo_;
+  for (std::size_t i = 0; i < report.reports.size(); ++i) {
+    fragment.put(users, report.reports[i].process.value() - user_lo_,
+                 report.record(i));
+  }
+  return fragment.full();
 }
 
 bool TierNode::covers(ChannelId in, ProcessId p) const {
@@ -157,8 +202,8 @@ const char* TierNode::fault(ChannelId in, const Command& command) const {
     default:
       if (!covers(in, command.reporter)) return "reporter outside the subtree";
   }
-  for (const ProcessSnapshot& snapshot : command.reports) {
-    if (!covers(in, snapshot.process)) return "snapshot outside the subtree";
+  for (const SnapshotRecord& record : command.reports) {
+    if (!covers(in, record.process)) return "snapshot outside the subtree";
   }
   if (command.kind == CommandKind::kRouteMarker &&
       command.target.value() >= topology_->num_user_processes()) {

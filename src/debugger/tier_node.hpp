@@ -10,9 +10,12 @@
 //   by its `target`: to the child that covers that user, or to every child
 //   for an invalid target.  The encoded bytes are re-sent unchanged, so a
 //   user receives the same command bytes under a flat debugger and a tier.
-// - An upward command arrives from a child.  Reports carry a list of
-//   snapshots that merge into a fragment, complete once it covers this
-//   node's user range.
+// - An upward command arrives from a child.  Reports carry encoded
+//   snapshot records (Command::records) that fill a Fragment, one slot per
+//   user, complete once it covers this node's user range.  Records are
+//   never decoded on the way: an aggregator splices its full fragment into
+//   one report in process-id order, and d keeps a completed wave as one
+//   GlobalState::encode_snapshots() buffer.
 //
 // Direction comes from the channel: a downward command from a child, or an
 // upward one from the parent, is logged and dropped.  So is an upward
@@ -23,11 +26,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "core/commands.hpp"
-#include "core/global_state.hpp"
 #include "net/process.hpp"
 
 namespace ddbg {
@@ -44,6 +47,43 @@ class TierNode : public Process {
  protected:
   enum class Wave : std::uint8_t { kHalt, kSnapshot };
 
+  // One wave's S_h (or S_r) fragment while it assembles: a slot per user
+  // below this node, holding that user's encoded record in a shared arena.
+  // A user's later record replaces its earlier one.  The slot index is
+  // sized by the first report, so a node allocates nothing before one.
+  class Fragment {
+   public:
+    // Whether `bytes` more record bytes keep every offset in 32 bits.
+    [[nodiscard]] bool fits(std::size_t bytes) const {
+      return bytes <= UINT32_MAX - arena_.size();
+    }
+    // Stores `record` (which fits) in `slot` of `users`.
+    void put(std::size_t users, std::size_t slot,
+             std::span<const std::uint8_t> record);
+    [[nodiscard]] bool has(std::size_t slot) const {
+      return slot < slots_.size() && slots_[slot].size != 0;
+    }
+    [[nodiscard]] bool full() const {
+      return !slots_.empty() && filled_ == slots_.size();
+    }
+    // Appends every record to `report`, in slot (process-id) order;
+    // `user_lo` is the process id of slot 0.
+    void splice_into(Command& report, std::uint32_t user_lo) const;
+    // The records in slot order behind their count: exactly
+    // GlobalState::encode_snapshots() of the decoded fragment, in a buffer
+    // of exactly that size.
+    [[nodiscard]] Bytes encode_snapshots() const;
+
+   private:
+    struct Slot {
+      std::uint32_t offset = 0;
+      std::uint32_t size = 0;  // 0: not reported (a record is never empty)
+    };
+    Bytes arena_;
+    std::vector<Slot> slots_;
+    std::size_t filled_ = 0;
+  };
+
   // Binds the node's position in the tier; call from on_start.
   void bind(ProcessContext& ctx);
 
@@ -58,9 +98,9 @@ class TierNode : public Process {
   // Sends encoded command bytes down toward `target` (every user when the
   // target is invalid).
   void send_down(ProcessContext& ctx, ProcessId target, Bytes encoded);
-  // Moves `reports` into `fragment`; true once it covers this node's users.
-  [[nodiscard]] bool merge(GlobalState& fragment,
-                           std::vector<ProcessSnapshot>& reports) const;
+  // Copies each record of `report` into its user's slot of `fragment`;
+  // true once the fragment covers this node's users.
+  [[nodiscard]] bool collect(Fragment& fragment, const Command& report) const;
   // Whether user `p` lies in the subtree of the child that sent on `in`.
   [[nodiscard]] bool covers(ChannelId in, ProcessId p) const;
 

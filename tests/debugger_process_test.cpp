@@ -88,6 +88,32 @@ TEST(DebuggerProcess, CollectsHaltReportsIntoWave) {
   EXPECT_TRUE(wave->state.has(ProcessId(1)));
 }
 
+// A completed S_h is final: wait_for_halt may already have handed it to a
+// session, so a report that arrives after completion is dropped.
+TEST(DebuggerProcess, LateReportLeavesCompletedWaveUnchanged) {
+  Fixture fx;
+  fx.debugger.initiate_halt(fx.ctx);
+  for (const ProcessId p : {ProcessId(0), ProcessId(1)}) {
+    ProcessSnapshot snapshot = fx.snapshot_for(p);
+    snapshot.halt_path = {ProcessId(2)};
+    fx.deliver_command(p, Command::halt_report(p, 1, snapshot));
+  }
+  const auto before = fx.debugger.last_complete_halt_wave();
+  ASSERT_TRUE(before.has_value());
+  ASSERT_TRUE(before->complete);
+  ProcessSnapshot late = fx.snapshot_for(ProcessId(1));
+  late.state = Bytes{0xee, 0xee};
+  late.halt_path = {ProcessId(0), ProcessId(2)};
+  fx.deliver_command(ProcessId(1), Command::halt_report(ProcessId(1), 1, late));
+  const auto after = fx.debugger.halt_wave(1);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(*after->encoded, *before->encoded);
+  EXPECT_EQ(after->state.encode_snapshots(), before->state.encode_snapshots());
+  EXPECT_EQ(after->state.at(ProcessId(1)).state, Bytes{1});
+  EXPECT_EQ(after->halt_paths, before->halt_paths);
+  EXPECT_EQ(after->completed_at, before->completed_at);
+}
+
 TEST(DebuggerProcess, ResumeWatermarkHidesOldWave) {
   Fixture fx;
   fx.debugger.initiate_halt(fx.ctx);
@@ -344,7 +370,8 @@ TEST(DebuggerProcess, RouteMarkerToNonexistentUserDropped) {
 TEST(DebuggerProcess, HaltReportWithoutSnapshotDropped) {
   Fixture fx;
   fx.debugger.initiate_halt(fx.ctx);
-  fx.deliver_command(ProcessId(0), Command::halt_report(ProcessId(0), 1, {}));
+  fx.deliver_command(ProcessId(0), testing::report_of(CommandKind::kHaltReport,
+                                                     ProcessId(0), 1, {}));
   auto wave = fx.debugger.halt_wave(1);
   ASSERT_TRUE(wave.has_value());
   EXPECT_EQ(wave->state.size(), 0u);
@@ -353,14 +380,13 @@ TEST(DebuggerProcess, HaltReportWithoutSnapshotDropped) {
 
 TEST(DebuggerProcess, StateReportWithoutSnapshotDropped) {
   Fixture fx;
-  Command empty = Command::state_report(ProcessId(0), ProcessSnapshot{});
-  empty.reports.clear();
-  fx.deliver_command(ProcessId(0), empty);
+  fx.deliver_command(ProcessId(0), testing::report_of(CommandKind::kStateReport,
+                                                     ProcessId(0), 0, {}));
   EXPECT_FALSE(fx.debugger.state_report(ProcessId(0)).has_value());
   // Two snapshots in one state report are as bad as none.
   Command two =
       Command::state_report(ProcessId(0), fx.snapshot_for(ProcessId(0)));
-  two.reports.push_back(fx.snapshot_for(ProcessId(0)));
+  two.add_report(fx.snapshot_for(ProcessId(0)));
   fx.deliver_command(ProcessId(0), two);
   EXPECT_FALSE(fx.debugger.state_report(ProcessId(0)).has_value());
 }

@@ -1,13 +1,16 @@
 // The hierarchical debugger tier (AggregatorProcess + DebuggerProcess tree
 // mode + Topology::with_debugger_tree): shape invariants, one command
 // protocol for flat and tree mode, hostile input at an aggregator, flat-vs-
-// tree verdict equivalence, marker-suppression equivalence, convergecast
-// move semantics, and chaos on interior tier channels.
+// tree verdict equivalence, wave retention at the root, marker-suppression
+// equivalence, GlobalState move semantics, and chaos on interior tier
+// channels.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/consistency.hpp"
@@ -275,8 +278,10 @@ TEST(DebuggerTierProtocol, ReportsMergeTheSameWayFlatAndTree) {
   EXPECT_EQ(flat.root().describe_pending(true, 1),
             "waiting on 3 of 16 children: p13 [13,14), p14 [14,15), "
             "p15 [15,16)");
+  // The root reads its own slot index: p12's record is still held below.
   EXPECT_EQ(tree.root().describe_pending(true, 1),
-            "waiting on 1 of 4 children: p19 [12,16)");
+            "waiting on 1 of 4 children: p19 [12,16) "
+            "(missing p12, p13, p14, p15)");
   for (FakeTier* tier : {&flat, &tree}) {
     for (std::uint32_t p = 13; p < 16; ++p) {
       tier->report_halt(ProcessId(p), 1);
@@ -288,6 +293,39 @@ TEST(DebuggerTierProtocol, ReportsMergeTheSameWayFlatAndTree) {
     ASSERT_EQ(wave->halt_paths.size(), 16u);
     EXPECT_EQ(wave->halt_paths.at(ProcessId(15)).size(), 1u);
   }
+}
+
+// A timed-out wave names, for each pending child, the users the root's
+// slot index still lacks.  An aggregator ships only a full fragment, so
+// the root cannot see which of its users are the ones holding it up.
+TEST(DebuggerTierProtocol, PendingNamesTheMissingUsersOfEachChild) {
+  FakeTier tree(Topology::ring(16).with_debugger_tree(4));
+  tree.root().initiate_halt(tree.root_ctx());
+  tree.pump();
+  for (std::uint32_t p = 0; p < 16; ++p) {
+    if (p != 5 && p != 14) tree.report_halt(ProcessId(p), 1);
+  }
+  EXPECT_EQ(tree.root().describe_pending(true, 1),
+            "waiting on 2 of 4 children: p17 [4,8) (missing p4, p5, p6, "
+            "p7), p19 [12,16) (missing p12, p13, p14, p15)");
+  tree.report_halt(ProcessId(5), 1);
+  EXPECT_EQ(tree.root().describe_pending(true, 1),
+            "waiting on 1 of 4 children: p19 [12,16) "
+            "(missing p12, p13, p14, p15)");
+  tree.report_halt(ProcessId(14), 1);
+  EXPECT_EQ(tree.root().describe_pending(true, 1),
+            "waiting on 0 of 4 children");
+
+  // At most 8 users of a child are named.
+  FakeTier wide(Topology::ring(64).with_debugger_tree(4));
+  wide.root().initiate_halt(wide.root_ctx());
+  wide.pump();
+  const std::string pending = wide.root().describe_pending(true, 1);
+  EXPECT_EQ(pending.substr(0, pending.find(',', pending.find("p7"))),
+            "waiting on 4 of 4 children: p80 [0,16) (missing p0, p1, p2, "
+            "p3, p4, p5, p6, p7")
+      << pending;
+  EXPECT_NE(pending.find("p7, +8 more)"), std::string::npos) << pending;
 }
 
 // Hostile input at an aggregator: the leaf covering users [0, 4) of a
@@ -374,9 +412,11 @@ TEST(DebuggerTierProtocol, AggregatorMergesOnlyItsChildrensOwnSnapshots) {
   // subtree may fill the fragment in its name.
   fx.from_user(ProcessId(0), Command::halt_report(ProcessId(0), 1,
                                                   {snapshot(1)}));
-  fx.from_user(ProcessId(0), Command::halt_report(ProcessId(0), 1,
-                                                  {snapshot(0), snapshot(9)}));
-  fx.from_user(ProcessId(0), Command::halt_report(ProcessId(0), 1, {}));
+  fx.from_user(ProcessId(0),
+               testing::report_of(CommandKind::kHaltReport, ProcessId(0), 1,
+                                  {snapshot(0), snapshot(9)}));
+  fx.from_user(ProcessId(0), testing::report_of(CommandKind::kHaltReport,
+                                                ProcessId(0), 1, {}));
   EXPECT_TRUE(fx.ctx.sent.empty());
   for (std::uint32_t p = 0; p < 4; ++p) {
     fx.from_user(ProcessId(p),
@@ -579,6 +619,39 @@ TEST(DebuggerTier, RepeatedWavesThroughTierStayConsistent) {
   }
 }
 
+// d keeps every completed wave as the encode_snapshots() bytes it
+// assembled, and nothing else: 200 waves later, the first and the
+// hundredth still read back exactly as wait_for_halt returned them.
+TEST(WaveRetention, OldWavesReadBackAsTheyCompleted) {
+  SimDebugHarness harness(Topology::ring(16), make_gossip(16, GossipConfig{}),
+                          tier_config(23, 4));
+  std::map<std::uint64_t, DebuggerProcess::WaveInfo> kept;
+  for (std::uint64_t wave_id = 1; wave_id <= 200; ++wave_id) {
+    harness.sim().run_for(Duration::millis(3));
+    harness.session().halt();
+    auto wave = harness.session().wait_for_halt(kWait);
+    ASSERT_TRUE(wave.has_value());
+    ASSERT_EQ(wave->id, wave_id);
+    ASSERT_EQ(wave->state.size(), 16u);
+    const Bytes encoded = wave->state.encode_snapshots();
+    EXPECT_EQ(*wave->encoded, encoded);
+    EXPECT_EQ(harness.debugger().stored_halt_bytes(wave_id), encoded.size());
+    if (wave_id == 1 || wave_id == 100) kept.emplace(wave_id, *wave);
+    harness.session().resume();
+  }
+  for (const auto& [wave_id, then] : kept) {
+    auto now = harness.debugger().halt_wave(wave_id);
+    ASSERT_TRUE(now.has_value());
+    EXPECT_TRUE(now->complete);
+    EXPECT_EQ(now->state.encode_snapshots(), then.state.encode_snapshots());
+    EXPECT_EQ(now->halt_paths, then.halt_paths);
+    EXPECT_EQ(now->encoded, then.encoded) << "one stored buffer per wave";
+    EXPECT_EQ(harness.debugger().stored_halt_bytes(wave_id),
+              then.encoded->size());
+  }
+  EXPECT_EQ(harness.debugger().stored_halt_bytes(201), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Marker suppression
 // ---------------------------------------------------------------------------
@@ -660,20 +733,6 @@ TEST(GlobalStateMove, AddByRvalueDoesNotCopyPayloads) {
   // One map node plus slack; the 128 payload buffers must move, not copy.
   EXPECT_LE(allocations, 4u) << "aggregation path is copying snapshots";
   EXPECT_EQ(state.at(ProcessId(3)).in_channels.size(), 8u);
-}
-
-TEST(GlobalStateMove, TakeAllMovesSnapshotsOut) {
-  GlobalState state{HaltId(1)};
-  for (std::uint32_t p = 0; p < 4; ++p) state.add(heavy_snapshot(p));
-  const std::size_t before = allocation_count();
-  std::vector<ProcessSnapshot> all = state.take_all();
-  const std::size_t allocations = allocation_count() - before;
-  // One vector allocation plus slack; 4 * 129 payload buffers must move.
-  EXPECT_LE(allocations, 4u) << "take_all is copying snapshots";
-  EXPECT_EQ(state.size(), 0u);
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[2].process, ProcessId(2));
-  EXPECT_EQ(all[2].in_channels.size(), 8u);
 }
 
 TEST(GlobalStateMove, LvalueAddStillCopies) {

@@ -8,11 +8,13 @@
 #include "common/rng.hpp"
 #include "core/commands.hpp"
 #include "core/predicate.hpp"
+#include "debugger/aggregator.hpp"
 #include "debugger/session_protocol.hpp"
 #include "net/framing.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
 #include "replay/replay_log.hpp"
+#include "tests/test_util.hpp"
 
 namespace ddbg {
 namespace {
@@ -167,8 +169,9 @@ std::vector<Command> command_corpus() {
       Command::disarm(BreakpointId(2)),
       Command::resume(4),
       query,
-      Command::halt_report(ProcessId(1), 3, {snapshot}),
-      Command::snapshot_report(ProcessId(5), 2, {snapshot, other}),
+      Command::halt_report(ProcessId(1), 3, snapshot),
+      testing::report_of(CommandKind::kSnapshotReport, ProcessId(5), 2,
+                         {snapshot, other}),
       Command::breakpoint_hit(ProcessId(1), BreakpointId(2), "p1:sent>=2"),
       Command::notify_satisfied(ProcessId(1), BreakpointId(3), 1),
       Command::route_marker(ProcessId(1), ProcessId(3), BreakpointId(2),
@@ -204,6 +207,136 @@ TEST_P(FuzzDecode, BitFlipsOfValidCommandsFailCleanlyOrRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDecode,
                          ::testing::Values(1u, 2u, 3u, 4u));
+
+// ---- the snapshot record scan ----
+//
+// Reports travel up the debugger tier as encoded ProcessSnapshot records
+// that ProcessSnapshot::scan validates and no tier node decodes, so scan
+// must accept exactly what decode accepts: a record scan lets through is
+// one d will decode when a session asks for the wave.
+
+// One snapshot of every shape the codec writes: empty, the command
+// corpus's two, and one with multi-byte varints and lengths everywhere.
+std::vector<ProcessSnapshot> snapshot_corpus() {
+  std::vector<ProcessSnapshot> corpus(4);
+  corpus[1].process = ProcessId(1);
+  corpus[1].state = Bytes{9, 9};
+  corpus[1].in_channels.push_back(ChannelState{ChannelId(0), {Bytes{1}}});
+  corpus[1].halt_path = {ProcessId(4), ProcessId(0)};
+  corpus[2].process = ProcessId(2);
+  corpus[2].description = "idle";
+  ProcessSnapshot& heavy = corpus[3];
+  heavy.process = ProcessId(70000);
+  heavy.state = Bytes(200, 0x5a);
+  heavy.description = std::string(130, 'd');
+  heavy.in_channels.push_back(
+      ChannelState{ChannelId(300), {Bytes(129, 1), Bytes{}, Bytes{2, 3}}});
+  heavy.in_channels.push_back(ChannelState{ChannelId(5), {}});
+  heavy.halt_path = {ProcessId(1), ProcessId(100000), ProcessId(2)};
+  heavy.vclock = VectorClock(3);
+  for (int i = 0; i < 300; ++i) heavy.vclock.tick(ProcessId(1));
+  heavy.captured_at = TimePoint{-123456789};
+  return corpus;
+}
+
+// scan and decode give the same verdict on `data`, and on success the same
+// process id and record length.
+void expect_scan_agrees(std::span<const std::uint8_t> data,
+                        const std::string& what) {
+  ByteReader scan_reader(data);
+  ByteReader decode_reader(data);
+  auto scanned = ProcessSnapshot::scan(scan_reader);
+  auto decoded = ProcessSnapshot::decode(decode_reader);
+  ASSERT_EQ(scanned.ok(), decoded.ok()) << what;
+  if (!scanned.ok()) {
+    EXPECT_EQ(scanned.error().code(), ErrorCode::kParseError) << what;
+    return;
+  }
+  EXPECT_EQ(scanned.value(), decoded.value().process) << what;
+  EXPECT_EQ(scan_reader.position(), decode_reader.position()) << what;
+}
+
+Bytes encode_record(const ProcessSnapshot& snapshot) {
+  ByteWriter writer;
+  snapshot.encode(writer);
+  return std::move(writer).take();
+}
+
+class RecordScan : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RecordScan, AgreesWithDecodeOnEveryTruncation) {
+  for (const ProcessSnapshot& snapshot : snapshot_corpus()) {
+    // A trailing byte must not be part of the record.
+    Bytes encoded = encode_record(snapshot);
+    encoded.push_back(static_cast<std::uint8_t>(GetParam()));
+    for (std::size_t cut = 0; cut <= encoded.size(); ++cut) {
+      expect_scan_agrees(std::span(encoded).first(cut),
+                         "p" + std::to_string(snapshot.process.value()) +
+                             " cut=" + std::to_string(cut));
+    }
+  }
+}
+
+TEST_P(RecordScan, AgreesWithDecodeOnBitFlips) {
+  Rng rng(GetParam() ^ 0x5555);
+  for (const ProcessSnapshot& snapshot : snapshot_corpus()) {
+    const Bytes encoded = encode_record(snapshot);
+    for (int i = 0; i < 500; ++i) {
+      Bytes mutated = encoded;
+      const std::size_t pos = rng.next_below(mutated.size());
+      mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+      expect_scan_agrees(mutated,
+                         "p" + std::to_string(snapshot.process.value()) +
+                             " flip at " + std::to_string(pos));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RecordScan, ::testing::Values(1u, 2u, 3u, 4u));
+
+// The splice keeps what decode -> std::map -> re-encode did with odd
+// reports: a user's later record replaces its earlier one (within a report
+// or across two), and a report naming a user outside the sending child's
+// range is dropped whole.  The leaf aggregator covers users [0, 4) of a
+// fanout-4 tier.
+TEST(RecordSplice, RepeatedOrForeignUsersHandledAsByTheMap) {
+  const Topology topology = Topology::ring(16).with_debugger_tree(4);
+  const ProcessId leaf = topology.tier_parent(ProcessId(0));
+  testing::FakeContext ctx{leaf, &topology};
+  AggregatorProcess aggregator;
+  aggregator.on_start(ctx);
+  auto snapshot = [](std::uint32_t p, std::uint8_t version) {
+    ProcessSnapshot s;
+    s.process = ProcessId(p);
+    s.state = Bytes(version, version);
+    return s;
+  };
+  GlobalState expected{HaltId(1)};  // the map the old merge built
+  auto send = [&](std::uint32_t from, std::vector<ProcessSnapshot> reports,
+                  bool accepted) {
+    const Command command = testing::report_of(
+        CommandKind::kHaltReport, ProcessId(from), 1, reports);
+    aggregator.on_message(ctx, topology.control_from(ProcessId(from)),
+                          Message::control(command.encode()));
+    if (!accepted) return;
+    for (ProcessSnapshot& s : reports) expected.add(std::move(s));
+  };
+  send(0, {snapshot(0, 1), snapshot(0, 2)}, true);  // repeat in one report
+  send(1, {snapshot(1, 3)}, true);
+  send(1, {snapshot(1, 4)}, true);                  // repeat across two
+  send(2, {snapshot(2, 5), snapshot(6, 5)}, false); // p6 is not p2's
+  send(2, {snapshot(3, 5)}, false);                 // nor is p3
+  send(3, {snapshot(3, 6)}, true);
+  EXPECT_TRUE(ctx.sent.empty()) << "p2 has not reported";
+  send(2, {snapshot(2, 7)}, true);
+  ASSERT_EQ(ctx.sent.size(), 1u);
+  auto up = Command::decode(ctx.sent[0].second.payload);
+  ASSERT_TRUE(up.ok());
+  ASSERT_EQ(up.value().reports.size(), 4u);
+  const Bytes with_count = expected.encode_snapshots();
+  EXPECT_EQ(up.value().records,
+            Bytes(with_count.begin() + 1, with_count.end()));
+}
 
 // Boundary-value corpus: crafted inputs at the edges of the varint and
 // length-prefix encodings.  These target the exact overflow modes random

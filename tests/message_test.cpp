@@ -7,6 +7,7 @@
 
 #include "core/commands.hpp"
 #include "net/message.hpp"
+#include "tests/test_util.hpp"
 
 namespace ddbg {
 namespace {
@@ -206,7 +207,8 @@ TEST(Command, HaltReportRoundTrip) {
   EXPECT_EQ(d.reporter, ProcessId(2));
   EXPECT_EQ(d.wave_id, 6u);
   ASSERT_EQ(d.reports.size(), 1u);
-  const ProcessSnapshot& r = d.reports[0];
+  EXPECT_EQ(d.reports[0].process, ProcessId(2));
+  const ProcessSnapshot r = d.snapshot(0);
   EXPECT_EQ(r.state, (Bytes{9, 8, 7}));
   EXPECT_EQ(r.description, "bal=5");
   ASSERT_EQ(r.halt_path.size(), 2u);
@@ -230,28 +232,34 @@ TEST(Command, AggregatedHaltReportRoundTrip) {
   snapshots[1].process = ProcessId(4);
   snapshots[1].description = "idle";
 
-  const Command merged =
-      command_round_trip(Command::halt_report(ProcessId(10), 7, snapshots));
+  const Command merged = command_round_trip(testing::report_of(
+      CommandKind::kHaltReport, ProcessId(10), 7, snapshots));
   EXPECT_EQ(merged.kind, CommandKind::kHaltReport);
   EXPECT_EQ(merged.reporter, ProcessId(10));
   EXPECT_EQ(merged.wave_id, 7u);
   ASSERT_EQ(merged.reports.size(), 2u);
   EXPECT_EQ(merged.reports[0].process, ProcessId(3));
-  EXPECT_EQ(merged.reports[0].state, (Bytes{1, 2, 3}));
-  ASSERT_EQ(merged.reports[0].halt_path.size(), 2u);
-  EXPECT_EQ(merged.reports[0].halt_path[1], ProcessId(8));
-  ASSERT_EQ(merged.reports[0].in_channels.size(), 1u);
-  EXPECT_EQ(merged.reports[0].in_channels[0].messages[1], (Bytes{5, 5}));
+  const ProcessSnapshot first = merged.snapshot(0);
+  EXPECT_EQ(first.state, (Bytes{1, 2, 3}));
+  ASSERT_EQ(first.halt_path.size(), 2u);
+  EXPECT_EQ(first.halt_path[1], ProcessId(8));
+  ASSERT_EQ(first.in_channels.size(), 1u);
+  EXPECT_EQ(first.in_channels[0].messages[1], (Bytes{5, 5}));
   EXPECT_EQ(merged.reports[1].process, ProcessId(4));
-  EXPECT_EQ(merged.reports[1].description, "idle");
+  EXPECT_EQ(merged.snapshot(1).description, "idle");
+  // The records are the snapshots' own encodings, back to back.
+  ByteWriter writer;
+  for (const ProcessSnapshot& snapshot : snapshots) snapshot.encode(writer);
+  EXPECT_EQ(merged.records, writer.buffer());
 }
 
 TEST(Command, AggregatedReportEmptyRoundTrip) {
   // An empty list still round-trips (a tier node drops it as a fault).
-  const Command empty =
-      command_round_trip(Command::halt_report(ProcessId(1), 1, {}));
+  const Command empty = command_round_trip(
+      testing::report_of(CommandKind::kHaltReport, ProcessId(1), 1, {}));
   EXPECT_EQ(empty.kind, CommandKind::kHaltReport);
   EXPECT_TRUE(empty.reports.empty());
+  EXPECT_TRUE(empty.records.empty());
 }
 
 TEST(Command, SnapshotReportRoundTrip) {
@@ -259,24 +267,24 @@ TEST(Command, SnapshotReportRoundTrip) {
   snapshots[0].process = ProcessId(0);
   snapshots[0].state = Bytes{6};
   const Command d = command_round_trip(
-      Command::snapshot_report(ProcessId(0), 2, snapshots));
+      Command::snapshot_report(ProcessId(0), 2, snapshots[0]));
   EXPECT_EQ(d.kind, CommandKind::kSnapshotReport);
   EXPECT_EQ(d.reporter, ProcessId(0));
   EXPECT_EQ(d.wave_id, 2u);
   ASSERT_EQ(d.reports.size(), 1u);
-  EXPECT_EQ(d.reports[0].state, (Bytes{6}));
+  EXPECT_EQ(d.snapshot(0).state, (Bytes{6}));
 
   // A merged fragment from aggregator p5.
   snapshots.resize(3);
   snapshots[1].process = ProcessId(1);
   snapshots[2].process = ProcessId(2);
   snapshots[2].state = Bytes{7, 7};
-  const Command merged = command_round_trip(
-      Command::snapshot_report(ProcessId(5), 2, snapshots));
+  const Command merged = command_round_trip(testing::report_of(
+      CommandKind::kSnapshotReport, ProcessId(5), 2, snapshots));
   EXPECT_EQ(merged.reporter, ProcessId(5));
   ASSERT_EQ(merged.reports.size(), 3u);
   EXPECT_EQ(merged.reports[2].process, ProcessId(2));
-  EXPECT_EQ(merged.reports[2].state, (Bytes{7, 7}));
+  EXPECT_EQ(merged.snapshot(2).state, (Bytes{7, 7}));
 }
 
 TEST(Command, RouteMarkerRoundTrip) {

@@ -168,6 +168,71 @@ TEST(ReplaySim, MutatedLogCountsDivergence) {
   EXPECT_GE(report.divergences, 1u);
 }
 
+// The replay driver is the Theorem-2 oracle for a recorded cut.  Both logs
+// come from record_sim_ring, so their HaltCut records hold the S_h bytes d
+// stored when the wave completed.
+
+ReplayRecord& first_cut(ReplayLog& log) {
+  for (ReplayRecord& record : log.records) {
+    if (record.kind == ReplayRecordKind::kHaltCut) return record;
+  }
+  ADD_FAILURE() << "no HaltCut record";
+  return log.records.front();
+}
+
+TEST(ReplayOracle, FlippedCutStateByteIsAStateDiff) {
+  const std::uint32_t n = 4;
+  SimRecording recording = record_sim_ring(n);
+  ReplayRecord& cut = first_cut(recording.log);
+  auto recorded = GlobalState::decode_snapshots(HaltId(cut.wave), cut.state);
+  ASSERT_TRUE(recorded.ok());
+  // Flip one byte of the first non-empty process state, in place.
+  GlobalState flipped(HaltId(cut.wave));
+  bool done = false;
+  for (const auto& [p, snapshot] : recorded.value().snapshots()) {
+    ProcessSnapshot copy = snapshot;
+    if (!done && !copy.state.empty()) {
+      copy.state[0] ^= 0x01;
+      done = true;
+    }
+    flipped.add(std::move(copy));
+  }
+  ASSERT_TRUE(done);
+  const Bytes mutated = flipped.encode_snapshots();
+  ASSERT_EQ(mutated.size(), cut.state.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < mutated.size(); ++i) {
+    differing += mutated[i] != cut.state[i] ? 1 : 0;
+  }
+  ASSERT_EQ(differing, 1u);
+  cut.state = mutated;
+
+  ReplayDriver::Report report = replay_ring(recording.log, n, 6);
+  EXPECT_TRUE(report.ok()) << report.error;
+  EXPECT_EQ(report.cuts, 1u);
+  EXPECT_EQ(report.cuts_matched, 0u);
+  ASSERT_EQ(report.cut_diffs.size(), 1u) << report.describe();
+  EXPECT_NE(report.cut_diffs[0].find("state bytes differ"), std::string::npos)
+      << report.cut_diffs[0];
+  EXPECT_GE(report.divergences, 1u);
+}
+
+TEST(ReplayOracle, TruncatedCutIsUndecodable) {
+  const std::uint32_t n = 4;
+  SimRecording recording = record_sim_ring(n);
+  ReplayRecord& cut = first_cut(recording.log);
+  ASSERT_GT(cut.state.size(), 1u);
+  cut.state.pop_back();
+
+  ReplayDriver::Report report = replay_ring(recording.log, n, 6);
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.error.find("cut #1: recorded S_h undecodable"),
+            std::string::npos)
+      << report.error;
+  EXPECT_EQ(report.cuts, 1u);
+  EXPECT_EQ(report.cuts_matched, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Threaded-runtime-recorded runs
 // ---------------------------------------------------------------------------

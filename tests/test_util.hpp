@@ -6,9 +6,25 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/commands.hpp"
 #include "net/process.hpp"
 
 namespace ddbg::testing {
+
+// A report of `kind` carrying every snapshot of `snapshots` in order: an
+// aggregator's subtree, or (empty) a malformed one.
+inline Command report_of(CommandKind kind, ProcessId reporter,
+                         std::uint64_t wave,
+                         const std::vector<ProcessSnapshot>& snapshots) {
+  Command command;
+  command.kind = kind;
+  command.reporter = reporter;
+  command.wave_id = wave;
+  for (const ProcessSnapshot& snapshot : snapshots) {
+    command.add_report(snapshot);
+  }
+  return command;
+}
 
 class FakeContext final : public ProcessContext {
  public:

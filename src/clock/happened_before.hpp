@@ -35,9 +35,6 @@ class HappenedBeforeGraph {
   void link_receive(std::uint64_t message_id, EventIndex receive_event);
 
   [[nodiscard]] std::size_t num_events() const { return process_of_.size(); }
-  [[nodiscard]] ProcessId process_of(EventIndex e) const {
-    return process_of_[e];
-  }
 
   // True iff a happened-before b (strict; reflexive pairs return false).
   // Computed by forward BFS with memoized reachability for repeated queries.

@@ -37,9 +37,6 @@ struct Duration {
     return Duration{a.ns * k};
   }
 
-  [[nodiscard]] double to_micros() const {
-    return static_cast<double>(ns) / 1e3;
-  }
   [[nodiscard]] double to_millis() const {
     return static_cast<double>(ns) / 1e6;
   }

@@ -142,7 +142,6 @@ class DebugShim final : public Process, public DebugApi {
   // ---- replay gate (ReplayDriver; requires Options::replay_gate) ----
   // Gated (arrived, not yet released) application messages on `in`.
   [[nodiscard]] std::size_t replay_gate_depth(ChannelId in) const;
-  [[nodiscard]] std::size_t replay_gate_total() const { return gate_.size(); }
   // Seed the TimerIds the recorded run's substrate returned, indexed by
   // creation ordinal, so replayed set_timer calls hand back the same ids.
   void replay_preload_timer_ids(std::vector<TimerId> ids);

@@ -65,9 +65,10 @@ class GlobalState {
 
   [[nodiscard]] HaltId id() const { return id_; }
 
-  // The aggregation path moves snapshots all the way from the reporting
-  // process into the assembled state; the lvalue overload copies explicitly
-  // for callers that still need theirs.
+  // Adds (or replaces) one process's snapshot.  decode_snapshots() and
+  // callers that build a state by hand move theirs in; the lvalue overload
+  // copies explicitly.  The convergecast never builds a GlobalState: it
+  // carries snapshots as encoded records (Command::records) up to d.
   void add(ProcessSnapshot&& snapshot);
   void add(const ProcessSnapshot& snapshot) { add(ProcessSnapshot(snapshot)); }
   [[nodiscard]] bool has(ProcessId p) const {

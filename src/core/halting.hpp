@@ -57,9 +57,6 @@ class HaltingEngine {
   // A process is halted exactly while its halt wave is active.
   [[nodiscard]] bool halted() const { return wave_.active(); }
   [[nodiscard]] std::uint64_t last_halt_id() const { return wave_.id(); }
-  [[nodiscard]] HaltId current_wave() const {
-    return halted() ? HaltId(wave_.id()) : HaltId();
-  }
   [[nodiscard]] bool complete() const { return wave_.complete(); }
 
   // Spontaneous halting (Marker-Sending Rule).  No-op if already halted.

@@ -13,29 +13,27 @@ void AggregatorProcess::on_start(ProcessContext& ctx) {
   bind(ctx);
 }
 
+void AggregatorProcess::on_full(ProcessContext& ctx, Wave kind,
+                                std::uint64_t id, WaveEntry& entry) {
+  Command up;
+  up.kind = kind == Wave::kHalt ? CommandKind::kHaltReport
+                                : CommandKind::kSnapshotReport;
+  up.reporter = self_;
+  up.wave_id = id;
+  entry.fragment.splice_into(up, user_lo_);
+  entry.fragment = Fragment();  // shipped: free it before encoding the copy
+  ctx.send(up_channel_, Message::control(up.encode()));
+  if (obs::MetricsRegistry* m = ctx.metrics()) m->on_ack_aggregated();
+}
+
 void AggregatorProcess::handle_command(ProcessContext& ctx, ChannelId /*in*/,
                                        Message& message, Command command) {
   if (is_downward(command.kind)) {
     send_down(ctx, command.target, std::move(message.payload));
-    return;
-  }
-  const bool halt = command.kind == CommandKind::kHaltReport;
-  if (!halt && command.kind != CommandKind::kSnapshotReport) {
+  } else {
     // Upward relay: already encoded, forward the payload untouched.
     ctx.send(up_channel_, Message::control(std::move(message.payload)));
-    return;
   }
-  auto& frags = halt ? halt_frags_ : snapshot_frags_;
-  const auto it = frags.try_emplace(command.wave_id).first;
-  if (!collect(it->second, command)) return;
-  Command up;
-  up.kind = command.kind;
-  up.reporter = self_;
-  up.wave_id = command.wave_id;
-  it->second.splice_into(up, user_lo_);
-  frags.erase(it);  // shipped: only in-progress waves keep a fragment
-  ctx.send(up_channel_, Message::control(up.encode()));
-  if (obs::MetricsRegistry* m = ctx.metrics()) m->on_ack_aggregated();
 }
 
 }  // namespace ddbg

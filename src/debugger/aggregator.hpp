@@ -5,14 +5,13 @@
 // collecting the halted state costs O(n) receives into one process.  The
 // tier splits both: markers and downward commands travel down the spanning
 // tree, and reports convergecast back up.  An aggregator is a TierNode
-// that collects its subtree's snapshot records into one fragment per wave
-// and, once every user below it has reported, splices them into one report
-// under the same kind a user sends.  It relays the other upward commands
-// verbatim.
+// that collects its subtree's snapshot records into the fragment of each
+// wave it adopted and, once every user below it has reported, splices them
+// into one report under the same kind a user sends and forgets the wave.
+// It relays the other upward commands verbatim.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "debugger/tier_node.hpp"
 
@@ -26,22 +25,19 @@ class AggregatorProcess final : public TierNode {
   [[nodiscard]] std::string describe_state() const override {
     return "aggregator";
   }
-  // Waves whose fragment is still assembling (halt and snapshot).  Not
+  // Waves adopted and not yet shipped (halt and snapshot).  Not
   // synchronized: read it from the aggregator's own context or a
   // simulation.
   [[nodiscard]] std::size_t fragments_in_progress() const {
-    return halt_frags_.size() + snapshot_frags_.size();
+    return table(Wave::kHalt).entries.size() +
+           table(Wave::kSnapshot).entries.size();
   }
 
  private:
+  void on_full(ProcessContext& ctx, Wave kind, std::uint64_t id,
+               WaveEntry& entry) override;
   void handle_command(ProcessContext& ctx, ChannelId in, Message& message,
                       Command command) override;
-
-  // One in-flight convergecast per wave: records accumulate until every
-  // user in this subtree has reported, then ship upward once and the
-  // fragment is dropped.
-  std::map<std::uint64_t, Fragment> halt_frags_;
-  std::map<std::uint64_t, Fragment> snapshot_frags_;
 };
 
 }  // namespace ddbg

@@ -31,80 +31,59 @@ void DebuggerProcess::send_control(ProcessContext& ctx, ProcessId target,
   send_down(ctx, target, command.encode());
 }
 
-void DebuggerProcess::open_wave(std::map<std::uint64_t, WaveRecord>& waves,
-                                std::uint64_t id, ProcessContext& ctx) {
-  auto [it, inserted] = waves.try_emplace(id);
-  DDBG_ASSERT(inserted, "a wave id is started or adopted once");
-  it->second.started_at = ctx.now();
-  if (auto* m = ctx.metrics()) {
-    m->span_begin(&waves == &halt_waves_ ? obs::Span::kHaltWave
-                                         : obs::Span::kSnapshotWave,
-                  id, ctx.now());
-  }
+namespace {
+
+obs::Span wave_span(bool halt) {
+  return halt ? obs::Span::kHaltWave : obs::Span::kSnapshotWave;
 }
 
-bool DebuggerProcess::adopt(ProcessContext& ctx, Wave wave, std::uint64_t id) {
-  // All mutating entry points run on the debugger's own thread; mutex_ only
-  // shields the state observer threads read.  The tier node forwards after
-  // this returns: never hold mutex_ across ctx.send — on the TCP runtime
-  // that is a potentially-blocking socket write, and an observer poll loop
-  // would stall behind it.
+}  // namespace
+
+// All mutating entry points run on the debugger's own thread; mutex_ only
+// shields the state observer threads read.  The tier node sends after these
+// return: never hold mutex_ across ctx.send — on the TCP runtime that is a
+// potentially-blocking socket write, and an observer poll loop would stall
+// behind it.
+bool DebuggerProcess::adopt(ProcessContext& ctx, Wave kind, std::uint64_t id) {
   std::lock_guard<std::mutex> guard{mutex_};
-  if (!TierNode::adopt(ctx, wave, id)) return false;
-  open_wave(wave == Wave::kHalt ? halt_waves_ : snapshot_waves_, id, ctx);
+  if (!TierNode::adopt(ctx, kind, id)) return false;
+  if (auto* m = ctx.metrics()) {
+    m->span_begin(wave_span(kind == Wave::kHalt), id, ctx.now());
+  }
   return true;
 }
 
-void DebuggerProcess::complete_wave(ProcessContext& ctx, std::uint64_t id,
-                                    WaveRecord& wave, bool halt) {
-  wave.encoded =
-      std::make_shared<const Bytes>(wave.fragment.encode_snapshots());
-  wave.fragment = Fragment();
-  wave.completed_at = ctx.now();
-  if (halt && id > last_complete_halt_.load()) {
+void DebuggerProcess::collect(ProcessContext& ctx, Wave kind,
+                              const Command& report) {
+  std::lock_guard<std::mutex> guard{mutex_};
+  TierNode::collect(ctx, kind, report);
+}
+
+void DebuggerProcess::on_full(ProcessContext& ctx, Wave kind,
+                              std::uint64_t id, WaveEntry& entry) {
+  entry.encoded =
+      std::make_shared<const Bytes>(entry.fragment.encode_snapshots());
+  entry.fragment = Fragment();
+  entry.completed_at = ctx.now();
+  if (auto* m = ctx.metrics()) {
+    m->span_end(wave_span(kind == Wave::kHalt), id, ctx.now());
+  }
+  if (kind != Wave::kHalt) return;
+  if (id > last_complete_halt_.load()) {
     last_complete_halt_.store(id, std::memory_order_release);
   }
-  if (auto* m = ctx.metrics()) {
-    m->span_end(halt ? obs::Span::kHaltWave : obs::Span::kSnapshotWave, id,
-                ctx.now());
-  }
-  if (halt) {
-    DDBG_INFO() << "debugger: halt wave " << id << " complete at "
-                << to_string(wave.completed_at);
-    // Record the assembled S_h: the replay log's ground truth for "the
-    // consistent cut this run actually took" (Theorem-2 comparison target).
-    if (replay_sink_ != nullptr) {
-      replay_sink_->record_halt_cut(id, *wave.encoded);
-    }
+  DDBG_INFO() << "debugger: halt wave " << id << " complete at "
+              << to_string(entry.completed_at);
+  // Record the assembled S_h: the replay log's ground truth for "the
+  // consistent cut this run actually took" (Theorem-2 comparison target).
+  if (replay_sink_ != nullptr) {
+    replay_sink_->record_halt_cut(id, *entry.encoded);
   }
 }
 
 void DebuggerProcess::handle_command(ProcessContext& ctx, ChannelId in,
                                      Message& /*message*/, Command command) {
   switch (command.kind) {
-    case CommandKind::kHaltReport:
-    case CommandKind::kSnapshotReport: {
-      // A user's own snapshot, or a child aggregator's subtree: every
-      // record is copied, still encoded, into the assembling wave.
-      const bool halt = command.kind == CommandKind::kHaltReport;
-      std::lock_guard<std::mutex> guard{mutex_};
-      auto& waves = halt ? halt_waves_ : snapshot_waves_;
-      const auto it = waves.find(command.wave_id);
-      if (it == waves.end() || it->second.encoded != nullptr) {
-        // Every wave's marker reaches d before any report of it, so a
-        // report for a wave d never started or adopted is stale or hostile.
-        // A completed wave is final: a session may hold its S_h already.
-        DDBG_WARN() << "debugger: dropped " << to_string(command.kind)
-                    << " for " << (it == waves.end() ? "unknown" : "complete")
-                    << " wave " << command.wave_id << " from "
-                    << to_string(command.reporter);
-        return;
-      }
-      if (collect(it->second.fragment, command)) {
-        complete_wave(ctx, it->first, it->second, halt);
-      }
-      return;
-    }
     case CommandKind::kBreakpointHit: {
       if (auto* m = ctx.metrics()) {
         m->span_end(obs::Span::kBreakpointNotify,
@@ -193,7 +172,7 @@ void DebuggerProcess::handle_command(ProcessContext& ctx, ChannelId in,
       state_reports_[snapshot.process] = std::move(snapshot);
       return;
     }
-    default:  // downward kinds: TierNode drops them before they get here
+    default:  // TierNode collects reports and drops downward kinds
       DDBG_WARN() << "debugger: unexpected command "
                   << to_string(command.kind);
   }
@@ -304,40 +283,18 @@ void DebuggerProcess::clear_breakpoint(ProcessContext& ctx, BreakpointId bp) {
   send_control(ctx, ProcessId(), Command::disarm(bp));
 }
 
-std::uint64_t DebuggerProcess::initiate_halt(ProcessContext& ctx) {
-  std::uint64_t wave = 0;
-  {
-    std::lock_guard<std::mutex> guard{mutex_};
-    wave = ++last_halt_id_;
-    open_wave(halt_waves_, wave, ctx);
-  }
-  markers_forwarded_ += children_.size();
-  const Message marker = Message::halt_marker(HaltId(wave), {self_});
-  for (const ProcessId child : children_) {
-    ctx.send(topology_->control_to(child), marker);
-  }
-  return wave;
-}
-
-std::uint64_t DebuggerProcess::initiate_snapshot(ProcessContext& ctx) {
-  std::uint64_t wave = 0;
-  {
-    std::lock_guard<std::mutex> guard{mutex_};
-    wave = ++last_snapshot_id_;
-    open_wave(snapshot_waves_, wave, ctx);
-  }
-  markers_forwarded_ += children_.size();
-  for (const ProcessId child : children_) {
-    ctx.send(topology_->control_to(child), Message::snapshot_marker(wave));
-  }
-  return wave;
+std::uint64_t DebuggerProcess::initiate(ProcessContext& ctx, Wave kind) {
+  // Only this thread writes the table, so it reads it without mutex_.
+  const std::uint64_t id = table(kind).last_id + 1;
+  join(ctx, self_, kind, id, {});
+  return id;
 }
 
 void DebuggerProcess::resume_all(ProcessContext& ctx) {
   std::uint64_t wave = 0;
   {
     std::lock_guard<std::mutex> guard{mutex_};
-    wave = last_halt_id_;
+    wave = table(Wave::kHalt).last_id;
     // Waves up to here are over: a session's wait_for_halt() now waits for
     // the *next* wave, so it can wait for a fresh halt after resuming.
     resumed_through_ = wave;
@@ -355,39 +312,37 @@ void DebuggerProcess::query_state(ProcessContext& ctx, ProcessId target) {
   send_control(ctx, target, Command::query_state());
 }
 
-std::uint64_t DebuggerProcess::last_halt_id() const {
+std::uint64_t DebuggerProcess::last_id(Wave kind) const {
   std::lock_guard<std::mutex> guard{mutex_};
-  return last_halt_id_;
+  return table(kind).last_id;
 }
 
-bool DebuggerProcess::halt_complete(std::uint64_t wave) const {
+bool DebuggerProcess::complete(Wave kind, std::uint64_t id) const {
   std::lock_guard<std::mutex> guard{mutex_};
-  auto it = halt_waves_.find(wave);
-  return it != halt_waves_.end() && it->second.encoded != nullptr;
+  const WaveEntry* wave = find(kind, id);
+  return wave != nullptr && wave->encoded != nullptr;
 }
 
 std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::view(
-    bool halt, std::uint64_t id) const {
+    Wave kind, std::uint64_t id) const {
   WaveInfo info;
   {
     std::lock_guard<std::mutex> guard{mutex_};
-    const auto& waves = halt ? halt_waves_ : snapshot_waves_;
-    auto it = waves.find(id);
-    if (it == waves.end()) return std::nullopt;
-    const WaveRecord& wave = it->second;
+    const WaveEntry* wave = find(kind, id);
+    if (wave == nullptr) return std::nullopt;
     info.id = id;
-    info.complete = wave.encoded != nullptr;
-    info.started_at = wave.started_at;
-    info.completed_at = wave.completed_at;
+    info.complete = wave->encoded != nullptr;
+    info.started_at = wave->started_at;
+    info.completed_at = wave->completed_at;
     // An assembling wave is copied out as its records so far.
-    info.encoded = info.complete ? wave.encoded
+    info.encoded = info.complete ? wave->encoded
                                  : std::make_shared<const Bytes>(
-                                       wave.fragment.encode_snapshots());
+                                       wave->fragment.encode_snapshots());
   }
   auto state = GlobalState::decode_snapshots(HaltId(id), *info.encoded);
   DDBG_ASSERT(state.ok(), "stored records were scanned on arrival");
   info.state = std::move(state).value();
-  if (halt) {
+  if (kind == Wave::kHalt) {
     for (const auto& [p, snapshot] : info.state.snapshots()) {
       info.halt_paths.emplace_hint(info.halt_paths.end(), p,
                                    snapshot.halt_path);
@@ -396,49 +351,17 @@ std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::view(
   return info;
 }
 
-std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::halt_wave(
-    std::uint64_t wave) const {
-  return view(true, wave);
-}
-
-std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::latest_halt_wave()
-    const {
-  const std::uint64_t wave = last_halt_id();
-  if (wave == 0) return std::nullopt;
-  return view(true, wave);
-}
-
-std::optional<DebuggerProcess::WaveInfo>
-DebuggerProcess::last_complete_halt_wave() const {
-  return view(true, last_complete_halt_.load(std::memory_order_acquire));
-}
-
 std::size_t DebuggerProcess::stored_halt_bytes(std::uint64_t wave) const {
   std::lock_guard<std::mutex> guard{mutex_};
-  auto it = halt_waves_.find(wave);
-  if (it == halt_waves_.end() || it->second.encoded == nullptr) return 0;
-  return it->second.encoded->capacity();
+  const WaveEntry* entry = find(Wave::kHalt, wave);
+  return entry != nullptr && entry->encoded != nullptr
+             ? entry->encoded->capacity()
+             : 0;
 }
 
 std::uint64_t DebuggerProcess::resumed_through() const {
   std::lock_guard<std::mutex> guard{mutex_};
   return resumed_through_;
-}
-
-std::uint64_t DebuggerProcess::last_snapshot_id() const {
-  std::lock_guard<std::mutex> guard{mutex_};
-  return last_snapshot_id_;
-}
-
-bool DebuggerProcess::snapshot_complete(std::uint64_t wave) const {
-  std::lock_guard<std::mutex> guard{mutex_};
-  auto it = snapshot_waves_.find(wave);
-  return it != snapshot_waves_.end() && it->second.encoded != nullptr;
-}
-
-std::optional<DebuggerProcess::WaveInfo> DebuggerProcess::snapshot_wave(
-    std::uint64_t wave) const {
-  return view(false, wave);
 }
 
 std::vector<DebuggerProcess::BreakpointHit> DebuggerProcess::hits() const {
@@ -467,9 +390,7 @@ std::string DebuggerProcess::describe_pending(bool halt,
                                               std::uint64_t wave) const {
   constexpr std::size_t kMaxListed = 8;
   std::lock_guard<std::mutex> guard{mutex_};
-  const auto& waves = halt ? halt_waves_ : snapshot_waves_;
-  const auto it = waves.find(wave);
-  const WaveRecord* record = it == waves.end() ? nullptr : &it->second;
+  const WaveEntry* record = find(halt ? Wave::kHalt : Wave::kSnapshot, wave);
   auto reported = [&](std::uint32_t user) {
     return record != nullptr && (record->encoded != nullptr ||
                                  record->fragment.has(user - user_lo_));

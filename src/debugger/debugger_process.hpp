@@ -18,8 +18,8 @@
 //
 // In the extended model d only collects the halted processes' states and
 // hands them to the session (section 2.2.3), so it keeps S_h the way it
-// arrives: encoded.  A wave assembles as a Fragment of snapshot records and
-// is stored, once complete, as one exact-size encode_snapshots() buffer
+// arrives: encoded.  A wave assembles in the tier node's wave table and
+// stays there, once complete, as one exact-size encode_snapshots() buffer
 // that never changes again.  A WaveInfo is a view decoded from that buffer
 // on demand.
 //
@@ -93,9 +93,13 @@ class DebuggerProcess final : public TierNode {
   // Disarm everywhere.
   void clear_breakpoint(ProcessContext& ctx, BreakpointId bp);
   // Start a halting wave from the debugger (the interactive "stop now").
-  std::uint64_t initiate_halt(ProcessContext& ctx);
+  std::uint64_t initiate_halt(ProcessContext& ctx) {
+    return initiate(ctx, Wave::kHalt);
+  }
   // Start a C&L recording wave from the debugger.
-  std::uint64_t initiate_snapshot(ProcessContext& ctx);
+  std::uint64_t initiate_snapshot(ProcessContext& ctx) {
+    return initiate(ctx, Wave::kSnapshot);
+  }
   // Resume the current halting wave.
   void resume_all(ProcessContext& ctx);
   // Ask one process for a state report (answer arrives asynchronously; see
@@ -103,24 +107,40 @@ class DebuggerProcess final : public TierNode {
   void query_state(ProcessContext& ctx, ProcessId target);
 
   // ---- thread-safe observers ----
-  [[nodiscard]] std::uint64_t last_halt_id() const;
-  [[nodiscard]] bool halt_complete(std::uint64_t wave) const;
-  [[nodiscard]] std::optional<WaveInfo> halt_wave(std::uint64_t wave) const;
-  [[nodiscard]] std::optional<WaveInfo> latest_halt_wave() const;
+  [[nodiscard]] std::uint64_t last_halt_id() const {
+    return last_id(Wave::kHalt);
+  }
+  [[nodiscard]] bool halt_complete(std::uint64_t wave) const {
+    return complete(Wave::kHalt, wave);
+  }
+  [[nodiscard]] std::optional<WaveInfo> halt_wave(std::uint64_t wave) const {
+    return view(Wave::kHalt, wave);
+  }
+  [[nodiscard]] std::optional<WaveInfo> latest_halt_wave() const {
+    return view(Wave::kHalt, last_halt_id());
+  }
   // The highest halt wave whose S_h is complete (0 before the first): one
   // atomic load, cheap enough to poll after every simulated event.
   [[nodiscard]] std::uint64_t last_complete_halt_id() const {
     return last_complete_halt_.load(std::memory_order_acquire);
   }
   // That wave, read under one lock with its completion.
-  [[nodiscard]] std::optional<WaveInfo> last_complete_halt_wave() const;
+  [[nodiscard]] std::optional<WaveInfo> last_complete_halt_wave() const {
+    return view(Wave::kHalt, last_complete_halt_id());
+  }
   // Highest wave id that has been resumed (see resume_all).
   [[nodiscard]] std::uint64_t resumed_through() const;
 
-  [[nodiscard]] std::uint64_t last_snapshot_id() const;
-  [[nodiscard]] bool snapshot_complete(std::uint64_t wave) const;
+  [[nodiscard]] std::uint64_t last_snapshot_id() const {
+    return last_id(Wave::kSnapshot);
+  }
+  [[nodiscard]] bool snapshot_complete(std::uint64_t wave) const {
+    return complete(Wave::kSnapshot, wave);
+  }
   [[nodiscard]] std::optional<WaveInfo> snapshot_wave(
-      std::uint64_t wave) const;
+      std::uint64_t wave) const {
+    return view(Wave::kSnapshot, wave);
+  }
   // Bytes d keeps for a completed halt wave (0 for any other): the
   // capacity of its stored S_h buffer.
   [[nodiscard]] std::size_t stored_halt_bytes(std::uint64_t wave) const;
@@ -142,25 +162,21 @@ class DebuggerProcess final : public TierNode {
                                              std::uint64_t wave) const;
 
  private:
-  // One wave as d keeps it: its fragment while it assembles, then its
-  // encode_snapshots() bytes.
-  struct WaveRecord {
-    TimePoint started_at{};
-    TimePoint completed_at{};
-    Fragment fragment;                     // emptied on completion
-    std::shared_ptr<const Bytes> encoded;  // null until complete
-  };
-
-  // Adopting a wave also opens its WaveRecord, under mutex_.
-  bool adopt(ProcessContext& ctx, Wave wave, std::uint64_t id) override;
+  // The table overrides: each takes mutex_ around the tier node's own.
+  bool adopt(ProcessContext& ctx, Wave kind, std::uint64_t id) override;
+  void collect(ProcessContext& ctx, Wave kind,
+               const Command& report) override;
+  // Store the wave's bytes: it covers every user process.  Caller holds
+  // mutex_.
+  void on_full(ProcessContext& ctx, Wave kind, std::uint64_t id,
+               WaveEntry& entry) override;
   void handle_command(ProcessContext& ctx, ChannelId in, Message& message,
                       Command command) override;
-  // Mark the wave complete (it covers every user process) and store its
-  // bytes.  Caller holds mutex_.
-  void complete_wave(ProcessContext& ctx, std::uint64_t id, WaveRecord& wave,
-                     bool halt);
-  // The WaveInfo view of a wave; takes mutex_.
-  [[nodiscard]] std::optional<WaveInfo> view(bool halt,
+  std::uint64_t initiate(ProcessContext& ctx, Wave kind);
+  // Kind-indexed observers behind the public ones; each takes mutex_.
+  [[nodiscard]] std::uint64_t last_id(Wave kind) const;
+  [[nodiscard]] bool complete(Wave kind, std::uint64_t id) const;
+  [[nodiscard]] std::optional<WaveInfo> view(Wave kind,
                                              std::uint64_t id) const;
   // Send the arm commands for a breakpoint (initial arming and monitor-mode
   // re-arming).
@@ -168,23 +184,15 @@ class DebuggerProcess final : public TierNode {
                 const BreakpointSpec& spec);
   // Send a command to user `target`, or to every user for an invalid one.
   void send_control(ProcessContext& ctx, ProcessId target, Command command);
-  // Open the WaveRecord (and wave span) of a wave just started or adopted.
-  // Caller holds mutex_.
-  void open_wave(std::map<std::uint64_t, WaveRecord>& waves,
-                 std::uint64_t id, ProcessContext& ctx);
 
   ReplaySink* replay_sink_ = nullptr;
 
-  // Guards the session state below and the tier node's wave ids.
+  // Guards the session state below and the tier node's wave table.
   mutable std::mutex mutex_;
   // Highest wave id that has been resumed (see resume_all).
   std::uint64_t resumed_through_ = 0;
   // Written under mutex_, read without it.
   std::atomic<std::uint64_t> last_complete_halt_{0};
-  // Waves this node started or adopted; a report names one of them or is
-  // dropped.
-  std::map<std::uint64_t, WaveRecord> halt_waves_;
-  std::map<std::uint64_t, WaveRecord> snapshot_waves_;
 
   BreakpointId::rep_type next_breakpoint_ = 1;
   std::map<BreakpointId, BreakpointSpec> breakpoints_;

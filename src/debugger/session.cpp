@@ -48,17 +48,6 @@ Result<BreakpointId> DebuggerSession::arm_breakpoint(
   return *id;
 }
 
-BreakpointId DebuggerSession::set_breakpoint(const BreakpointSpec& spec,
-                                             Duration timeout) {
-  auto id = std::make_shared<BreakpointId>();
-  call(
-      [this, spec, id](ProcessContext& ctx) {
-        *id = debugger_.set_breakpoint(ctx, spec);
-      },
-      timeout);
-  return *id;
-}
-
 void DebuggerSession::clear_breakpoint(BreakpointId bp) {
   host_.post(debugger_id_, [this, bp](ProcessContext& ctx, Process&) {
     debugger_.clear_breakpoint(ctx, bp);

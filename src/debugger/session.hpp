@@ -59,8 +59,6 @@ class DebuggerSession {
   // kInvalidArgument distinction.
   Result<BreakpointId> arm_breakpoint(const BreakpointSpec& spec,
                                       Duration timeout = Duration::seconds(5));
-  BreakpointId set_breakpoint(const BreakpointSpec& spec,
-                              Duration timeout = Duration::seconds(5));
   void clear_breakpoint(BreakpointId bp);
 
   // ---- halting ----

@@ -1,7 +1,7 @@
 // SessionServer: the multi-client serving surface of the interactive
 // debugger.
 //
-// The TCP runtime's control listener (TcpRuntimeConfig::on_control_accept)
+// The TCP runtime's control listener (TcpRuntime::set_control_acceptor)
 // hands every accepted debugger-client socket to adopt(), which registers
 // a session and spawns a service thread for it.  Each session owns a
 // private DebuggerSession bound to the shared DebuggerProcess — requests
@@ -64,7 +64,7 @@ class SessionServer {
   // immediately.  After stop() the fd is closed instead.
   void adopt(int fd);
 
-  // Bindable acceptor for TcpRuntimeConfig::on_control_accept.
+  // Bindable acceptor for TcpRuntime::set_control_acceptor.
   [[nodiscard]] std::function<void(int)> acceptor() {
     return [this](int fd) { adopt(fd); };
   }

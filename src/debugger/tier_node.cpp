@@ -27,19 +27,14 @@ void TierNode::on_message(ProcessContext& ctx, ChannelId in,
     case MessageKind::kHaltMarker: {
       DDBG_ASSERT(message.halt.has_value(), "halt marker without data");
       const HaltMarkerData& data = *message.halt;
-      if (!adopt(ctx, Wave::kHalt, data.halt_id.value())) return;
-      std::vector<ProcessId> path = data.halt_path;
-      path.push_back(self_);
-      forward_wave(ctx, topology_->channel(in).source,
-                   Message::halt_marker(data.halt_id, std::move(path)));
+      join(ctx, topology_->channel(in).source, Wave::kHalt,
+           data.halt_id.value(), data.halt_path);
       return;
     }
     case MessageKind::kSnapshotMarker: {
       DDBG_ASSERT(message.snapshot.has_value(), "snapshot marker w/o data");
-      const std::uint64_t id = message.snapshot->snapshot_id;
-      if (!adopt(ctx, Wave::kSnapshot, id)) return;
-      forward_wave(ctx, topology_->channel(in).source,
-                   Message::snapshot_marker(id));
+      join(ctx, topology_->channel(in).source, Wave::kSnapshot,
+           message.snapshot->snapshot_id, {});
       return;
     }
     case MessageKind::kControl: {
@@ -57,8 +52,17 @@ void TierNode::on_message(ProcessContext& ctx, ChannelId in,
                     << ": " << why;
         return;
       }
-      handle_command(ctx, in, message, std::move(command).value());
-      return;
+      switch (command.value().kind) {
+        case CommandKind::kHaltReport:
+          collect(ctx, Wave::kHalt, command.value());
+          return;
+        case CommandKind::kSnapshotReport:
+          collect(ctx, Wave::kSnapshot, command.value());
+          return;
+        default:
+          handle_command(ctx, in, message, std::move(command).value());
+          return;
+      }
     }
     default:
       DDBG_WARN() << describe_state() << " " << to_string(self_)
@@ -66,16 +70,25 @@ void TierNode::on_message(ProcessContext& ctx, ChannelId in,
   }
 }
 
-bool TierNode::adopt(ProcessContext& /*ctx*/, Wave wave, std::uint64_t id) {
-  std::uint64_t& last =
-      wave == Wave::kHalt ? last_halt_id_ : last_snapshot_id_;
-  if (id <= last) return false;
-  last = id;
+bool TierNode::adopt(ProcessContext& ctx, Wave kind, std::uint64_t id) {
+  WaveTable& waves = table(kind);
+  if (id <= waves.last_id) return false;
+  waves.last_id = id;
+  waves.entries.try_emplace(id).first->second.started_at = ctx.now();
   return true;
 }
 
-void TierNode::forward_wave(ProcessContext& ctx, ProcessId origin,
-                            const Message& marker) {
+void TierNode::join(ProcessContext& ctx, ProcessId origin, Wave kind,
+                    std::uint64_t id, std::span<const ProcessId> path) {
+  if (!adopt(ctx, kind, id)) return;
+  Message marker;
+  if (kind == Wave::kHalt) {
+    std::vector<ProcessId> halt_path(path.begin(), path.end());
+    halt_path.push_back(self_);
+    marker = Message::halt_marker(HaltId(id), std::move(halt_path));
+  } else {
+    marker = Message::snapshot_marker(id);
+  }
   obs::MetricsRegistry* m = ctx.metrics();
   if (parent_.valid()) {
     // Upward, unless the wave just came down from the parent: the parent
@@ -101,6 +114,36 @@ void TierNode::forward_wave(ProcessContext& ctx, ProcessId origin,
     ++sent;
   }
   markers_forwarded_ += sent;
+}
+
+void TierNode::collect(ProcessContext& ctx, Wave kind,
+                       const Command& report) {
+  WaveTable& waves = table(kind);
+  const auto it = waves.entries.find(report.wave_id);
+  const char* why = nullptr;
+  if (it == waves.entries.end()) {
+    why = "not open here";  // never adopted, or shipped already
+  } else if (it->second.encoded != nullptr) {
+    why = "complete";  // final: a session may hold its S_h already
+  } else if (!it->second.fragment.fits(report.records.size())) {
+    why = "past 4 GiB";
+  }
+  if (why != nullptr) {
+    DDBG_WARN() << describe_state() << " " << to_string(self_)
+                << ": dropped " << to_string(report.kind) << " for wave "
+                << report.wave_id << " from " << to_string(report.reporter)
+                << ": " << why;
+    return;
+  }
+  WaveEntry& entry = it->second;
+  const std::size_t users = user_hi_ - user_lo_;
+  for (std::size_t i = 0; i < report.reports.size(); ++i) {
+    entry.fragment.put(users, report.reports[i].process.value() - user_lo_,
+                       report.record(i));
+  }
+  if (!entry.fragment.full()) return;
+  on_full(ctx, kind, it->first, entry);
+  if (entry.encoded == nullptr) waves.entries.erase(it);
 }
 
 void TierNode::send_down(ProcessContext& ctx, ProcessId target,
@@ -161,20 +204,6 @@ Bytes TierNode::Fragment::encode_snapshots() const {
     writer.raw(std::span(arena_).subspan(s.offset, s.size));
   }
   return out;
-}
-
-bool TierNode::collect(Fragment& fragment, const Command& report) const {
-  if (!fragment.fits(report.records.size())) {
-    DDBG_WARN() << describe_state() << " " << to_string(self_)
-                << ": dropped a report past 4 GiB of wave " << report.wave_id;
-    return false;
-  }
-  const std::size_t users = user_hi_ - user_lo_;
-  for (std::size_t i = 0; i < report.reports.size(); ++i) {
-    fragment.put(users, report.reports[i].process.value() - user_lo_,
-                 report.record(i));
-  }
-  return fragment.full();
 }
 
 bool TierNode::covers(ChannelId in, ProcessId p) const {

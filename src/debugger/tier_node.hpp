@@ -12,10 +12,18 @@
 //   user receives the same command bytes under a flat debugger and a tier.
 // - An upward command arrives from a child.  Reports carry encoded
 //   snapshot records (Command::records) that fill a Fragment, one slot per
-//   user, complete once it covers this node's user range.  Records are
-//   never decoded on the way: an aggregator splices its full fragment into
-//   one report in process-id order, and d keeps a completed wave as one
+//   user, full once it covers this node's user range.  Records are never
+//   decoded on the way: an aggregator splices its full fragment into one
+//   report in process-id order, and d keeps a completed wave as one
 //   GlobalState::encode_snapshots() buffer.
+//
+// Halting is C&L recording plus "halt" (Lemma 2.1), so the two kinds of
+// wave share one table, indexed by kind.  Adopting a wave (or, at d,
+// starting one) opens its entry, and a report is collected only into an
+// open wave of its kind.  Control channels are FIFO and a node forwards a
+// wave's marker before it sends any report of that wave, so every node
+// adopts a wave before its reports arrive: a report for a wave this node
+// never adopted, or whose fragment is already full, is logged and dropped.
 //
 // Direction comes from the channel: a downward command from a child, or an
 // upward one from the parent, is logged and dropped.  So is an upward
@@ -24,12 +32,16 @@
 // never trusted further than the child it came from.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/ids.hpp"
+#include "common/time.hpp"
 #include "core/commands.hpp"
 #include "net/process.hpp"
 
@@ -45,6 +57,7 @@ class TierNode : public Process {
   }
 
  protected:
+  // The kind of a marker wave: halting, or C&L recording.
   enum class Wave : std::uint8_t { kHalt, kSnapshot };
 
   // One wave's S_h (or S_r) fragment while it assembles: a slot per user
@@ -84,25 +97,59 @@ class TierNode : public Process {
     std::size_t filled_ = 0;
   };
 
+  // One wave this node adopted or started.
+  struct WaveEntry {
+    TimePoint started_at{};
+    TimePoint completed_at{};              // d only
+    Fragment fragment;                     // the records collected so far
+    std::shared_ptr<const Bytes> encoded;  // d only: S_h, once complete
+  };
+  // The waves of one kind: the last adopted id and every open wave.  A
+  // full wave leaves the table unless its hook stored `encoded` (d keeps
+  // its completed waves; an aggregator forgets a shipped one).
+  struct WaveTable {
+    std::uint64_t last_id = 0;
+    std::map<std::uint64_t, WaveEntry> entries;
+  };
+
   // Binds the node's position in the tier; call from on_start.
   void bind(ProcessContext& ctx);
 
   // Wave-id adoption: true when `id` is newer than the last adopted wave of
-  // its kind, which it then becomes.
-  virtual bool adopt(ProcessContext& ctx, Wave wave, std::uint64_t id);
-  // A control command that passed validation.  `message` still holds the
-  // encoded bytes, for relays that forward them verbatim.
+  // its kind, which it then becomes, and opens its entry.
+  virtual bool adopt(ProcessContext& ctx, Wave kind, std::uint64_t id);
+  // Adopts wave `id` and forwards its marker (a halt marker with `path`
+  // plus this node's name) to the parent and the children, skipping
+  // `origin`, the tier node it came from.
+  void join(ProcessContext& ctx, ProcessId origin, Wave kind,
+            std::uint64_t id, std::span<const ProcessId> path);
+  // Collects a report into its open wave, or logs and drops it.
+  virtual void collect(ProcessContext& ctx, Wave kind, const Command& report);
+  // Wave `id`'s fragment covers this node's users.
+  virtual void on_full(ProcessContext& ctx, Wave kind, std::uint64_t id,
+                       WaveEntry& entry) = 0;
+  // Any other control command that passed validation.  `message` still
+  // holds the encoded bytes, for relays that forward them verbatim.
   virtual void handle_command(ProcessContext& ctx, ChannelId in,
                               Message& message, Command command) = 0;
 
   // Sends encoded command bytes down toward `target` (every user when the
   // target is invalid).
   void send_down(ProcessContext& ctx, ProcessId target, Bytes encoded);
-  // Copies each record of `report` into its user's slot of `fragment`;
-  // true once the fragment covers this node's users.
-  [[nodiscard]] bool collect(Fragment& fragment, const Command& report) const;
   // Whether user `p` lies in the subtree of the child that sent on `in`.
   [[nodiscard]] bool covers(ChannelId in, ProcessId p) const;
+
+  [[nodiscard]] WaveTable& table(Wave kind) {
+    return tables_[static_cast<std::size_t>(kind)];
+  }
+  [[nodiscard]] const WaveTable& table(Wave kind) const {
+    return tables_[static_cast<std::size_t>(kind)];
+  }
+  // Wave `id`'s entry, or null.
+  [[nodiscard]] const WaveEntry* find(Wave kind, std::uint64_t id) const {
+    const auto it = table(kind).entries.find(id);
+    return it == table(kind).entries.end() ? nullptr : &it->second;
+  }
 
   const Topology* topology_ = nullptr;  // bound in on_start
   ProcessId self_;
@@ -111,18 +158,14 @@ class TierNode : public Process {
   std::vector<ProcessId> children_;
   std::uint32_t user_lo_ = 0;  // [user_lo_, user_hi_): users below this node
   std::uint32_t user_hi_ = 0;
-  std::uint64_t last_halt_id_ = 0;
-  std::uint64_t last_snapshot_id_ = 0;
-  std::atomic<std::uint64_t> markers_forwarded_{0};
 
  private:
-  // Broadcasts a wave marker to the parent and the children, skipping the
-  // tier node it came from.
-  void forward_wave(ProcessContext& ctx, ProcessId origin,
-                    const Message& marker);
   // Why a control command arriving on `in` must be dropped (wrong
   // direction, or naming a user outside the sender's subtree), or null.
   [[nodiscard]] const char* fault(ChannelId in, const Command& command) const;
+
+  std::array<WaveTable, 2> tables_;  // indexed by Wave
+  std::atomic<std::uint64_t> markers_forwarded_{0};
 };
 
 }  // namespace ddbg

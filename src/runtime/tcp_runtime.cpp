@@ -39,7 +39,7 @@ constexpr int kMaxEpollEvents = 64;
 // slot index directly.
 constexpr std::uint64_t kTagWake = ~std::uint64_t{0};
 constexpr std::uint64_t kTagListen = ~std::uint64_t{0} - 1;
-// Debugger-session control listener (config.on_control_accept).
+// Debugger-session control listener (TcpRuntime::set_control_acceptor).
 constexpr std::uint64_t kTagControl = ~std::uint64_t{0} - 2;
 
 // Write the whole buffer on a *blocking* fd, retrying on short writes.
@@ -973,7 +973,7 @@ void TcpRuntime::Worker::accept_control_connections() {
     // The accepted fd stays *blocking* (O_NONBLOCK does not inherit
     // through accept): the session server's per-client thread does
     // straightforward blocking I/O on it.
-    runtime_.config_.on_control_accept(fd);
+    runtime_.control_acceptor_(fd);
   }
 }
 
@@ -1047,7 +1047,7 @@ bool TcpRuntime::start() {
   for (std::uint32_t p = 0; p < workers_.size(); ++p) {
     if (!worker(p).init_sockets()) return false;
   }
-  if (config_.on_control_accept) {
+  if (control_acceptor_) {
     // The control listener lives on the debugger's worker so accepted
     // sessions share a reactor with the process they drive.
     const std::uint32_t host =

@@ -58,12 +58,6 @@ struct TcpRuntimeConfig {
   // writes on the nonblocking send path deterministically.
   int sndbuf_bytes = 0;
   int rcvbuf_bytes = 0;
-  // Control-socket debugger sessions: when set, the debugger's worker (or
-  // worker 0 without a debugger) binds a second loopback listener and the
-  // reactor hands every accepted client fd to this callback.  The callee
-  // must not block the reactor — SessionServer::adopt only registers the
-  // fd and spawns a service thread, which is the intended receiver.
-  std::function<void(int fd)> on_control_accept;
   // Record/replay sink (src/replay).  The reactor appends transport-level
   // annotations — fault draws, reconnects, resync replays — as diagnostic
   // provenance; the user-boundary inputs are recorded by the DebugShims.
@@ -88,15 +82,18 @@ class TcpRuntime final : public ThreadedRuntime {
                                        std::chrono::microseconds(300));
   }
 
-  // Port of the debugger-session control listener; 0 when
-  // on_control_accept is unset or start() has not run.
+  // Port of the debugger-session control listener; 0 when no control
+  // acceptor is set or start() has not run.
   [[nodiscard]] std::uint16_t control_port() const;
-  // Late-bound alternative to TcpRuntimeConfig::on_control_accept for
-  // embedders whose acceptor (e.g. a SessionServer) is built after the
-  // runtime.  Must be called before start().
+  // Control-socket debugger sessions: with an acceptor, the debugger's
+  // worker (or worker 0 without a debugger) binds a second loopback
+  // listener and the reactor hands every accepted client fd to it.  The
+  // acceptor must not block the reactor — SessionServer::adopt only
+  // registers the fd and spawns a service thread.  Must be called before
+  // start().
   void set_control_acceptor(std::function<void(int fd)> acceptor) {
     DDBG_ASSERT(!started_.load(), "set_control_acceptor after start");
-    config_.on_control_accept = std::move(acceptor);
+    control_acceptor_ = std::move(acceptor);
   }
 
   // Multiplexing introspection: how many TCP connections carry how many
@@ -129,6 +126,7 @@ class TcpRuntime final : public ThreadedRuntime {
   [[nodiscard]] Worker& worker(std::uint32_t p);
 
   TcpRuntimeConfig config_;
+  std::function<void(int fd)> control_acceptor_;  // see set_control_acceptor
   std::vector<HostPair> pairs_;
   std::vector<std::uint32_t> channel_pair_;  // ChannelId -> pair index
   std::vector<std::vector<std::uint32_t>> pairs_of_process_;

@@ -11,9 +11,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/consistency.hpp"
+#include "common/logging.hpp"
 #include "core/debug_shim.hpp"
 #include "debugger/aggregator.hpp"
 #include "debugger/harness.hpp"
@@ -191,11 +193,14 @@ class FakeTier {
     ProcessSnapshot snapshot;
     snapshot.process = p;
     snapshot.halt_path = {topology_.tier_parent(p)};
-    std::vector<std::pair<ChannelId, Message>> queue;
-    queue.emplace_back(
-        topology_.control_from(p),
-        Message::control(Command::halt_report(p, wave, {snapshot}).encode()));
-    pump(std::move(queue));
+    deliver(p, Command::halt_report(p, wave, snapshot));
+  }
+  // User `p` reports a recorded snapshot whose state is `state`.
+  void report_snapshot(ProcessId p, std::uint64_t wave, Bytes state) {
+    ProcessSnapshot snapshot;
+    snapshot.process = p;
+    snapshot.state = std::move(state);
+    deliver(p, Command::snapshot_report(p, wave, snapshot));
   }
 
  private:
@@ -203,6 +208,13 @@ class FakeTier {
     std::unique_ptr<FakeContext> ctx;
     AggregatorProcess process;
   };
+
+  void deliver(ProcessId p, const Command& report) {
+    std::vector<std::pair<ChannelId, Message>> queue;
+    queue.emplace_back(topology_.control_from(p),
+                       Message::control(report.encode()));
+    pump(std::move(queue));
+  }
 
   Topology topology_;
   FakeContext root_ctx_;
@@ -328,11 +340,59 @@ TEST(DebuggerTierProtocol, PendingNamesTheMissingUsersOfEachChild) {
   EXPECT_NE(pending.find("p7, +8 more)"), std::string::npos) << pending;
 }
 
+// A halt wave and a recording wave with the same id assemble side by side
+// in one table, each from its own reports, up the same tier.
+TEST(DebuggerTierProtocol, HaltAndRecordingWavesStayApart) {
+  FakeTier tree(Topology::ring(16).with_debugger_tree(4));
+  ASSERT_EQ(tree.root().initiate_halt(tree.root_ctx()), 1u);
+  ASSERT_EQ(tree.root().initiate_snapshot(tree.root_ctx()), 1u);
+  tree.pump();
+  const auto recorded = [](std::uint32_t p) {
+    return Bytes{0x5a, static_cast<std::uint8_t>(p)};
+  };
+  for (std::uint32_t p = 0; p < 8; ++p) {
+    tree.report_halt(ProcessId(p), 1);
+    tree.report_snapshot(ProcessId(p + 4), 1, recorded(p + 4));
+  }
+  EXPECT_EQ(tree.root().describe_pending(true, 1),
+            "waiting on 2 of 4 children: p18 [8,12) (missing p8, p9, p10, "
+            "p11), p19 [12,16) (missing p12, p13, p14, p15)");
+  EXPECT_EQ(tree.root().describe_pending(false, 1),
+            "waiting on 2 of 4 children: p16 [0,4) (missing p0, p1, p2, "
+            "p3), p19 [12,16) (missing p12, p13, p14, p15)");
+  EXPECT_FALSE(tree.root().halt_complete(1));
+  EXPECT_FALSE(tree.root().snapshot_complete(1));
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    tree.report_snapshot(ProcessId(p), 1, recorded(p));
+    tree.report_snapshot(ProcessId(p + 12), 1, recorded(p + 12));
+    tree.report_halt(ProcessId(p + 8), 1);
+    tree.report_halt(ProcessId(p + 12), 1);
+  }
+  const auto halted = tree.root().halt_wave(1);
+  const auto snapshot = tree.root().snapshot_wave(1);
+  ASSERT_TRUE(halted.has_value() && snapshot.has_value());
+  EXPECT_TRUE(halted->complete);
+  EXPECT_TRUE(snapshot->complete);
+  ASSERT_EQ(halted->state.size(), 16u);
+  ASSERT_EQ(snapshot->state.size(), 16u);
+  EXPECT_EQ(halted->halt_paths.size(), 16u);
+  EXPECT_TRUE(snapshot->halt_paths.empty());
+  for (const auto& [p, s] : halted->state.snapshots()) {
+    EXPECT_TRUE(s.state.empty()) << to_string(p);
+    EXPECT_EQ(s.halt_path.size(), 1u) << to_string(p);
+  }
+  for (const auto& [p, s] : snapshot->state.snapshots()) {
+    EXPECT_EQ(s.state, recorded(p.value())) << to_string(p);
+    EXPECT_TRUE(s.halt_path.empty()) << to_string(p);
+  }
+}
+
 // Hostile input at an aggregator: the leaf covering users [0, 4) of a
 // fanout-4 tier over 16 users.
 struct LeafFixture {
   Topology topology = Topology::ring(16).with_debugger_tree(4);
   ProcessId leaf = topology.tier_parent(ProcessId(0));
+  ProcessId parent = topology.tier_parent(leaf);
   FakeContext ctx{leaf, &topology};
   AggregatorProcess aggregator;
 
@@ -345,6 +405,15 @@ struct LeafFixture {
   void from_user(ProcessId p, const Command& command) {
     aggregator.on_message(ctx, topology.control_from(p),
                           Message::control(command.encode()));
+  }
+  // Halt wave `wave`'s marker arrives from the parent, as it does before
+  // any report of the wave; the markers it forwards are not kept in `sent`.
+  void open_halt(std::uint64_t wave) {
+    const std::size_t before = ctx.sent.size();
+    aggregator.on_message(ctx, topology.control_to(leaf),
+                          Message::halt_marker(HaltId(wave), {parent}));
+    ctx.sent.erase(ctx.sent.begin() + static_cast<std::ptrdiff_t>(before),
+                   ctx.sent.end());
   }
 };
 
@@ -359,6 +428,7 @@ TEST(DebuggerTierProtocol, AggregatorKeepsOnlyInProgressFragments) {
                  Command::halt_report(ProcessId(p), wave, {snapshot}));
   };
   for (std::uint64_t wave = 1; wave <= 50; ++wave) {
+    fx.open_halt(wave);
     report(0, wave);
     report(1, wave);
     EXPECT_EQ(fx.aggregator.fragments_in_progress(), 1u);
@@ -367,8 +437,56 @@ TEST(DebuggerTierProtocol, AggregatorKeepsOnlyInProgressFragments) {
     EXPECT_EQ(fx.aggregator.fragments_in_progress(), 0u);
   }
   EXPECT_EQ(fx.ctx.sent.size(), 50u);  // one report up per wave
+  fx.open_halt(51);
   report(0, 51);
   EXPECT_EQ(fx.aggregator.fragments_in_progress(), 1u);
+}
+
+// Counts the warnings logged while it lives.
+struct WarningCount {
+  std::size_t warnings = 0;
+  WarningCount() {
+    Logger::instance().set_sink([this](LogLevel level, std::string_view) {
+      warnings += level == LogLevel::kWarn ? 1 : 0;
+    });
+  }
+  ~WarningCount() { Logger::instance().set_sink(nullptr); }
+};
+
+// Reports for waves the aggregator never adopted are stale or hostile: each
+// is logged and dropped, and none opens a fragment.
+TEST(DebuggerTierProtocol, AggregatorDropsReportsForWavesItNeverAdopted) {
+  LeafFixture fx;
+  ProcessSnapshot snapshot;
+  snapshot.process = ProcessId(0);
+  WarningCount log;
+  for (std::uint64_t wave = 1; wave <= 10'000; ++wave) {
+    fx.from_user(ProcessId(0),
+                 Command::halt_report(ProcessId(0), wave, snapshot));
+  }
+  EXPECT_EQ(fx.aggregator.fragments_in_progress(), 0u);
+  EXPECT_EQ(log.warnings, 10'000u);
+  EXPECT_TRUE(fx.ctx.sent.empty());
+}
+
+// A shipped wave is closed: a late report neither reopens its fragment nor
+// ships it a second time.
+TEST(DebuggerTierProtocol, AggregatorDoesNotReopenAShippedWave) {
+  LeafFixture fx;
+  const auto report = [&](std::uint32_t p) {
+    ProcessSnapshot snapshot;
+    snapshot.process = ProcessId(p);
+    fx.from_user(ProcessId(p),
+                 Command::halt_report(ProcessId(p), 1, snapshot));
+  };
+  fx.open_halt(1);
+  for (std::uint32_t p = 0; p < 4; ++p) report(p);
+  ASSERT_EQ(fx.ctx.sent.size(), 1u);
+  WarningCount log;
+  for (std::uint32_t p = 0; p < 4; ++p) report(p);
+  EXPECT_EQ(fx.aggregator.fragments_in_progress(), 0u);
+  EXPECT_EQ(log.warnings, 4u);
+  EXPECT_EQ(fx.ctx.sent.size(), 1u);
 }
 
 TEST(DebuggerTierProtocol, AggregatorDropsTargetOutsideItsSubtree) {
@@ -410,6 +528,7 @@ TEST(DebuggerTierProtocol, AggregatorMergesOnlyItsChildrensOwnSnapshots) {
   };
   // p0's channel speaks only for p0: neither p1 nor a user of another
   // subtree may fill the fragment in its name.
+  fx.open_halt(1);
   fx.from_user(ProcessId(0), Command::halt_report(ProcessId(0), 1,
                                                   {snapshot(1)}));
   fx.from_user(ProcessId(0),

@@ -30,6 +30,26 @@ const char* unarmable(const LinkedPredicate& lp, ProcessId self) {
 
 }  // namespace
 
+void DebugShim::tick_clocks() {
+  lamport_.tick();
+  if (options_.stamp_vector_clocks) vclock_.tick(self_);
+}
+
+template <typename Fill>
+void DebugShim::emit_event(Fill&& fill) {
+  const std::uint64_t seq = local_seq_++;
+  if (!options_.trace_sink && detector_.num_watches() == 0) return;
+  LocalEvent event;
+  fill(event);
+  event.process = self_;
+  event.lamport = lamport_.now();
+  event.vclock = vclock_;
+  event.local_seq = seq;
+  if (current_ctx_ != nullptr) event.when = current_ctx_->now();
+  if (options_.trace_sink) options_.trace_sink(event);
+  detector_.on_local_event(event);
+}
+
 // Context handed to the *user* process: interposes on sends (clock
 // stamping, send events) and forwards everything else.
 class DebugShim::ShimContext final : public ProcessContext {
@@ -54,21 +74,20 @@ class DebugShim::ShimContext final : public ProcessContext {
       message.vclock = shim_.vclock_;
     }
     message.lamport = shim_.lamport_.on_send();
-    message.message_id = shim_.next_message_id();
-
-    LocalEvent event;
-    event.kind = LocalEventKind::kMessageSent;
-    event.channel = channel;
-    event.value = static_cast<std::int64_t>(message.payload.size());
-    event.message_id = message.message_id;
-    event.lamport = message.lamport;
-    event.vclock = shim_.vclock_;
+    const std::uint64_t id = shim_.next_message_id();
+    message.message_id = id;
+    const auto size = static_cast<std::int64_t>(message.payload.size());
 
     outer_->send(channel, std::move(message));
     // Event emitted after the message is on the wire: if the send completes
     // a Linked Predicate, the halt markers (sent at end of handler) follow
     // the message on every channel.
-    shim_.emit_event(std::move(event));
+    shim_.emit_event([&](LocalEvent& event) {
+      event.kind = LocalEventKind::kMessageSent;
+      event.channel = channel;
+      event.value = size;
+      event.message_id = id;
+    });
   }
 
   TimerId set_timer(Duration delay) override {
@@ -83,14 +102,10 @@ class DebugShim::ShimContext final : public ProcessContext {
   }
 
   void stop_self() override {
-    LocalEvent event;
-    event.kind = LocalEventKind::kProcessTerminated;
-    event.lamport = shim_.lamport_.tick();
-    if (shim_.options_.stamp_vector_clocks) {
-      shim_.vclock_.tick(shim_.self_);
-    }
-    event.vclock = shim_.vclock_;
-    shim_.emit_event(std::move(event));
+    shim_.tick_clocks();
+    shim_.emit_event([](LocalEvent& event) {
+      event.kind = LocalEventKind::kProcessTerminated;
+    });
     outer_->stop_self();
   }
 
@@ -184,23 +199,17 @@ void DebugShim::on_start(ProcessContext& ctx) {
   recording_.emplace(self_, topology_, suppress);
   delivery_ordinals_.assign(topology_->in_channels(self_).size(), 0);
 
-  {
-    LocalEvent event;
+  tick_clocks();
+  emit_event([](LocalEvent& event) {
     event.kind = LocalEventKind::kProcessStarted;
-    event.lamport = lamport_.tick();
-    if (options_.stamp_vector_clocks) vclock_.tick(self_);
-    event.vclock = vclock_;
-    emit_event(std::move(event));
-  }
+  });
   for (const ChannelId c : topology_->out_channels(self_)) {
     if (topology_->channel(c).is_control) continue;
-    LocalEvent event;
-    event.kind = LocalEventKind::kChannelCreated;
-    event.channel = c;
-    event.lamport = lamport_.tick();
-    if (options_.stamp_vector_clocks) vclock_.tick(self_);
-    event.vclock = vclock_;
-    emit_event(std::move(event));
+    tick_clocks();
+    emit_event([c](LocalEvent& event) {
+      event.kind = LocalEventKind::kChannelCreated;
+      event.channel = c;
+    });
   }
 
   user_->on_start(*shim_ctx_);
@@ -350,22 +359,17 @@ void DebugShim::dispatch(ProcessContext& ctx, ChannelId in,
       if (options_.stamp_vector_clocks) {
         vclock_.on_receive(self_, message.vclock);
       }
-      const std::uint64_t receive_lamport =
-          lamport_.on_receive(message.lamport);
-
-      LocalEvent event;
-      event.kind = LocalEventKind::kMessageReceived;
-      event.channel = in;
-      event.value = static_cast<std::int64_t>(message.payload.size());
-      event.message_id = message.message_id;
-      event.lamport = receive_lamport;
-      event.vclock = vclock_;
-
+      lamport_.on_receive(message.lamport);
       // The receive event precedes the state changes it causes, so it is
       // emitted before the handler runs (any halting it triggers is
       // deferred to the end of the handler regardless, so the captured
       // state still reflects the completed receive).
-      emit_event(std::move(event));
+      emit_event([&](LocalEvent& event) {
+        event.kind = LocalEventKind::kMessageReceived;
+        event.channel = in;
+        event.value = static_cast<std::int64_t>(message.payload.size());
+        event.message_id = message.message_id;
+      });
       user_->on_message(*shim_ctx_, in, std::move(message));
       return;
     }
@@ -463,49 +467,35 @@ void DebugShim::note_armed(ProcessContext& ctx, BreakpointId bp) {
 }
 
 void DebugShim::event(std::string_view name, std::int64_t value) {
-  LocalEvent event;
-  event.kind = LocalEventKind::kUserEvent;
-  event.name = std::string(name);
-  event.value = value;
-  event.lamport = lamport_.tick();
-  if (options_.stamp_vector_clocks) vclock_.tick(self_);
-  event.vclock = vclock_;
-  emit_event(std::move(event));
+  tick_clocks();
+  emit_event([&](LocalEvent& event) {
+    event.kind = LocalEventKind::kUserEvent;
+    event.name = std::string(name);
+    event.value = value;
+  });
 }
 
 void DebugShim::enter_procedure(std::string_view name) {
-  LocalEvent event;
-  event.kind = LocalEventKind::kProcedureEntered;
-  event.name = std::string(name);
-  event.lamport = lamport_.tick();
-  if (options_.stamp_vector_clocks) vclock_.tick(self_);
-  event.vclock = vclock_;
-  emit_event(std::move(event));
+  tick_clocks();
+  emit_event([&](LocalEvent& event) {
+    event.kind = LocalEventKind::kProcedureEntered;
+    event.name = std::string(name);
+  });
 }
 
 void DebugShim::set_var(std::string_view name, std::int64_t value) {
   vars_[std::string(name)] = value;
-  LocalEvent event;
-  event.kind = LocalEventKind::kStateChange;
-  event.name = std::string(name);
-  event.value = value;
-  event.lamport = lamport_.tick();
-  if (options_.stamp_vector_clocks) vclock_.tick(self_);
-  event.vclock = vclock_;
-  emit_event(std::move(event));
+  tick_clocks();
+  emit_event([&](LocalEvent& event) {
+    event.kind = LocalEventKind::kStateChange;
+    event.name = std::string(name);
+    event.value = value;
+  });
 }
 
 std::int64_t DebugShim::var(const std::string& name) const {
   auto it = vars_.find(name);
   return it != vars_.end() ? it->second : 0;
-}
-
-void DebugShim::emit_event(LocalEvent event) {
-  event.process = self_;
-  event.local_seq = local_seq_++;
-  if (current_ctx_ != nullptr) event.when = current_ctx_->now();
-  if (options_.trace_sink) options_.trace_sink(event);
-  detector_.on_local_event(event);
 }
 
 void DebugShim::flush_pending(ProcessContext& ctx) {

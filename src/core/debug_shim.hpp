@@ -12,11 +12,13 @@
 //   * DebugApi calls from the user code generate the remaining local
 //     events.
 //
-// Every local event is offered to the LP detector and to an optional trace
-// sink (analysis).  Detector effects (forwarding predicate markers,
-// initiating halting) are deferred to the end of the current handler so a
-// halting process's halt markers are the *last* messages it sends — the
-// property Lemma 2.2's channel-state argument rests on.
+// Every local event advances local_seq and the Lamport and vector clocks.
+// A LocalEvent is built only when something will read it — a trace sink
+// (analysis) or an armed LP/notify watch — so between waves an event costs
+// the clock ticks and nothing more.  Detector effects (forwarding predicate
+// markers, initiating halting) are deferred to the end of the current
+// handler so a halting process's halt markers are the *last* messages it
+// sends — the property Lemma 2.2's channel-state argument rests on.
 //
 // While halted the shim consumes only control traffic; application-era
 // messages are buffered by the halting engine as channel state and replayed
@@ -185,7 +187,14 @@ class DebugShim final : public Process, public DebugApi {
   void arm_from_wire(ProcessContext& ctx, const char* what, BreakpointId bp,
                      std::span<const std::uint8_t> encoded,
                      std::uint32_t stage_index, bool monitor);
-  void emit_event(LocalEvent event);
+  // Ticks both clocks for an event local to this process.
+  void tick_clocks();
+  // One local event, after its clock ticks: takes the next local_seq.  Only
+  // when a trace sink is set or a watch is armed does it build the event —
+  // `fill` sets the kind-specific fields, the rest is stamped from the
+  // clocks — and offer it to the sink and the LP detector.
+  template <typename Fill>
+  void emit_event(Fill&& fill);
   void flush_pending(ProcessContext& ctx);
   void send_to_debugger(ProcessContext& ctx, const Command& command);
   [[nodiscard]] ProcessSnapshot capture_state() const;

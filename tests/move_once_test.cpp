@@ -9,6 +9,9 @@
 //   handful: every copy shares one immutable HaltMarkerData.
 // - A message that arrives while its receiver is halted is buffered by
 //   move, so resume hands the user handler the sender's own buffer.
+// - With no trace sink and no armed watch, the shim builds no local event:
+//   a hop allocates only its payload and its wire vector clock, and a
+//   DebugApi call allocates nothing.
 // - A Message fits in 120 bytes, and the simulator's event heap pops in
 //   exact (when, seq) order.
 #include <gtest/gtest.h>
@@ -215,6 +218,78 @@ TEST(MoveOnce, MessageBufferedWhileHaltedKeepsTheSendersBuffer) {
   harness.sim().run_for(Duration::millis(100));
   ASSERT_EQ(receiver.buffers.size(), 1u);
   EXPECT_EQ(receiver.buffers.front(), sender.buffers.front());
+}
+
+// Sends a fresh 64-byte payload on c0 once a millisecond.
+class Ticker final : public Process {
+ public:
+  void on_start(ProcessContext& ctx) override {
+    ctx.set_timer(Duration::millis(1));
+  }
+  void on_message(ProcessContext&, ChannelId, Message) override {}
+  void on_timer(ProcessContext& ctx, TimerId) override {
+    ctx.send(ChannelId(0), Message::application(Bytes(64, 1)));
+    ctx.set_timer(Duration::millis(1));
+  }
+};
+
+class Counter final : public Process {
+ public:
+  void on_message(ProcessContext&, ChannelId, Message) override {
+    ++received;
+  }
+
+  std::uint64_t received = 0;
+};
+
+// Between waves nothing reads a local event, so the shims build none: a
+// hop with vector clocks on allocates the sender's payload and the clock
+// copy stamped on the wire, and not a clock copy per send or receive event.
+TEST(MoveOnce, UnwatchedShimHopAllocatesOnlyPayloadAndWireClock) {
+  const Topology topology = Topology::ring(2);
+  std::vector<ProcessPtr> users;
+  users.push_back(std::make_unique<Ticker>());
+  users.push_back(std::make_unique<Counter>());
+  const DebugShim::Options options;
+  ASSERT_TRUE(options.stamp_vector_clocks);
+  std::vector<ProcessPtr> shims =
+      wrap_in_shims(topology, std::move(users), options);
+  const auto& counter = static_cast<const Counter&>(
+      static_cast<DebugShim&>(*shims[1]).user());
+  SimulationConfig config;
+  config.latency = constant_latency(Duration::micros(100));
+  Simulation sim(topology, std::move(shims), std::move(config));
+
+  // The first hops size every clock and warm every buffer the path reuses.
+  sim.run_until(TimePoint{Duration::millis(10).ns});
+  const std::uint64_t received = counter.received;
+  const std::size_t before = allocation_count();
+  sim.run_until(TimePoint{Duration::millis(20).ns});
+  const std::size_t allocations = allocation_count() - before;
+  const std::uint64_t hops = counter.received - received;
+
+  ASSERT_EQ(hops, 10u);
+  EXPECT_EQ(allocations, 2 * hops);
+}
+
+// DebugApi calls with no trace sink and no armed watch allocate nothing,
+// vector clocks on.
+TEST(MoveOnce, UnwatchedDebugApiCallsAllocateNothing) {
+  const Topology topology = Topology::ring(2);
+  testing::FakeContext ctx(ProcessId(0), &topology);
+  DebugShim shim(ProcessId(0), std::make_unique<Counter>());
+  shim.on_start(ctx);
+  DebugApi& api = shim;
+  api.set_var("x", 0);  // the variable's table entry
+  const auto allocations_of = [](const auto& call) {
+    const std::size_t before = allocation_count();
+    call();
+    return allocation_count() - before;
+  };
+  EXPECT_EQ(allocations_of([&] { api.event("tick", 1); }), 0u);
+  EXPECT_EQ(allocations_of([&] { api.enter_procedure("step"); }), 0u);
+  EXPECT_EQ(allocations_of([&] { api.set_var("x", 1); }), 0u);
+  EXPECT_EQ(shim.var("x"), 1);
 }
 
 struct HeapKey {

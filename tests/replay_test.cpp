@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serialization.hpp"
 #include "debugger/harness.hpp"
 #include "net/fault_plan.hpp"
 #include "replay/recorder.hpp"
@@ -274,6 +275,134 @@ TEST(ReplayRuntime, ThreadedRunReplaysInSimulator) {
   ReplayDriver::Report second = replay_ring(log, n, 1'000'000);
   EXPECT_EQ(first.describe(), second.describe());
   EXPECT_EQ(first.metrics_json, second.metrics_json);
+}
+
+// ---------------------------------------------------------------------------
+// A timer set and then cancelled
+// ---------------------------------------------------------------------------
+//
+// A token ring whose holder arms an hour-long watchdog and a 1 ms hop timer;
+// the hop timer cancels the watchdog, then forwards the token.  Replay
+// hands the user the recorded TimerIds, so each cancel names the
+// watchdog's creation ordinal — 0, 2, 4, … at every process — and no such
+// ordinal may fire.
+class WatchdogRing final : public Process {
+ public:
+  void on_start(ProcessContext& ctx) override {
+    if (ctx.self() == ProcessId(0)) arm(ctx);
+  }
+  void on_message(ProcessContext& ctx, ChannelId, Message) override {
+    ++tokens_;
+    arm(ctx);
+  }
+  void on_timer(ProcessContext& ctx, TimerId timer) override {
+    if (timer == watchdog_) {
+      ++watchdog_fires_;
+      return;
+    }
+    ctx.cancel_timer(watchdog_);
+    ++cancels_;
+    for (const ChannelId c : ctx.topology().out_channels(ctx.self())) {
+      if (!ctx.topology().channel(c).is_control) {
+        ctx.send(c, Message::application(Bytes{1}));
+        return;
+      }
+    }
+  }
+  [[nodiscard]] Bytes snapshot_state() const override {
+    ByteWriter out;
+    out.u64(tokens_);
+    out.u64(cancels_);
+    out.u64(watchdog_fires_);
+    return std::move(out).take();
+  }
+  [[nodiscard]] std::string describe_state() const override {
+    return "tokens=" + std::to_string(tokens_) +
+           " cancels=" + std::to_string(cancels_) +
+           " watchdog_fires=" + std::to_string(watchdog_fires_);
+  }
+
+  [[nodiscard]] std::uint64_t cancels() const { return cancels_; }
+
+ private:
+  void arm(ProcessContext& ctx) {
+    watchdog_ = ctx.set_timer(Duration::seconds(3600));
+    ctx.set_timer(Duration::millis(1));
+  }
+
+  TimerId watchdog_;
+  std::uint64_t tokens_ = 0;
+  std::uint64_t cancels_ = 0;
+  std::uint64_t watchdog_fires_ = 0;
+};
+
+std::vector<ProcessPtr> make_watchdog_ring(std::uint32_t n) {
+  std::vector<ProcessPtr> users;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    users.push_back(std::make_unique<WatchdogRing>());
+  }
+  return users;
+}
+
+TEST(ReplayRuntime, CancelledTimerNeverFiresInReplay) {
+  const std::uint32_t n = 3;
+  auto recorder =
+      std::make_shared<ReplayRecorder>(ring_header(n, "threads", 6));
+  HarnessConfig config;
+  config.seed = 6;
+  config.replay = recorder;
+  RuntimeDebugHarness harness(Topology::ring(n), make_watchdog_ring(n),
+                              std::move(config));
+  recorder->set_metrics(&harness.runtime().metrics());
+  harness.start();
+  ASSERT_TRUE(Runtime::wait_until(
+      [&] { return recorder->log().deliveries() >= 3 * n; }, kWait));
+  harness.session().halt();
+  ASSERT_TRUE(harness.session().wait_for_halt(kWait).has_value());
+  harness.session().resume(kWait);
+  ASSERT_TRUE(Runtime::wait_until(
+      [&] { return recorder->log().deliveries() >= 6 * n; }, kWait));
+  harness.shutdown();
+
+  const ReplayLog log = recorder->log();
+  ASSERT_EQ(log.halt_cuts(), 1u);
+  ASSERT_GT(log.timer_fires(), 0u);
+  // Only hop timers (odd creation ordinals) fired in the recorded run.
+  for (const ReplayRecord& record : log.records) {
+    if (record.kind == ReplayRecordKind::kTimerFire) {
+      EXPECT_EQ(record.ordinal % 2, 1u) << "p" << record.process;
+    }
+  }
+  std::vector<std::string> final_states;
+  for (std::uint32_t p = 0; p < n; ++p) {
+    const auto& user =
+        static_cast<const WatchdogRing&>(harness.shim(ProcessId(p)).user());
+    ASSERT_GT(user.cancels(), 0u) << "p" << p;
+    final_states.push_back(user.describe_state());
+  }
+
+  ReplayDriver driver(log, Topology::ring(n), make_watchdog_ring(n));
+  const ReplayDriver::Report report = driver.run();
+  EXPECT_TRUE(report.ok()) << report.error << "\n" << report.describe();
+  EXPECT_EQ(report.cuts_matched, 1u) << report.describe();
+  EXPECT_EQ(report.divergences, 0u) << report.describe();
+  EXPECT_EQ(report.timer_fires, log.timer_fires());
+  EXPECT_EQ(report.final_states, final_states);
+
+  // Every process cancelled its first watchdog (ordinal 0) under the
+  // replay gate; asked to fire it, the shim refuses.
+  Simulation& sim = driver.harness().sim();
+  for (std::uint32_t p = 0; p < n; ++p) {
+    bool done = false;
+    bool fired = true;
+    sim.post(ProcessId(p), [&](ProcessContext& ctx, Process&) {
+      fired = driver.harness().shim(ProcessId(p)).replay_fire_timer(ctx, 0);
+      done = true;
+    });
+    ASSERT_TRUE(sim.run_until_condition([&] { return done; },
+                                        sim.now() + Duration::seconds(1)));
+    EXPECT_FALSE(fired) << "p" << p;
+  }
 }
 
 // ---------------------------------------------------------------------------

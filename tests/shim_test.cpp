@@ -2,6 +2,7 @@
 // stamping, variable tracking, control handling and report plumbing.
 #include <gtest/gtest.h>
 
+#include "analysis/consistency.hpp"
 #include "analysis/trace.hpp"
 #include "core/debug_shim.hpp"
 #include "core/predicate_parser.hpp"
@@ -320,6 +321,88 @@ TEST(DebugShim, ArmedWatchCountTracksDisarm) {
   harness.session().clear_breakpoint(bp.value());
   harness.sim().run_for(Duration::millis(20));
   EXPECT_EQ(harness.shim(ProcessId(0)).armed_watches(), 0u);
+}
+
+// Lazy local events: with no trace sink and no armed watch the shim builds
+// no LocalEvent, but still advances local_seq and both clocks on every
+// event.  A run without a sink must therefore hit a breakpoint armed
+// mid-run at the same (lamport, local_seq) and halt in the same S_h as a
+// traced run of the same seed.
+struct LazyRun {
+  std::size_t watches_before_arming = 0;
+  std::string hit;
+  Bytes encoded_cut;
+  bool consistent = false;
+};
+
+LazyRun run_bank_until_breakpoint(const char* breakpoint, bool traced) {
+  Trace trace;
+  HarnessConfig config;
+  config.seed = 5;
+  if (traced) config.shim_options.trace_sink = trace.sink();
+  // Transfers call enter_procedure and set_var, deposits event and set_var.
+  SimDebugHarness harness(Topology::complete(4), make_bank(4, BankConfig{}),
+                          std::move(config));
+  harness.sim().run_for(Duration::millis(40));
+
+  LazyRun run;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    run.watches_before_arming += harness.shim(ProcessId(p)).armed_watches();
+  }
+  EXPECT_TRUE(harness.session().set_breakpoint(breakpoint).ok());
+  const auto wave = harness.session().wait_for_halt(Duration::seconds(30));
+  EXPECT_TRUE(wave.has_value());
+  if (!wave.has_value()) return run;
+  const auto hits = harness.session().hits();
+  EXPECT_EQ(hits.size(), 1u);
+  if (!hits.empty()) run.hit = hits.front().description;
+  run.encoded_cut = *wave->encoded;
+  run.consistent = consistent_cut(wave->state);
+  return run;
+}
+
+void expect_untraced_run_matches_traced(const char* breakpoint) {
+  const LazyRun traced = run_bank_until_breakpoint(breakpoint, true);
+  const LazyRun lazy = run_bank_until_breakpoint(breakpoint, false);
+  // Nothing read the untraced run's events before the breakpoint.
+  EXPECT_EQ(lazy.watches_before_arming, 0u);
+  EXPECT_FALSE(traced.hit.empty());
+  EXPECT_EQ(lazy.hit, traced.hit);
+  EXPECT_FALSE(traced.encoded_cut.empty());
+  EXPECT_EQ(lazy.encoded_cut, traced.encoded_cut);
+  EXPECT_TRUE(traced.consistent);
+  EXPECT_TRUE(lazy.consistent);
+}
+
+TEST(LazyEvents, RecvBreakpointMatchesTracedRun) {
+  expect_untraced_run_matches_traced("p1:recv");
+}
+
+TEST(LazyEvents, UserEventBreakpointMatchesTracedRun) {
+  expect_untraced_run_matches_traced("p2:event(deposit)");
+}
+
+// The same on threads: the consumer check runs on every worker's send and
+// receive path, and a breakpoint armed after a stretch of untraced,
+// unwatched flood traffic still fires and halts in a consistent cut.
+TEST(LazyEvents, RuntimeBreakpointAfterIdleFloodHaltsConsistently) {
+  GossipConfig gossip;
+  gossip.send_interval = Duration::micros(50);
+  RuntimeDebugHarness harness(Topology::ring(4), make_gossip(4, gossip));
+  harness.start();
+  const auto& p0 =
+      dynamic_cast<const GossipProcess&>(harness.shim(ProcessId(0)).user());
+  ASSERT_TRUE(Runtime::wait_until([&] { return p0.sent() >= 200; },
+                                  Duration::seconds(30)));
+  ASSERT_TRUE(harness.session().set_breakpoint("p1:recv").ok());
+  const auto wave = harness.session().wait_for_halt(Duration::seconds(30));
+  ASSERT_TRUE(wave.has_value());
+  EXPECT_EQ(wave->state.size(), 4u);
+  EXPECT_TRUE(consistent_cut(wave->state));
+  EXPECT_TRUE(harness.shim(ProcessId(1)).halted());
+  ASSERT_EQ(harness.session().hits().size(), 1u);
+  EXPECT_EQ(harness.session().hits().front().process, ProcessId(1));
+  harness.shutdown();
 }
 
 }  // namespace
